@@ -260,8 +260,9 @@ BENCHMARK(BM_CbtcGrowthIntraThreads)
     ->ArgsProduct({{10000, 50000}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
 
-/// Full engine run (growth + optimizations + invariants + metrics) on
-/// a large instance, serial vs 4 intra threads.
+/// Engine run on a large instance, serial vs 4 intra threads. Growth,
+/// radius pass and invariants only: scaling_spec turns the metrics and
+/// the optimizations off (BM_EngineMetricsOn times those).
 void BM_EngineOracleIntraThreads(benchmark::State& state) {
   api::scenario_spec spec = scaling_spec(state.range(0));
   spec.cbtc.intra_threads = static_cast<unsigned>(state.range(1));
@@ -272,6 +273,41 @@ void BM_EngineOracleIntraThreads(benchmark::State& state) {
 BENCHMARK(BM_EngineOracleIntraThreads)
     ->ArgsProduct({{10000}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
+
+// -- the metric phase of one large engine run -------------------------
+
+/// The paper_table1 preset (continuous growth, all three optimizations)
+/// at `nodes` nodes and paper density on a 4-wide pool, Morton
+/// relabeling from 4096 nodes, with its default metrics (stretch from 8
+/// samples, interference, robustness) on or off.
+api::scenario_spec table1_spec_at(std::int64_t nodes, bool metrics) {
+  api::scenario_spec spec = api::get_scenario("paper_table1");
+  spec.deploy.nodes = static_cast<std::size_t>(nodes);
+  spec.deploy.region_side = density_side_for(nodes);
+  spec.cbtc.intra_threads = 4;
+  spec.cbtc.relabel_min_nodes = 4096;
+  if (!metrics) spec.metrics = {.stretch = false, .interference = false, .robustness = false};
+  return spec;
+}
+
+/// On/Off is the gated ratio: what the metric phase costs on top of
+/// building and checking the topology. The stretch sources and the
+/// interference edges run on the instance pool.
+void BM_EngineMetricsOn(benchmark::State& state) {
+  const api::scenario_spec spec = table1_spec_at(state.range(0), true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec));
+  }
+}
+BENCHMARK(BM_EngineMetricsOn)->Arg(12000)->Unit(benchmark::kMillisecond);
+
+void BM_EngineMetricsOff(benchmark::State& state) {
+  const api::scenario_spec spec = table1_spec_at(state.range(0), false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec));
+  }
+}
+BENCHMARK(BM_EngineMetricsOff)->Arg(12000)->Unit(benchmark::kMillisecond);
 
 // -- million-node static pipeline -------------------------------------
 

@@ -115,7 +115,10 @@ struct method_spec {
 /// Degree/radius/power and the paper's invariant checks are always on.
 struct metric_options {
   bool stretch{true};               ///< power + hop stretch vs G_R (Dijkstra/BFS)
-  std::size_t stretch_samples{8};   ///< sources sampled per stretch run
+  /// Stretch sampling parameter k >= 1, not a source count: every
+  /// floor(n/k)-th node id is a source, k to 2k-1 of them for k <= n
+  /// (graph::power_stretch).
+  std::size_t stretch_samples{8};
   bool interference{true};          ///< coverage-based edge interference
   bool robustness{true};            ///< articulation-point count
 };

@@ -388,6 +388,7 @@ scenario_spec scenario_from_jv(const jv& o) {
     check_keys(*m, "metrics", {"stretch", "stretch_samples", "interference", "robustness"});
     s.metrics.stretch = get_bool(*m, "stretch", s.metrics.stretch);
     s.metrics.stretch_samples = get_count(*m, "stretch_samples", s.metrics.stretch_samples);
+    require(s.metrics.stretch_samples > 0, "metrics.stretch_samples must be at least 1");
     s.metrics.interference = get_bool(*m, "interference", s.metrics.interference);
     s.metrics.robustness = get_bool(*m, "robustness", s.metrics.robustness);
   }

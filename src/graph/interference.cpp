@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "geom/spatial_grid.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -34,7 +35,8 @@ std::size_t edge_interference(const undirected_graph& g, std::span<const geom::v
 }
 
 interference_stats topology_interference(const undirected_graph& g,
-                                         std::span<const geom::vec2> positions) {
+                                         std::span<const geom::vec2> positions,
+                                         util::thread_pool& pool) {
   interference_stats stats;
   const std::vector<edge> edges = g.edges();
   stats.edges = edges.size();
@@ -46,14 +48,36 @@ interference_stats topology_interference(const undirected_graph& g,
   }
   const geom::spatial_grid grid(positions, max_len);
 
-  double total = 0.0;
-  for (const edge& e : edges) {
-    const std::size_t cov = disk_union_count(positions, grid, e.u, e.v);
-    total += static_cast<double>(cov);
-    stats.max = std::max(stats.max, cov);
-  }
-  stats.mean = total / static_cast<double>(edges.size());
+  // Integer counts: the block-ordered sum is exact, and so equal to any
+  // other summation order.
+  struct coverage {
+    std::size_t total{0};
+    std::size_t max{0};
+  };
+  const coverage cov = pool.reduce<coverage>(
+      edges.size(), {},
+      [&](std::size_t lo, std::size_t hi) {
+        coverage part;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t c = disk_union_count(positions, grid, edges[i].u, edges[i].v);
+          part.total += c;
+          part.max = std::max(part.max, c);
+        }
+        return part;
+      },
+      [](coverage& sum, const coverage& part) {
+        sum.total += part.total;
+        sum.max = std::max(sum.max, part.max);
+      });
+  stats.max = cov.max;
+  stats.mean = static_cast<double>(cov.total) / static_cast<double>(edges.size());
   return stats;
+}
+
+interference_stats topology_interference(const undirected_graph& g,
+                                         std::span<const geom::vec2> positions) {
+  util::thread_pool serial(1);
+  return topology_interference(g, positions, serial);
 }
 
 }  // namespace cbtc::graph

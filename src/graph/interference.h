@@ -15,6 +15,10 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 
+namespace cbtc::util {
+class thread_pool;
+}
+
 namespace cbtc::graph {
 
 /// Nodes (other than u, v) covered by the two d(u,v)-disks of the edge.
@@ -28,7 +32,14 @@ struct interference_stats {
   std::size_t edges{0};
 };
 
-/// Coverage-based interference over all edges of the topology.
+/// Coverage-based interference over all edges of the topology. Edges
+/// are counted in parallel; the counts are integers, so the result is
+/// the same at every pool width.
+[[nodiscard]] interference_stats topology_interference(const undirected_graph& g,
+                                                       std::span<const geom::vec2> positions,
+                                                       util::thread_pool& pool);
+
+/// Width-1 topology_interference.
 [[nodiscard]] interference_stats topology_interference(const undirected_graph& g,
                                                        std::span<const geom::vec2> positions);
 

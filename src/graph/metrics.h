@@ -14,6 +14,10 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 
+namespace cbtc::util {
+class thread_pool;
+}
+
 namespace cbtc::graph {
 
 /// Mean degree over all nodes (0 for an empty graph).
@@ -48,14 +52,35 @@ struct stretch_stats {
 
 /// Power stretch of `sparse` w.r.t. `dense`: for sampled connected
 /// pairs (s,t), the ratio of minimum-energy route costs (cost d^exponent
-/// per hop). `sample_sources` bounds the number of Dijkstra runs;
-/// pass the node count (or more) for the exact all-pairs statistic.
+/// per hop).
+///
+/// Sources are every step-th node id from 0, step = floor(n / k) with
+/// k = min(sample_sources, n). That is ceil(n / step) sources, between
+/// k and 2k - 1 (the paper's 100-node Table 1 runs 9 for k = 8), each
+/// running one Dijkstra per graph. Pass the node count (or more) for
+/// the exact all-pairs statistic; 0 sources gives the default stats.
+///
+/// Each source's Dijkstra runs take one pool slot; the per-pair ratios
+/// then fold serially in (source, target) order, so the result is
+/// bitwise identical at every pool width.
+[[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
+                                          const undirected_graph& dense,
+                                          const std::vector<geom::vec2>& positions, double exponent,
+                                          std::size_t sample_sources, util::thread_pool& pool);
+
+/// Width-1 power_stretch.
 [[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
                                           const undirected_graph& dense,
                                           const std::vector<geom::vec2>& positions, double exponent,
                                           std::size_t sample_sources = 32);
 
-/// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts).
+/// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts), with the
+/// same sources and pool contract as power_stretch.
+[[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
+                                        const undirected_graph& dense, std::size_t sample_sources,
+                                        util::thread_pool& pool);
+
+/// Width-1 hop_stretch.
 [[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
                                         const undirected_graph& dense, std::size_t sample_sources = 32);
 

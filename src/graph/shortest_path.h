@@ -14,7 +14,9 @@
 
 namespace cbtc::graph {
 
-/// Cost of traversing edge {u, v}; must be non-negative.
+/// Cost of traversing edge {u, v}; must be non-negative and free of
+/// side effects (Dijkstra skips arcs that cannot relax, so the number
+/// of calls is not part of the contract).
 using edge_cost_fn = std::function<double(node_id, node_id)>;
 
 /// Dijkstra from `from`. Unreachable nodes get +infinity.
@@ -32,7 +34,8 @@ struct shortest_path_tree {
 /// Dijkstra from `from` with parent pointers. Relaxations use strict
 /// `<` improvement and the heap orders ties by (distance, node id), so
 /// the tree is deterministic for a given graph and cost function. The
-/// cost callback is invoked as cost(settled, neighbor).
+/// cost callback is invoked as cost(settled, neighbor), and never for a
+/// neighbor already settled.
 [[nodiscard]] shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                                const edge_cost_fn& cost);
 

@@ -75,12 +75,18 @@ class thread_pool {
   [[nodiscard]] T reduce(std::size_t n, T init, const PerBlock& per_block, const Merge& merge) {
     if (n == 0) return init;
     const std::size_t blocks = (n + reduce_block - 1) / reduce_block;
-    std::vector<T> partials(blocks, init);
+    // One slot per block. The wrapper keeps T = bool off the packed
+    // std::vector<bool>, where two blocks' slots can share a word and
+    // concurrent writes to them would race.
+    struct slot {
+      T value;
+    };
+    std::vector<slot> partials(blocks, slot{init});
     parallel_for_chunks(n, reduce_block, [&](std::size_t lo, std::size_t hi) {
-      partials[lo / reduce_block] = per_block(lo, hi);
+      partials[lo / reduce_block].value = per_block(lo, hi);
     });
     T total = std::move(init);
-    for (const T& p : partials) merge(total, p);
+    for (const slot& p : partials) merge(total, p.value);
     return total;
   }
 

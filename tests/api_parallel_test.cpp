@@ -40,6 +40,13 @@ void expect_bitwise_equal(const run_report& a, const run_report& b) {
   EXPECT_EQ(a.avg_power, b.avg_power);
   EXPECT_EQ(a.boundary_nodes, b.boundary_nodes);
   EXPECT_EQ(a.removed_edges, b.removed_edges);
+  EXPECT_EQ(a.power_stretch, b.power_stretch);
+  EXPECT_EQ(a.power_stretch_max, b.power_stretch_max);
+  EXPECT_EQ(a.hop_stretch, b.hop_stretch);
+  EXPECT_EQ(a.hop_stretch_max, b.hop_stretch_max);
+  EXPECT_EQ(a.interference_mean, b.interference_mean);
+  EXPECT_EQ(a.interference_max, b.interference_max);
+  EXPECT_EQ(a.cut_vertices, b.cut_vertices);
   EXPECT_EQ(a.invariants.ok(), b.invariants.ok());
   EXPECT_EQ(a.invariants.violations, b.invariants.violations);
   ASSERT_EQ(a.has_growth, b.has_growth);
@@ -63,6 +70,25 @@ TEST(ApiParallel, StaticRunIsBitwiseIdenticalAcrossIntraThreads) {
   const run_report parallel = eng.run(big_spec(4), 0);
   expect_bitwise_equal(serial, parallel);
   EXPECT_TRUE(serial.invariants.ok());
+}
+
+/// The metric phase (stretch sources, interference edges) runs on the
+/// instance pool; its stats must not move by a bit at any width,
+/// including one that does not divide the source count.
+TEST(ApiParallel, MetricPhaseIsBitwiseIdenticalAcrossIntraThreads) {
+  const auto metrics_on = [](unsigned intra_threads) {
+    scenario_spec spec = big_spec(intra_threads);
+    spec.metrics = {};  // stretch (8 samples), interference, robustness
+    return spec;
+  };
+  const engine eng;
+  const run_report serial = eng.run(metrics_on(1), 0);
+  EXPECT_GT(serial.power_stretch, 1.0);
+  EXPECT_GT(serial.interference_mean, 0.0);
+  for (const unsigned threads : {4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expect_bitwise_equal(serial, eng.run(metrics_on(threads), 0));
+  }
 }
 
 TEST(ApiParallel, DiscreteGrowthAlsoThreadCountInvariant) {

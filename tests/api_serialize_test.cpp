@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/api.h"
+#include "api/wire.h"
 
 namespace cbtc::api {
 namespace {
@@ -237,6 +238,26 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   EXPECT_EQ(sci.scenario.deploy.nodes, 100u);
 }
 
+/// A stretch sampling parameter of 0 selects no sources. Scenario files
+/// and cbtc_serve batch requests (the same parser) must both reject it
+/// with std::invalid_argument rather than hand it to engine::run.
+TEST(ApiSerialize, ZeroStretchSamplesRejected) {
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"metrics": {"stretch": true, "stretch_samples": 0}}})"),
+      std::invalid_argument);
+  const scenario_file one =
+      parse_scenario_json(R"({"scenario": {"metrics": {"stretch_samples": 1}}})");
+  EXPECT_EQ(one.scenario.metrics.stretch_samples, 1u);
+
+  wire::batch_request req;
+  req.scenario = get_scenario("paper_table1");
+  req.scenario.metrics.stretch_samples = 0;
+  req.seeds = {0, 4};
+  req.blocks = {0, 1};
+  const wire::message m = wire::decode_message(wire::encode_batch_request(req));
+  EXPECT_THROW((void)wire::decode_batch_request(m), std::invalid_argument);
+}
+
 TEST(ApiSerialize, PropagationRoundTripsAllKinds) {
   // Shadowing: every knob, including an exact-u64 seed.
   scenario_file f;
@@ -333,7 +354,7 @@ TEST(ApiSerialize, RandomSpecsRoundTripIdempotently) {
     s.cbtc.intra_threads = static_cast<unsigned>(rng() % 9);
     s.base_seed = rng();
     s.metrics.stretch = rng() % 2 == 0;
-    s.metrics.stretch_samples = rng() % 64;
+    s.metrics.stretch_samples = 1 + rng() % 64;  // 0 is rejected
     if (rng() % 2 == 0) {
       sim_spec dyn;
       dyn.horizon = pick_double(1.0, 500.0);

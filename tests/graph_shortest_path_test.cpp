@@ -1,13 +1,19 @@
 // Edge cases of graph::dijkstra_tree left untested by the metrics
 // suite: unreachable sinks, zero-weight and duplicate edges, trivial
 // graphs, and tie-break determinism (including graphs assembled at
-// different pool widths).
+// different pool widths). Plus bitwise equality of the kernel with a
+// plain lazy-deletion loop on random graphs full of ties.
 #include "graph/shortest_path.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "geom/random_points.h"
@@ -109,6 +115,79 @@ TEST(DijkstraTree, IdenticalOnGraphsBuiltAtAnyPoolWidth) {
   const shortest_path_tree tb = dijkstra_tree(b, 7, cost);
   EXPECT_EQ(ta.dist, tb.dist);
   EXPECT_EQ(ta.parent, tb.parent);
+}
+
+/// Lazy-deletion Dijkstra with parent pointers that evaluates every
+/// arc's cost, arcs back into settled nodes included: the oracle the
+/// library kernel (settled skip, indexed frontier) must match bit for
+/// bit.
+shortest_path_tree reference_tree(const undirected_graph& g, node_id from,
+                                  const edge_cost_fn& cost) {
+  shortest_path_tree tree;
+  tree.dist.assign(g.num_nodes(), std::numeric_limits<double>::infinity());
+  tree.parent.assign(g.num_nodes(), invalid_node);
+  using entry = std::pair<double, node_id>;
+  std::priority_queue<entry, std::vector<entry>, std::greater<>> heap;
+  tree.dist[from] = 0.0;
+  heap.push({0.0, from});
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > tree.dist[u]) continue;
+    for (node_id v : g.neighbors(u)) {
+      const double nd = d + cost(u, v);
+      if (nd < tree.dist[v]) {
+        tree.dist[v] = nd;
+        tree.parent[v] = u;
+        heap.push({nd, v});
+      }
+    }
+  }
+  return tree;
+}
+
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+TEST(DijkstraTree, MatchesLazyDeletionLoopBitwise) {
+  // Random graphs whose costs make ties and zero-distance plateaus
+  // common: a quarter of all arcs cost 0, the rest one of three values
+  // (one-tenth steps, so equal-cost routes round differently), drawn
+  // per ordered pair, so cost(u, v) != cost(v, u) too. Positions on a
+  // coarse lattice add coincident nodes (zero power cost) and many
+  // equal edge lengths.
+  std::mt19937_64 rng(1301);
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t n = 2 + rng() % 150;
+    undirected_graph g(n);
+    const std::size_t arcs = rng() % (4 * n);
+    for (std::size_t i = 0; i < arcs; ++i) {
+      (void)g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
+    }
+    std::vector<vec2> lattice(n);
+    for (vec2& p : lattice) {
+      p = {100.0 * static_cast<double>(rng() % 6), 100.0 * static_cast<double>(rng() % 6)};
+    }
+    const std::uint64_t salt = rng();
+    const edge_cost_fn quantized = [salt](node_id u, node_id v) {
+      return 0.1 * static_cast<double>(mix(salt ^ (std::uint64_t{u} << 32 | v)) % 4);
+    };
+    for (const edge_cost_fn& cost : {quantized, power_cost(lattice, 2.0), unit_cost}) {
+      for (int pick = 0; pick < 3; ++pick) {
+        const auto from = static_cast<node_id>(rng() % n);
+        const shortest_path_tree want = reference_tree(g, from, cost);
+        const shortest_path_tree got = dijkstra_tree(g, from, cost);
+        SCOPED_TRACE(::testing::Message() << "round " << round << " from " << from);
+        ASSERT_EQ(got.dist, want.dist);  // element-wise bitwise doubles
+        ASSERT_EQ(got.parent, want.parent);
+        ASSERT_EQ(dijkstra(g, from, cost), want.dist);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // churn counters on the live index.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -171,7 +172,7 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
 
   std::vector<std::uint64_t> fired(kNodes, 0);
   std::vector<std::uint64_t> tx_seq(kNodes, 0);
-  std::uint64_t retries = 0;
+  std::atomic<std::uint64_t> retries{0};  // bumped from several lanes at once
 
   // Every node ping-pongs a delivery to the node two regions over,
   // re-arming itself for a bounded number of rounds; the first firing
@@ -205,7 +206,7 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
   for (graph::node_id u = 0; u < kNodes; ++u) {
     EXPECT_EQ(fired[u], 40u) << "node " << u;  // 20 timer firings + 20 deliveries
   }
-  EXPECT_EQ(retries, kNodes);
+  EXPECT_EQ(retries.load(), kNodes);
 }
 
 /// The canonical tie policy orders same-time events by their typed
