@@ -227,7 +227,7 @@ Report shard_dispatcher::dispatch(const wire::batch_request& base, seed_range se
                              " blocks completed (every endpoint is dead)");
   }
   // The engine's merge, verbatim: block-index order.
-  for (const Report& p : st.partials) total.merge(p);
+  for (const Report& p : st.partials) merge(total, p);
   return total;
 }
 

@@ -766,45 +766,6 @@ void dynamic_batch_report::accumulate(const dynamic_report& r) {
   }
 }
 
-void dynamic_batch_report::merge(const dynamic_batch_report& other) {
-  runs += other.runs;
-  initial_connectivity_failures += other.initial_connectivity_failures;
-  final_connectivity_failures += other.final_connectivity_failures;
-  partitioned_runs += other.partitioned_runs;
-  unrepaired_disruptions += other.unrepaired_disruptions;
-  broadcasts.merge(other.broadcasts);
-  unicasts.merge(other.unicasts);
-  deliveries.merge(other.deliveries);
-  drops.merge(other.drops);
-  tx_energy.merge(other.tx_energy);
-  joins.merge(other.joins);
-  leaves.merge(other.leaves);
-  achanges.merge(other.achanges);
-  regrows.merge(other.regrows);
-  prunes.merge(other.prunes);
-  beacons.merge(other.beacons);
-  disruptions.merge(other.disruptions);
-  repair_latency.merge(other.repair_latency);
-  repair_latency_max.merge(other.repair_latency_max);
-  field_disruptions.merge(other.field_disruptions);
-  field_downtime.merge(other.field_downtime);
-  time_to_partition.merge(other.time_to_partition);
-  final_edges.merge(other.final_edges);
-  final_degree.merge(other.final_degree);
-  final_radius.merge(other.final_radius);
-  live_nodes.merge(other.live_nodes);
-  traffic_runs += other.traffic_runs;
-  traffic_generated.merge(other.traffic_generated);
-  traffic_delivered.merge(other.traffic_delivered);
-  traffic_delivery_ratio.merge(other.traffic_delivery_ratio);
-  traffic_throughput.merge(other.traffic_throughput);
-  traffic_delay.merge(other.traffic_delay);
-  traffic_energy.merge(other.traffic_energy);
-  traffic_energy_spread.merge(other.traffic_energy_spread);
-  traffic_drops.merge(other.traffic_drops);
-  traffic_queue_peak.merge(other.traffic_queue_peak);
-}
-
 dynamic_batch_report reduce(std::span<const dynamic_report> reports) {
   dynamic_batch_report b;
   for (const dynamic_report& r : reports) b.accumulate(r);

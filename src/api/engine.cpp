@@ -156,7 +156,7 @@ Batch stream_batch(seed_range seeds, unsigned num_threads, const RunOne& run_one
                        [&](std::uint64_t block, const Batch& p) {
                          partials[static_cast<std::size_t>(block)] = p;
                        });
-  for (const Batch& p : partials) total.merge(p);
+  for (const Batch& p : partials) merge(total, p);
   return total;
 }
 
@@ -385,13 +385,6 @@ void lifetime_batch_report::accumulate(const lifetime_report& r) {
   field_partition.add(r.field_partition);
 }
 
-void lifetime_batch_report::merge(const lifetime_batch_report& other) {
-  runs += other.runs;
-  first_death.merge(other.first_death);
-  quarter_dead.merge(other.quarter_dead);
-  field_partition.merge(other.field_partition);
-}
-
 void batch_report::accumulate(const run_report& r) {
   ++runs;
   if (!r.connectivity_preserved()) ++connectivity_failures;
@@ -415,29 +408,6 @@ void batch_report::accumulate(const run_report& r) {
     tx_energy.add(r.protocol_stats.tx_energy);
     completion_time.add(r.completion_time);
   }
-}
-
-void batch_report::merge(const batch_report& other) {
-  runs += other.runs;
-  connectivity_failures += other.connectivity_failures;
-  edges.merge(other.edges);
-  degree.merge(other.degree);
-  radius.merge(other.radius);
-  max_radius.merge(other.max_radius);
-  tx_power.merge(other.tx_power);
-  boundary.merge(other.boundary);
-  power_stretch.merge(other.power_stretch);
-  power_stretch_max.merge(other.power_stretch_max);
-  hop_stretch.merge(other.hop_stretch);
-  hop_stretch_max.merge(other.hop_stretch_max);
-  interference.merge(other.interference);
-  cut_vertices.merge(other.cut_vertices);
-  removed_edges.merge(other.removed_edges);
-  has_protocol_stats = has_protocol_stats || other.has_protocol_stats;
-  messages.merge(other.messages);
-  deliveries.merge(other.deliveries);
-  tx_energy.merge(other.tx_energy);
-  completion_time.merge(other.completion_time);
 }
 
 batch_report reduce(std::span<const run_report> reports) {

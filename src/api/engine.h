@@ -49,8 +49,19 @@ struct lifetime_batch_report {
   exp::summary field_partition;
 
   void accumulate(const lifetime_report& r);
-  void merge(const lifetime_batch_report& other);
+
+  [[nodiscard]] bool operator==(const lifetime_batch_report&) const = default;
 };
+
+/// The field table of lifetime_batch_report (see batch_report's).
+template <class F, class... R>
+  requires(std::same_as<std::remove_const_t<R>, lifetime_batch_report> && ...)
+void for_each_field(F&& f, R&... r) {
+  f("runs", r.runs...);
+  f("first_death", r.first_death...);
+  f("quarter_dead", r.quarter_dead...);
+  f("field_partition", r.field_partition...);
+}
 
 /// A contiguous range of seed-block indices within a batch (block `b`
 /// covers seeds `[first + b*batch_block_size, ...)` of the full seed

@@ -237,8 +237,14 @@ struct parser {
     return j;
   }
 
-  jv parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value. One
+  /// recursion frame per level: without the cap, a frame of a few KB
+  /// of brackets would exhaust the stack.
+  jv parse_value(std::size_t depth = 0) {
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == max_depth) {
+      fail("nesting deeper than " + std::to_string(max_depth) + " levels");
+    }
     if (c == '{') {
       jv obj = jv::object();
       ++pos;
@@ -247,7 +253,7 @@ struct parser {
         skip_ws();
         std::string key = parse_string();
         expect(':');
-        obj.fields.emplace_back(std::move(key), parse_value());
+        obj.fields.emplace_back(std::move(key), parse_value(depth + 1));
         if (consume(',')) continue;
         expect('}');
         return obj;
@@ -258,7 +264,7 @@ struct parser {
       ++pos;
       if (consume(']')) return arr;
       for (;;) {
-        arr.items.push_back(parse_value());
+        arr.items.push_back(parse_value(depth + 1));
         if (consume(',')) continue;
         expect(']');
         return arr;
@@ -324,21 +330,25 @@ double get_num(const jv& obj, std::string_view key, double fallback) {
   return v->num;
 }
 
-std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback) {
-  const jv* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  require(v->k == jv::kind::number, std::string(key) + " must be a number");
+std::uint64_t as_u64(const jv& v, std::string_view what) {
+  require(v.k == jv::kind::number, std::string(what) + " must be a number");
   std::uint64_t out = 0;
-  const auto [end, ec] = std::from_chars(v->raw.data(), v->raw.data() + v->raw.size(), out);
-  if (ec != std::errc{} || end != v->raw.data() + v->raw.size()) {
+  const auto [end, ec] = std::from_chars(v.raw.data(), v.raw.data() + v.raw.size(), out);
+  if (ec != std::errc{} || end != v.raw.data() + v.raw.size()) {
     // Not a plain integer literal; accept other spellings of an exact
     // non-negative integer (e.g. 1e3) but reject fractions like 2.5
-    // instead of silently truncating them.
-    require(v->num >= 0.0 && v->num == std::floor(v->num),
-            std::string(key) + " must be a non-negative integer");
-    out = static_cast<std::uint64_t>(v->num);
+    // instead of silently truncating them, and values the cast below
+    // cannot represent (2^64 and up).
+    require(v.num >= 0.0 && v.num == std::floor(v.num) && v.num < 0x1p64,
+            std::string(what) + " must be a non-negative integer below 2^64");
+    out = static_cast<std::uint64_t>(v.num);
   }
   return out;
+}
+
+std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback) {
+  const jv* v = get(obj, key);
+  return v == nullptr ? fallback : as_u64(*v, key);
 }
 
 std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback) {

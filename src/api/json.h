@@ -56,8 +56,12 @@ struct jv {
 /// Pretty-prints `v` (2-space indent, scalar arrays on one line).
 void write_value(std::ostream& os, const jv& v, int indent);
 
+/// Deepest nesting of arrays and objects parse_document accepts.
+inline constexpr std::size_t max_depth = 64;
+
 /// Parses one JSON value; throws std::invalid_argument with an
-/// offset-annotated message on malformed input or trailing content.
+/// offset-annotated message on malformed input, trailing content, or
+/// nesting deeper than max_depth.
 [[nodiscard]] jv parse_document(std::string_view text);
 
 // ---- object field access (strict: unknown keys are errors) ---------
@@ -72,7 +76,10 @@ void require(bool cond, const std::string& what);
 
 [[nodiscard]] double get_num(const jv& obj, std::string_view key, double fallback);
 /// Exact for plain integer literals; accepts other spellings of an
-/// exact non-negative integer (e.g. 1e3) but rejects fractions.
+/// exact non-negative integer (e.g. 1e3) but rejects fractions and
+/// values of 2^64 and up. `what` names the value in the error.
+[[nodiscard]] std::uint64_t as_u64(const jv& v, std::string_view what);
+/// as_u64 of field `key`, or `fallback` when the field is absent.
 [[nodiscard]] std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback);
 [[nodiscard]] std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback);
 [[nodiscard]] bool get_bool(const jv& obj, std::string_view key, bool fallback);

@@ -13,12 +13,20 @@
 // matter how many threads produced the runs — without ever holding
 // every run_report alive.
 //
+// Each batch struct has one field table, `for_each_field`, beside it;
+// merge, the wire codec (api/wire.cpp) and the CLI sweep tables are
+// derived from it. A new aggregate is a member, a table line and an
+// `accumulate` line.
+//
 // `dynamic_report` / `dynamic_batch_report` are the equivalents for
 // dynamic (churn / mobility) simulations driven by a sim_spec.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "algo/analysis.h"
@@ -110,10 +118,58 @@ struct batch_report {
 
   /// Folds one run into the aggregates (streaming reduction step).
   void accumulate(const run_report& r);
-  /// Appends another partial's aggregates (callers merge partials in
-  /// seed-block order for determinism).
-  void merge(const batch_report& other);
+
+  [[nodiscard]] bool operator==(const batch_report&) const = default;
 };
+
+/// The field table of batch_report: calls `f(name, r.member...)` for
+/// every member, once, in declaration order, under its wire name, with
+/// the same member of every report passed (two for merge, one for the
+/// codec and the CLI tables).
+template <class F, class... R>
+  requires(std::same_as<std::remove_const_t<R>, batch_report> && ...)
+void for_each_field(F&& f, R&... r) {
+  f("runs", r.runs...);
+  f("connectivity_failures", r.connectivity_failures...);
+  f("edges", r.edges...);
+  f("degree", r.degree...);
+  f("radius", r.radius...);
+  f("max_radius", r.max_radius...);
+  f("tx_power", r.tx_power...);
+  f("boundary", r.boundary...);
+  f("power_stretch", r.power_stretch...);
+  f("power_stretch_max", r.power_stretch_max...);
+  f("hop_stretch", r.hop_stretch...);
+  f("hop_stretch_max", r.hop_stretch_max...);
+  f("interference", r.interference...);
+  f("cut_vertices", r.cut_vertices...);
+  f("removed_edges", r.removed_edges...);
+  f("has_protocol_stats", r.has_protocol_stats...);
+  f("messages", r.messages...);
+  f("deliveries", r.deliveries...);
+  f("tx_energy", r.tx_energy...);
+  f("completion_time", r.completion_time...);
+}
+
+/// Appends partial `from` to `into` through its field table; the
+/// member type is the kind: an integer count adds, a bool flag ORs,
+/// an exp::summary merges. Callers merge partials in seed-block order
+/// for determinism.
+template <class Batch>
+void merge(Batch& into, const Batch& from) {
+  for_each_field(
+      [](std::string_view, auto& a, const auto& b) {
+        using T = std::remove_cvref_t<decltype(a)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          a = a || b;
+        } else if constexpr (std::is_integral_v<T>) {
+          a += b;
+        } else {
+          a.merge(b);
+        }
+      },
+      into, from);
+}
 
 /// Reduces per-seed reports (in the order given — callers pass seed
 /// order for determinism) into aggregate statistics.
@@ -132,6 +188,8 @@ struct dynamic_sample {
   bool connectivity_ok{false};
   /// The survivors' G_R itself is one component (no unfixable split).
   bool field_connected{true};
+
+  [[nodiscard]] bool operator==(const dynamic_sample&) const = default;
 };
 
 /// Convergecast data-plane outcome of one dynamic run (sim/traffic.h):
@@ -158,6 +216,8 @@ struct traffic_report {
   double energy_mean{0.0};          ///< per non-sink node
   double energy_max{0.0};
   double energy_stddev{0.0};        ///< the forwarding-balance metric
+
+  [[nodiscard]] bool operator==(const traffic_report&) const = default;
 };
 
 /// Outcome of one dynamic (churn / mobility) simulation instance.
@@ -214,6 +274,8 @@ struct dynamic_report {
   traffic_report traffic{};
 
   std::vector<dynamic_sample> samples;
+
+  [[nodiscard]] bool operator==(const dynamic_report&) const = default;
 };
 
 /// Aggregates over a batch of dynamic runs.
@@ -266,8 +328,51 @@ struct dynamic_batch_report {
   }
 
   void accumulate(const dynamic_report& r);
-  void merge(const dynamic_batch_report& other);
+
+  [[nodiscard]] bool operator==(const dynamic_batch_report&) const = default;
 };
+
+/// The field table of dynamic_batch_report (see batch_report's).
+template <class F, class... R>
+  requires(std::same_as<std::remove_const_t<R>, dynamic_batch_report> && ...)
+void for_each_field(F&& f, R&... r) {
+  f("runs", r.runs...);
+  f("initial_connectivity_failures", r.initial_connectivity_failures...);
+  f("final_connectivity_failures", r.final_connectivity_failures...);
+  f("partitioned_runs", r.partitioned_runs...);
+  f("unrepaired_disruptions", r.unrepaired_disruptions...);
+  f("broadcasts", r.broadcasts...);
+  f("unicasts", r.unicasts...);
+  f("deliveries", r.deliveries...);
+  f("drops", r.drops...);
+  f("tx_energy", r.tx_energy...);
+  f("joins", r.joins...);
+  f("leaves", r.leaves...);
+  f("achanges", r.achanges...);
+  f("regrows", r.regrows...);
+  f("prunes", r.prunes...);
+  f("beacons", r.beacons...);
+  f("disruptions", r.disruptions...);
+  f("repair_latency", r.repair_latency...);
+  f("repair_latency_max", r.repair_latency_max...);
+  f("field_disruptions", r.field_disruptions...);
+  f("field_downtime", r.field_downtime...);
+  f("time_to_partition", r.time_to_partition...);
+  f("final_edges", r.final_edges...);
+  f("final_degree", r.final_degree...);
+  f("final_radius", r.final_radius...);
+  f("live_nodes", r.live_nodes...);
+  f("traffic_runs", r.traffic_runs...);
+  f("traffic_generated", r.traffic_generated...);
+  f("traffic_delivered", r.traffic_delivered...);
+  f("traffic_delivery_ratio", r.traffic_delivery_ratio...);
+  f("traffic_throughput", r.traffic_throughput...);
+  f("traffic_delay", r.traffic_delay...);
+  f("traffic_energy", r.traffic_energy...);
+  f("traffic_energy_spread", r.traffic_energy_spread...);
+  f("traffic_drops", r.traffic_drops...);
+  f("traffic_queue_peak", r.traffic_queue_peak...);
+}
 
 /// Reduces dynamic reports (in the order given) into aggregates.
 [[nodiscard]] dynamic_batch_report reduce(std::span<const dynamic_report> reports);

@@ -1,10 +1,11 @@
 #include "api/wire.h"
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "api/serialize_detail.h"
 #include "exp/stats.h"
@@ -27,20 +28,6 @@ std::string render(const jv& root) {
   return os.str();
 }
 
-/// Exact u64 extraction from a jv number (prefers the literal
-/// spelling, same policy as json::get_u64).
-std::uint64_t u64_of(const jv& v, const char* what) {
-  require(v.k == jv::kind::number, std::string(what) + " must be a number");
-  std::uint64_t out = 0;
-  const auto [end, ec] = std::from_chars(v.raw.data(), v.raw.data() + v.raw.size(), out);
-  if (ec != std::errc{} || end != v.raw.data() + v.raw.size()) {
-    require(v.num >= 0.0 && v.num == std::floor(v.num),
-            std::string(what) + " must be a non-negative integer");
-    out = static_cast<std::uint64_t>(v.num);
-  }
-  return out;
-}
-
 // ---- exp::summary <-> [count, sum, sum_sq, min, max] ---------------
 
 jv summary_to_jv(const exp::summary& s) {
@@ -53,188 +40,62 @@ jv summary_to_jv(const exp::summary& s) {
   return a;
 }
 
-exp::summary summary_from_jv(const jv& obj, std::string_view key) {
-  const jv* v = get(obj, key);
-  require(v != nullptr, std::string(key) + " is missing");
-  require(v->k == jv::kind::array && v->items.size() == 5,
+exp::summary summary_from_jv(const jv& v, std::string_view key) {
+  require(v.k == jv::kind::array && v.items.size() == 5,
           std::string(key) + " must be a [count, sum, sum_sq, min, max] array");
-  for (const jv& e : v->items) {
+  for (const jv& e : v.items) {
     require(e.k == jv::kind::number, std::string(key) + " entries must be numbers");
   }
   return exp::summary::from_raw(
-      static_cast<std::size_t>(u64_of(v->items[0], "summary count")), v->items[1].num,
-      v->items[2].num, v->items[3].num, v->items[4].num);
+      static_cast<std::size_t>(json::as_u64(v.items[0], "summary count")), v.items[1].num,
+      v.items[2].num, v.items[3].num, v.items[4].num);
 }
 
-// ---- report payloads -----------------------------------------------
+// ---- report payloads, one object key per field-table entry ----------
 
-jv report_to_jv(const batch_report& r) {
+template <class Report>
+jv report_to_jv(const Report& r) {
   jv o = jv::object();
-  o.add("runs", jv::of_u64(r.runs));
-  o.add("connectivity_failures", jv::of_u64(r.connectivity_failures));
-  o.add("edges", summary_to_jv(r.edges));
-  o.add("degree", summary_to_jv(r.degree));
-  o.add("radius", summary_to_jv(r.radius));
-  o.add("max_radius", summary_to_jv(r.max_radius));
-  o.add("tx_power", summary_to_jv(r.tx_power));
-  o.add("boundary", summary_to_jv(r.boundary));
-  o.add("power_stretch", summary_to_jv(r.power_stretch));
-  o.add("power_stretch_max", summary_to_jv(r.power_stretch_max));
-  o.add("hop_stretch", summary_to_jv(r.hop_stretch));
-  o.add("hop_stretch_max", summary_to_jv(r.hop_stretch_max));
-  o.add("interference", summary_to_jv(r.interference));
-  o.add("cut_vertices", summary_to_jv(r.cut_vertices));
-  o.add("removed_edges", summary_to_jv(r.removed_edges));
-  o.add("has_protocol_stats", jv::of(r.has_protocol_stats));
-  o.add("messages", summary_to_jv(r.messages));
-  o.add("deliveries", summary_to_jv(r.deliveries));
-  o.add("tx_energy", summary_to_jv(r.tx_energy));
-  o.add("completion_time", summary_to_jv(r.completion_time));
+  for_each_field(
+      [&o](std::string_view key, const auto& field) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          o.add(std::string(key), jv::of(field));
+        } else if constexpr (std::is_integral_v<T>) {
+          o.add(std::string(key), jv::of_u64(field));
+        } else {
+          o.add(std::string(key), summary_to_jv(field));
+        }
+      },
+      r);
   return o;
 }
 
-batch_report report_from_jv(const jv& o) {
+/// Every table key is required; a key outside the table is rejected.
+template <class Report>
+Report report_from_jv(const jv& o, const std::string& where) {
   require(o.k == jv::kind::object, "report must be an object");
-  check_keys(o, "static report",
-             {"runs", "connectivity_failures", "edges", "degree", "radius", "max_radius",
-              "tx_power", "boundary", "power_stretch", "power_stretch_max", "hop_stretch",
-              "hop_stretch_max", "interference", "cut_vertices", "removed_edges",
-              "has_protocol_stats", "messages", "deliveries", "tx_energy", "completion_time"});
-  batch_report r;
-  r.runs = static_cast<std::size_t>(get_u64(o, "runs", 0));
-  r.connectivity_failures = static_cast<std::size_t>(get_u64(o, "connectivity_failures", 0));
-  r.edges = summary_from_jv(o, "edges");
-  r.degree = summary_from_jv(o, "degree");
-  r.radius = summary_from_jv(o, "radius");
-  r.max_radius = summary_from_jv(o, "max_radius");
-  r.tx_power = summary_from_jv(o, "tx_power");
-  r.boundary = summary_from_jv(o, "boundary");
-  r.power_stretch = summary_from_jv(o, "power_stretch");
-  r.power_stretch_max = summary_from_jv(o, "power_stretch_max");
-  r.hop_stretch = summary_from_jv(o, "hop_stretch");
-  r.hop_stretch_max = summary_from_jv(o, "hop_stretch_max");
-  r.interference = summary_from_jv(o, "interference");
-  r.cut_vertices = summary_from_jv(o, "cut_vertices");
-  r.removed_edges = summary_from_jv(o, "removed_edges");
-  r.has_protocol_stats = get_bool(o, "has_protocol_stats", false);
-  r.messages = summary_from_jv(o, "messages");
-  r.deliveries = summary_from_jv(o, "deliveries");
-  r.tx_energy = summary_from_jv(o, "tx_energy");
-  r.completion_time = summary_from_jv(o, "completion_time");
-  return r;
-}
-
-jv report_to_jv(const dynamic_batch_report& r) {
-  jv o = jv::object();
-  o.add("runs", jv::of_u64(r.runs));
-  o.add("initial_connectivity_failures", jv::of_u64(r.initial_connectivity_failures));
-  o.add("final_connectivity_failures", jv::of_u64(r.final_connectivity_failures));
-  o.add("partitioned_runs", jv::of_u64(r.partitioned_runs));
-  o.add("unrepaired_disruptions", jv::of_u64(r.unrepaired_disruptions));
-  o.add("broadcasts", summary_to_jv(r.broadcasts));
-  o.add("unicasts", summary_to_jv(r.unicasts));
-  o.add("deliveries", summary_to_jv(r.deliveries));
-  o.add("drops", summary_to_jv(r.drops));
-  o.add("tx_energy", summary_to_jv(r.tx_energy));
-  o.add("joins", summary_to_jv(r.joins));
-  o.add("leaves", summary_to_jv(r.leaves));
-  o.add("achanges", summary_to_jv(r.achanges));
-  o.add("regrows", summary_to_jv(r.regrows));
-  o.add("prunes", summary_to_jv(r.prunes));
-  o.add("beacons", summary_to_jv(r.beacons));
-  o.add("disruptions", summary_to_jv(r.disruptions));
-  o.add("repair_latency", summary_to_jv(r.repair_latency));
-  o.add("repair_latency_max", summary_to_jv(r.repair_latency_max));
-  o.add("field_disruptions", summary_to_jv(r.field_disruptions));
-  o.add("field_downtime", summary_to_jv(r.field_downtime));
-  o.add("time_to_partition", summary_to_jv(r.time_to_partition));
-  o.add("final_edges", summary_to_jv(r.final_edges));
-  o.add("final_degree", summary_to_jv(r.final_degree));
-  o.add("final_radius", summary_to_jv(r.final_radius));
-  o.add("live_nodes", summary_to_jv(r.live_nodes));
-  o.add("traffic_runs", jv::of_u64(r.traffic_runs));
-  o.add("traffic_generated", summary_to_jv(r.traffic_generated));
-  o.add("traffic_delivered", summary_to_jv(r.traffic_delivered));
-  o.add("traffic_delivery_ratio", summary_to_jv(r.traffic_delivery_ratio));
-  o.add("traffic_throughput", summary_to_jv(r.traffic_throughput));
-  o.add("traffic_delay", summary_to_jv(r.traffic_delay));
-  o.add("traffic_energy", summary_to_jv(r.traffic_energy));
-  o.add("traffic_energy_spread", summary_to_jv(r.traffic_energy_spread));
-  o.add("traffic_drops", summary_to_jv(r.traffic_drops));
-  o.add("traffic_queue_peak", summary_to_jv(r.traffic_queue_peak));
-  return o;
-}
-
-dynamic_batch_report dynamic_report_from_jv(const jv& o) {
-  require(o.k == jv::kind::object, "report must be an object");
-  check_keys(o, "dynamic report",
-             {"runs", "initial_connectivity_failures", "final_connectivity_failures",
-              "partitioned_runs", "unrepaired_disruptions", "broadcasts", "unicasts", "deliveries",
-              "drops", "tx_energy", "joins", "leaves", "achanges", "regrows", "prunes", "beacons",
-              "disruptions", "repair_latency", "repair_latency_max", "field_disruptions",
-              "field_downtime", "time_to_partition", "final_edges", "final_degree", "final_radius",
-              "live_nodes", "traffic_runs", "traffic_generated", "traffic_delivered",
-              "traffic_delivery_ratio", "traffic_throughput", "traffic_delay", "traffic_energy",
-              "traffic_energy_spread", "traffic_drops", "traffic_queue_peak"});
-  dynamic_batch_report r;
-  r.runs = static_cast<std::size_t>(get_u64(o, "runs", 0));
-  r.initial_connectivity_failures =
-      static_cast<std::size_t>(get_u64(o, "initial_connectivity_failures", 0));
-  r.final_connectivity_failures =
-      static_cast<std::size_t>(get_u64(o, "final_connectivity_failures", 0));
-  r.partitioned_runs = static_cast<std::size_t>(get_u64(o, "partitioned_runs", 0));
-  r.unrepaired_disruptions = static_cast<std::size_t>(get_u64(o, "unrepaired_disruptions", 0));
-  r.broadcasts = summary_from_jv(o, "broadcasts");
-  r.unicasts = summary_from_jv(o, "unicasts");
-  r.deliveries = summary_from_jv(o, "deliveries");
-  r.drops = summary_from_jv(o, "drops");
-  r.tx_energy = summary_from_jv(o, "tx_energy");
-  r.joins = summary_from_jv(o, "joins");
-  r.leaves = summary_from_jv(o, "leaves");
-  r.achanges = summary_from_jv(o, "achanges");
-  r.regrows = summary_from_jv(o, "regrows");
-  r.prunes = summary_from_jv(o, "prunes");
-  r.beacons = summary_from_jv(o, "beacons");
-  r.disruptions = summary_from_jv(o, "disruptions");
-  r.repair_latency = summary_from_jv(o, "repair_latency");
-  r.repair_latency_max = summary_from_jv(o, "repair_latency_max");
-  r.field_disruptions = summary_from_jv(o, "field_disruptions");
-  r.field_downtime = summary_from_jv(o, "field_downtime");
-  r.time_to_partition = summary_from_jv(o, "time_to_partition");
-  r.final_edges = summary_from_jv(o, "final_edges");
-  r.final_degree = summary_from_jv(o, "final_degree");
-  r.final_radius = summary_from_jv(o, "final_radius");
-  r.live_nodes = summary_from_jv(o, "live_nodes");
-  r.traffic_runs = static_cast<std::size_t>(get_u64(o, "traffic_runs", 0));
-  r.traffic_generated = summary_from_jv(o, "traffic_generated");
-  r.traffic_delivered = summary_from_jv(o, "traffic_delivered");
-  r.traffic_delivery_ratio = summary_from_jv(o, "traffic_delivery_ratio");
-  r.traffic_throughput = summary_from_jv(o, "traffic_throughput");
-  r.traffic_delay = summary_from_jv(o, "traffic_delay");
-  r.traffic_energy = summary_from_jv(o, "traffic_energy");
-  r.traffic_energy_spread = summary_from_jv(o, "traffic_energy_spread");
-  r.traffic_drops = summary_from_jv(o, "traffic_drops");
-  r.traffic_queue_peak = summary_from_jv(o, "traffic_queue_peak");
-  return r;
-}
-
-jv report_to_jv(const lifetime_batch_report& r) {
-  jv o = jv::object();
-  o.add("runs", jv::of_u64(r.runs));
-  o.add("first_death", summary_to_jv(r.first_death));
-  o.add("quarter_dead", summary_to_jv(r.quarter_dead));
-  o.add("field_partition", summary_to_jv(r.field_partition));
-  return o;
-}
-
-lifetime_batch_report lifetime_report_from_jv(const jv& o) {
-  require(o.k == jv::kind::object, "report must be an object");
-  check_keys(o, "lifetime report", {"runs", "first_death", "quarter_dead", "field_partition"});
-  lifetime_batch_report r;
-  r.runs = get_u64(o, "runs", 0);
-  r.first_death = summary_from_jv(o, "first_death");
-  r.quarter_dead = summary_from_jv(o, "quarter_dead");
-  r.field_partition = summary_from_jv(o, "field_partition");
+  Report r;
+  std::vector<std::string_view> keys;
+  for_each_field(
+      [&](std::string_view key, auto& field) {
+        keys.push_back(key);
+        const jv* v = get(o, key);
+        require(v != nullptr, std::string(key) + " is missing");
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          field = get_bool(o, key, false);
+        } else if constexpr (std::is_integral_v<T>) {
+          field = static_cast<T>(get_u64(o, key, 0));
+        } else {
+          field = summary_from_jv(*v, key);
+        }
+      },
+      r);
+  for (const auto& [key, value] : o.fields) {
+    require(std::ranges::find(keys, key) != keys.end(),
+            "unknown key \"" + key + "\" in " + where);
+  }
   return r;
 }
 
@@ -248,9 +109,10 @@ std::string encode_partial(std::uint64_t block, batch_mode mode, const Report& r
   return render(o);
 }
 
-/// Shared head of every block_partial decoder: checks the type and
-/// mode tags and returns (block index, report document).
-std::pair<std::uint64_t, const jv*> partial_head(const message& m, batch_mode expect) {
+/// Shared decoder of every block_partial: checks the type and mode
+/// tags, fills `out` and returns the block index.
+template <class Report>
+std::uint64_t decode_partial(const message& m, batch_mode expect, Report& out) {
   require(m.type == message_type::block_partial, "expected a block_partial message");
   const jv& o = m.body;
   check_keys(o, "block_partial", {"type", "mode", "block", "report"});
@@ -260,7 +122,8 @@ std::pair<std::uint64_t, const jv*> partial_head(const message& m, batch_mode ex
                               std::string(mode_name(expect)) + "' batch");
   const jv* rep = get(o, "report");
   require(rep != nullptr, "block_partial.report is missing");
-  return {get_u64(o, "block", 0), rep};
+  out = report_from_jv<Report>(*rep, std::string(mode_name(mode)) + " report");
+  return get_u64(o, "block", 0);
 }
 
 }  // namespace
@@ -422,21 +285,15 @@ batch_request decode_batch_request(const message& m) {
 }
 
 std::uint64_t decode_block_partial(const message& m, batch_report& out) {
-  const auto [block, rep] = partial_head(m, batch_mode::static_runs);
-  out = report_from_jv(*rep);
-  return block;
+  return decode_partial(m, batch_mode::static_runs, out);
 }
 
 std::uint64_t decode_block_partial(const message& m, dynamic_batch_report& out) {
-  const auto [block, rep] = partial_head(m, batch_mode::dynamic_runs);
-  out = dynamic_report_from_jv(*rep);
-  return block;
+  return decode_partial(m, batch_mode::dynamic_runs, out);
 }
 
 std::uint64_t decode_block_partial(const message& m, lifetime_batch_report& out) {
-  const auto [block, rep] = partial_head(m, batch_mode::lifetime_runs);
-  out = lifetime_report_from_jv(*rep);
-  return block;
+  return decode_partial(m, batch_mode::lifetime_runs, out);
 }
 
 std::uint64_t decode_done(const message& m) {

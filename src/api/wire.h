@@ -89,7 +89,8 @@ void check_hello(const message& m);
 [[nodiscard]] batch_request decode_batch_request(const message& m);
 
 /// Each overload checks the partial's mode tag matches the report type
-/// it fills; returns the block index.
+/// it fills and returns the block index. The report must carry every
+/// key of the type's field table (for_each_field) and no other.
 std::uint64_t decode_block_partial(const message& m, batch_report& out);
 std::uint64_t decode_block_partial(const message& m, dynamic_batch_report& out);
 std::uint64_t decode_block_partial(const message& m, lifetime_batch_report& out);

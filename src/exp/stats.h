@@ -39,6 +39,9 @@ class summary {
     return s;
   }
 
+  /// Exact equality of the raw state (n, sum, sum_sq, min, max).
+  [[nodiscard]] bool operator==(const summary&) const = default;
+
  private:
   std::size_t n_{0};
   double sum_{0.0};

@@ -58,6 +58,8 @@ struct medium_stats {
   std::uint64_t deliveries{0};
   std::uint64_t drops{0};       // channel losses
   double tx_energy{0.0};        // sum of tx_power over transmissions
+
+  [[nodiscard]] bool operator==(const medium_stats&) const = default;
 };
 
 class medium {

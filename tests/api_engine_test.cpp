@@ -10,6 +10,7 @@
 #include "api/api.h"
 #include "baselines/baselines.h"
 #include "graph/euclidean.h"
+#include "report_equal.h"
 
 namespace cbtc::api {
 namespace {
@@ -114,14 +115,6 @@ TEST(ApiEngine, MaxPowerBaselineUsesNominalRadius) {
   for (const double p : r.node_powers) EXPECT_DOUBLE_EQ(p, spec.power().max_power());
 }
 
-void expect_identical(const exp::summary& a, const exp::summary& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;       // bitwise: no tolerance
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
 TEST(ApiEngine, BatchAggregatesAreThreadCountInvariant) {
   scenario_spec spec = get_scenario("paper_table1");
   spec.deploy.nodes = 40;  // keep 24 runs quick
@@ -133,19 +126,7 @@ TEST(ApiEngine, BatchAggregatesAreThreadCountInvariant) {
   const batch_report parallel = eng.run_batch(spec, seeds, 4);
 
   ASSERT_EQ(serial.runs, 24u);
-  ASSERT_EQ(parallel.runs, 24u);
-  EXPECT_EQ(serial.connectivity_failures, parallel.connectivity_failures);
-  expect_identical(serial.edges, parallel.edges, "edges");
-  expect_identical(serial.degree, parallel.degree, "degree");
-  expect_identical(serial.radius, parallel.radius, "radius");
-  expect_identical(serial.max_radius, parallel.max_radius, "max_radius");
-  expect_identical(serial.tx_power, parallel.tx_power, "tx_power");
-  expect_identical(serial.boundary, parallel.boundary, "boundary");
-  expect_identical(serial.power_stretch, parallel.power_stretch, "power_stretch");
-  expect_identical(serial.hop_stretch, parallel.hop_stretch, "hop_stretch");
-  expect_identical(serial.interference, parallel.interference, "interference");
-  expect_identical(serial.cut_vertices, parallel.cut_vertices, "cut_vertices");
-  expect_identical(serial.removed_edges, parallel.removed_edges, "removed_edges");
+  EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
 TEST(ApiEngine, BatchReportsComeBackInSeedOrder) {

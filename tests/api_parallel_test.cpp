@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "report_equal.h"
 #include "util/parallel.h"
 
 namespace cbtc::api {
@@ -124,22 +125,7 @@ TEST(ApiParallel, DynamicRunIsBitwiseIdenticalAcrossIntraThreads) {
   const dynamic_report a = eng.run_dynamic(spec, dyn, 1);
   const dynamic_report b = eng.run_dynamic(four, dyn, 1);
 
-  EXPECT_EQ(a.final_topology, b.final_topology);
-  EXPECT_EQ(a.disruptions, b.disruptions);
-  EXPECT_EQ(a.repair_latency_mean, b.repair_latency_mean);
-  EXPECT_EQ(a.repair_latency_max, b.repair_latency_max);
-  EXPECT_EQ(a.field_disruptions, b.field_disruptions);
-  EXPECT_EQ(a.field_downtime, b.field_downtime);
-  EXPECT_EQ(a.time_to_partition, b.time_to_partition);
-  EXPECT_EQ(a.channel.broadcasts, b.channel.broadcasts);
-  EXPECT_EQ(a.channel.tx_energy, b.channel.tx_energy);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].edges, b.samples[i].edges) << "sample " << i;
-    EXPECT_EQ(a.samples[i].avg_radius, b.samples[i].avg_radius) << "sample " << i;  // bitwise
-    EXPECT_EQ(a.samples[i].connectivity_ok, b.samples[i].connectivity_ok) << "sample " << i;
-    EXPECT_EQ(a.samples[i].field_connected, b.samples[i].field_connected) << "sample " << i;
-  }
+  EXPECT_TRUE(a == b);
 }
 
 TEST(ApiParallel, LifetimeIsThreadCountInvariant) {
@@ -158,14 +144,6 @@ TEST(ApiParallel, LifetimeIsThreadCountInvariant) {
   EXPECT_EQ(serial.first_death, parallel.first_death);
   EXPECT_EQ(serial.quarter_dead, parallel.quarter_dead);
   EXPECT_EQ(serial.field_partition, parallel.field_partition);
-}
-
-void expect_identical_summary(const exp::summary& a, const exp::summary& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;  // bitwise: no tolerance
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
 }
 
 // ---- per-link propagation: same contracts, non-uniform gains --------
@@ -210,11 +188,7 @@ TEST(ApiParallel, ShadowedBatchIsBitwiseIdenticalAcrossThreadCounts) {
     spec.cbtc.intra_threads = threads == 4 ? 2 : 1;
     const batch_report b = eng.run_batch(spec, seeds, threads);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    EXPECT_EQ(reference.connectivity_failures, b.connectivity_failures);
-    expect_identical_summary(reference.edges, b.edges, "edges");
-    expect_identical_summary(reference.radius, b.radius, "radius");
-    expect_identical_summary(reference.tx_power, b.tx_power, "tx_power");
-    expect_identical_summary(reference.boundary, b.boundary, "boundary");
+    EXPECT_TRUE(reports_equal(reference, b));
   }
 }
 
@@ -244,17 +218,7 @@ TEST(ApiParallel, ShadowedDynamicRunIsBitwiseIdenticalAcrossIntraThreads) {
   four.cbtc.intra_threads = 4;
   const dynamic_report a = eng.run_dynamic(spec, dyn, 1);
   const dynamic_report b = eng.run_dynamic(four, dyn, 1);
-  EXPECT_EQ(a.final_topology, b.final_topology);
-  EXPECT_EQ(a.disruptions, b.disruptions);
-  EXPECT_EQ(a.field_downtime, b.field_downtime);
-  EXPECT_EQ(a.time_to_partition, b.time_to_partition);
-  EXPECT_EQ(a.channel.broadcasts, b.channel.broadcasts);
-  EXPECT_EQ(a.channel.tx_energy, b.channel.tx_energy);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].edges, b.samples[i].edges) << "sample " << i;
-    EXPECT_EQ(a.samples[i].avg_radius, b.samples[i].avg_radius) << "sample " << i;  // bitwise
-  }
+  EXPECT_TRUE(a == b);
 }
 
 TEST(ApiParallel, ShadowedLifetimeIsThreadCountInvariant) {
@@ -369,15 +333,7 @@ TEST(ApiParallel, BatchTimesIntraThreadMatrixIsBitwiseIdentical) {
       spec.cbtc.intra_threads = intra;
       const batch_report b = eng.run_batch(spec, seeds, threads);
       SCOPED_TRACE(::testing::Message() << "threads=" << threads << " intra=" << intra);
-      EXPECT_EQ(reference.runs, b.runs);
-      EXPECT_EQ(reference.connectivity_failures, b.connectivity_failures);
-      expect_identical_summary(reference.edges, b.edges, "edges");
-      expect_identical_summary(reference.degree, b.degree, "degree");
-      expect_identical_summary(reference.radius, b.radius, "radius");
-      expect_identical_summary(reference.max_radius, b.max_radius, "max_radius");
-      expect_identical_summary(reference.tx_power, b.tx_power, "tx_power");
-      expect_identical_summary(reference.boundary, b.boundary, "boundary");
-      expect_identical_summary(reference.removed_edges, b.removed_edges, "removed_edges");
+      EXPECT_TRUE(reports_equal(reference, b));
     }
   }
 }

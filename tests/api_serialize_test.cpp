@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/api.h"
+#include "api/json.h"
 #include "api/wire.h"
 
 namespace cbtc::api {
@@ -236,6 +237,21 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   const scenario_file sci =
       parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1e2}}})");
   EXPECT_EQ(sci.scenario.deploy.nodes, 100u);
+  // A uint64 cannot hold 2^64 or more, in any spelling; the largest
+  // values below it (as an integer literal and as the largest double
+  // below 2^64) still load exactly.
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1e30}}})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"base_seed": 18446744073709551616}})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"base_seed": 1.8446744073709552e19}})"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {"base_seed": 18446744073709551615}})")
+                .scenario.base_seed,
+            18446744073709551615ull);
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {"base_seed": 1.8446744073709549568e19}})")
+                .scenario.base_seed,
+            18446744073709549568ull);
 }
 
 /// A stretch sampling parameter of 0 selects no sources. Scenario files
@@ -256,6 +272,18 @@ TEST(ApiSerialize, ZeroStretchSamplesRejected) {
   req.blocks = {0, 1};
   const wire::message m = wire::decode_message(wire::encode_batch_request(req));
   EXPECT_THROW((void)wire::decode_batch_request(m), std::invalid_argument);
+}
+
+/// Nesting is capped at json::max_depth, so a hostile document fails
+/// with std::invalid_argument instead of overflowing the stack.
+TEST(ApiSerialize, DeepNestingIsRejected) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)json::parse_document(nested(json::max_depth)));
+  EXPECT_THROW((void)json::parse_document(nested(json::max_depth + 1)), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario_json(R"({"scenario": {"name": )" + nested(20000) + "}}"),
+               std::invalid_argument);
 }
 
 TEST(ApiSerialize, PropagationRoundTripsAllKinds) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "api/api.h"
+#include "report_equal.h"
 
 namespace cbtc::api {
 namespace {
@@ -33,14 +34,6 @@ sim_spec churn_sim() {
   return dyn;
 }
 
-void expect_identical(const exp::summary& a, const exp::summary& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;  // bitwise: no tolerance
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
 TEST(ApiSim, DynamicBatchAggregatesAreThreadCountInvariant) {
   const scenario_spec spec = churn_scenario();
   const sim_spec dyn = churn_sim();
@@ -51,30 +44,7 @@ TEST(ApiSim, DynamicBatchAggregatesAreThreadCountInvariant) {
   const dynamic_batch_report parallel = eng.run_batch(spec, dyn, seeds, 4);
 
   ASSERT_EQ(serial.runs, 16u);
-  ASSERT_EQ(parallel.runs, 16u);
-  EXPECT_EQ(serial.initial_connectivity_failures, parallel.initial_connectivity_failures);
-  EXPECT_EQ(serial.final_connectivity_failures, parallel.final_connectivity_failures);
-  EXPECT_EQ(serial.partitioned_runs, parallel.partitioned_runs);
-  EXPECT_EQ(serial.unrepaired_disruptions, parallel.unrepaired_disruptions);
-  expect_identical(serial.broadcasts, parallel.broadcasts, "broadcasts");
-  expect_identical(serial.unicasts, parallel.unicasts, "unicasts");
-  expect_identical(serial.deliveries, parallel.deliveries, "deliveries");
-  expect_identical(serial.drops, parallel.drops, "drops");
-  expect_identical(serial.tx_energy, parallel.tx_energy, "tx_energy");
-  expect_identical(serial.joins, parallel.joins, "joins");
-  expect_identical(serial.leaves, parallel.leaves, "leaves");
-  expect_identical(serial.achanges, parallel.achanges, "achanges");
-  expect_identical(serial.regrows, parallel.regrows, "regrows");
-  expect_identical(serial.prunes, parallel.prunes, "prunes");
-  expect_identical(serial.beacons, parallel.beacons, "beacons");
-  expect_identical(serial.disruptions, parallel.disruptions, "disruptions");
-  expect_identical(serial.repair_latency, parallel.repair_latency, "repair_latency");
-  expect_identical(serial.repair_latency_max, parallel.repair_latency_max, "repair_latency_max");
-  expect_identical(serial.time_to_partition, parallel.time_to_partition, "time_to_partition");
-  expect_identical(serial.final_edges, parallel.final_edges, "final_edges");
-  expect_identical(serial.final_degree, parallel.final_degree, "final_degree");
-  expect_identical(serial.final_radius, parallel.final_radius, "final_radius");
-  expect_identical(serial.live_nodes, parallel.live_nodes, "live_nodes");
+  EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
 /// The incremental closure mirror must be observationally invisible:
@@ -100,35 +70,7 @@ TEST(ApiSim, MirroredAgentTablesMatchFullCaptureBitwise) {
     dyn.mirror_agent_tables = false;
     const dynamic_report full = eng.run_dynamic(spec, dyn, seed);
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-
-    EXPECT_EQ(mirrored.final_topology, full.final_topology);
-    EXPECT_EQ(mirrored.initial_connectivity_ok, full.initial_connectivity_ok);
-    EXPECT_EQ(mirrored.final_connectivity_ok, full.final_connectivity_ok);
-    EXPECT_EQ(mirrored.disruptions, full.disruptions);
-    EXPECT_EQ(mirrored.unrepaired, full.unrepaired);
-    EXPECT_EQ(mirrored.repair_latency_mean, full.repair_latency_mean);  // bitwise
-    EXPECT_EQ(mirrored.repair_latency_max, full.repair_latency_max);
-    EXPECT_EQ(mirrored.field_disruptions, full.field_disruptions);
-    EXPECT_EQ(mirrored.field_downtime, full.field_downtime);
-    EXPECT_EQ(mirrored.partitioned, full.partitioned);
-    EXPECT_EQ(mirrored.time_to_partition, full.time_to_partition);
-    EXPECT_EQ(mirrored.joins, full.joins);
-    EXPECT_EQ(mirrored.leaves, full.leaves);
-    EXPECT_EQ(mirrored.achanges, full.achanges);
-    EXPECT_EQ(mirrored.regrows, full.regrows);
-    EXPECT_EQ(mirrored.prunes, full.prunes);
-    EXPECT_EQ(mirrored.channel.broadcasts, full.channel.broadcasts);
-    EXPECT_EQ(mirrored.channel.tx_energy, full.channel.tx_energy);
-    ASSERT_EQ(mirrored.samples.size(), full.samples.size());
-    for (std::size_t i = 0; i < mirrored.samples.size(); ++i) {
-      EXPECT_EQ(mirrored.samples[i].edges, full.samples[i].edges) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].avg_degree, full.samples[i].avg_degree) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].avg_radius, full.samples[i].avg_radius) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].connectivity_ok, full.samples[i].connectivity_ok)
-          << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].field_connected, full.samples[i].field_connected)
-          << "sample " << i;
-    }
+    EXPECT_TRUE(mirrored == full);
   }
 }
 
@@ -160,22 +102,7 @@ TEST(ApiSim, InPlaceMirrorConnectivityMatchesSnapshotPathUnderPropagation) {
       dyn.mirror_agent_tables = false;
       const dynamic_report snapshot = eng.run_dynamic(spec, dyn, seed);
       SCOPED_TRACE(::testing::Message() << "shadowed=" << shadowed << " seed " << seed);
-
-      EXPECT_EQ(in_place.final_topology, snapshot.final_topology);
-      EXPECT_EQ(in_place.disruptions, snapshot.disruptions);
-      EXPECT_EQ(in_place.unrepaired, snapshot.unrepaired);
-      EXPECT_EQ(in_place.repair_latency_mean, snapshot.repair_latency_mean);  // bitwise
-      EXPECT_EQ(in_place.repair_latency_max, snapshot.repair_latency_max);
-      EXPECT_EQ(in_place.field_disruptions, snapshot.field_disruptions);
-      EXPECT_EQ(in_place.field_downtime, snapshot.field_downtime);
-      EXPECT_EQ(in_place.partitioned, snapshot.partitioned);
-      EXPECT_EQ(in_place.time_to_partition, snapshot.time_to_partition);
-      ASSERT_EQ(in_place.samples.size(), snapshot.samples.size());
-      for (std::size_t i = 0; i < in_place.samples.size(); ++i) {
-        EXPECT_EQ(in_place.samples[i].connectivity_ok, snapshot.samples[i].connectivity_ok)
-            << "sample " << i;
-        EXPECT_EQ(in_place.samples[i].edges, snapshot.samples[i].edges) << "sample " << i;
-      }
+      EXPECT_TRUE(in_place == snapshot);
     }
   }
 }
@@ -186,16 +113,7 @@ TEST(ApiSim, RunDynamicIsDeterministicPerSeed) {
   const engine eng;
   const dynamic_report a = eng.run_dynamic(spec, dyn, 2);
   const dynamic_report b = eng.run_dynamic(spec, dyn, 2);
-  EXPECT_EQ(a.channel.broadcasts, b.channel.broadcasts);
-  EXPECT_EQ(a.channel.tx_energy, b.channel.tx_energy);
-  EXPECT_EQ(a.leaves, b.leaves);
-  EXPECT_EQ(a.regrows, b.regrows);
-  EXPECT_EQ(a.final_topology, b.final_topology);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].edges, b.samples[i].edges) << "sample " << i;
-    EXPECT_EQ(a.samples[i].connectivity_ok, b.samples[i].connectivity_ok) << "sample " << i;
-  }
+  EXPECT_TRUE(a == b);
 }
 
 // Crash a quarter of the nodes after the topology settles: the NDP

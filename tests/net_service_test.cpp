@@ -16,6 +16,7 @@
 #include "api/engine.h"
 #include "api/registry.h"
 #include "net/service.h"
+#include "report_equal.h"
 
 namespace cbtc {
 namespace {
@@ -26,31 +27,6 @@ using api::dynamic_batch_report;
 using api::engine;
 using api::lifetime_batch_report;
 using api::shard_dispatcher;
-
-/// Exact equality of summary internals.
-void expect_same(const exp::summary& a, const exp::summary& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.sum(), b.sum()) << what;
-  EXPECT_EQ(a.sum_squares(), b.sum_squares()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_same(const batch_report& a, const batch_report& b) {
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.connectivity_failures, b.connectivity_failures);
-  expect_same(a.edges, b.edges, "edges");
-  expect_same(a.degree, b.degree, "degree");
-  expect_same(a.radius, b.radius, "radius");
-  expect_same(a.max_radius, b.max_radius, "max_radius");
-  expect_same(a.tx_power, b.tx_power, "tx_power");
-  expect_same(a.boundary, b.boundary, "boundary");
-  expect_same(a.power_stretch, b.power_stretch, "power_stretch");
-  expect_same(a.hop_stretch, b.hop_stretch, "hop_stretch");
-  expect_same(a.interference, b.interference, "interference");
-  expect_same(a.cut_vertices, b.cut_vertices, "cut_vertices");
-  expect_same(a.removed_edges, b.removed_edges, "removed_edges");
-}
 
 /// A fleet of in-process servers, each on its own ephemeral loopback
 /// port with its own serving thread.
@@ -110,7 +86,7 @@ TEST(ShardDispatchTest, MatchesInProcessForOneTwoAndThreeShards) {
     shard_fleet fleet{std::vector<net::serve_config>(shards)};
     shard_dispatcher dispatcher(config_for(fleet));
     const batch_report dispatched = dispatcher.run_batch(spec, seeds);
-    expect_same(reference, dispatched);
+    EXPECT_TRUE(api::reports_equal(reference, dispatched));
     EXPECT_EQ(dispatcher.stats().blocks, 5u) << shards << " shards";
     EXPECT_EQ(dispatcher.stats().connection_failures, 0u) << shards << " shards";
   }
@@ -136,7 +112,7 @@ TEST(ShardDispatchTest, ShardKilledMidBatchDegradesThroughputNotResults) {
   cfg.blocks_per_request = 3;  // a kill strands multiple claimed blocks
   shard_dispatcher dispatcher(cfg);
   const batch_report dispatched = dispatcher.run_batch(spec, seeds);
-  expect_same(reference, dispatched);
+  EXPECT_TRUE(api::reports_equal(reference, dispatched));
   // The retry path must actually have run.
   EXPECT_GE(dispatcher.stats().connection_failures, 1u);
   EXPECT_GE(dispatcher.stats().requeued_blocks, 1u);
@@ -153,7 +129,7 @@ TEST(ShardDispatchTest, DuplicatePartialsAreSuppressed) {
   shard_fleet fleet({duplicating});
   shard_dispatcher dispatcher(config_for(fleet));
   const batch_report dispatched = dispatcher.run_batch(spec, seeds);
-  expect_same(reference, dispatched);
+  EXPECT_TRUE(api::reports_equal(reference, dispatched));
   EXPECT_EQ(dispatcher.stats().duplicate_partials, 3u);
 }
 
@@ -189,13 +165,7 @@ TEST(ShardDispatchTest, DynamicAndLifetimeBatchesMatchInProcess) {
 
   const dynamic_batch_report ref_dyn = eng.run_batch(spec, sim, seeds, 2);
   const dynamic_batch_report got_dyn = dispatcher.run_batch(spec, sim, seeds);
-  EXPECT_EQ(ref_dyn.runs, got_dyn.runs);
-  EXPECT_EQ(ref_dyn.final_connectivity_failures, got_dyn.final_connectivity_failures);
-  expect_same(ref_dyn.broadcasts, got_dyn.broadcasts, "broadcasts");
-  expect_same(ref_dyn.joins, got_dyn.joins, "joins");
-  expect_same(ref_dyn.repair_latency, got_dyn.repair_latency, "repair_latency");
-  expect_same(ref_dyn.time_to_partition, got_dyn.time_to_partition, "time_to_partition");
-  expect_same(ref_dyn.final_edges, got_dyn.final_edges, "final_edges");
+  EXPECT_TRUE(api::reports_equal(ref_dyn, got_dyn));
 
   api::lifetime_spec life;
   life.battery_rounds = 20.0;
@@ -203,10 +173,7 @@ TEST(ShardDispatchTest, DynamicAndLifetimeBatchesMatchInProcess) {
   life.max_rounds = 2000;
   const lifetime_batch_report ref_life = eng.run_batch(test_spec(), life, seeds, 2);
   const lifetime_batch_report got_life = dispatcher.run_batch(test_spec(), life, seeds);
-  EXPECT_EQ(ref_life.runs, got_life.runs);
-  expect_same(ref_life.first_death, got_life.first_death, "first_death");
-  expect_same(ref_life.quarter_dead, got_life.quarter_dead, "quarter_dead");
-  expect_same(ref_life.field_partition, got_life.field_partition, "field_partition");
+  EXPECT_TRUE(api::reports_equal(ref_life, got_life));
 }
 
 TEST(ShardDispatchTest, EndpointParsing) {

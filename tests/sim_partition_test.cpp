@@ -57,38 +57,6 @@ sim_spec partition_sim() {
   return dyn;
 }
 
-void expect_reports_identical(const dynamic_report& a, const dynamic_report& b) {
-  EXPECT_EQ(a.final_topology, b.final_topology);
-  EXPECT_EQ(a.initial_connectivity_ok, b.initial_connectivity_ok);
-  EXPECT_EQ(a.final_connectivity_ok, b.final_connectivity_ok);
-  EXPECT_EQ(a.disruptions, b.disruptions);
-  EXPECT_EQ(a.unrepaired, b.unrepaired);
-  EXPECT_EQ(a.repair_latency_mean, b.repair_latency_mean);  // bitwise: no tolerance
-  EXPECT_EQ(a.repair_latency_max, b.repair_latency_max);
-  EXPECT_EQ(a.field_disruptions, b.field_disruptions);
-  EXPECT_EQ(a.field_downtime, b.field_downtime);
-  EXPECT_EQ(a.partitioned, b.partitioned);
-  EXPECT_EQ(a.time_to_partition, b.time_to_partition);
-  EXPECT_EQ(a.joins, b.joins);
-  EXPECT_EQ(a.leaves, b.leaves);
-  EXPECT_EQ(a.achanges, b.achanges);
-  EXPECT_EQ(a.regrows, b.regrows);
-  EXPECT_EQ(a.prunes, b.prunes);
-  EXPECT_EQ(a.channel.broadcasts, b.channel.broadcasts);
-  EXPECT_EQ(a.channel.unicasts, b.channel.unicasts);
-  EXPECT_EQ(a.channel.deliveries, b.channel.deliveries);
-  EXPECT_EQ(a.channel.drops, b.channel.drops);
-  EXPECT_EQ(a.channel.tx_energy, b.channel.tx_energy);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].edges, b.samples[i].edges) << "sample " << i;
-    EXPECT_EQ(a.samples[i].avg_degree, b.samples[i].avg_degree) << "sample " << i;
-    EXPECT_EQ(a.samples[i].avg_radius, b.samples[i].avg_radius) << "sample " << i;
-    EXPECT_EQ(a.samples[i].connectivity_ok, b.samples[i].connectivity_ok) << "sample " << i;
-    EXPECT_EQ(a.samples[i].field_connected, b.samples[i].field_connected) << "sample " << i;
-  }
-}
-
 TEST(SimPartition, ReportBitwiseIdenticalAcrossRegionAndThreadCounts) {
   scenario_spec spec = partition_scenario();
   sim_spec dyn = partition_sim();
@@ -113,7 +81,7 @@ TEST(SimPartition, ReportBitwiseIdenticalAcrossRegionAndThreadCounts) {
         const dynamic_report partitioned = eng.run_dynamic(spec, dyn, 5);
         SCOPED_TRACE(::testing::Message() << "shadowed=" << shadowed << " regions=" << regions
                                           << " threads=" << threads);
-        expect_reports_identical(reference, partitioned);
+        EXPECT_TRUE(reference == partitioned);
       }
     }
   }
@@ -135,7 +103,7 @@ TEST(SimPartition, EveryDynamicPresetBitwiseIdenticalPartitioned) {
     preset.sim.partition.regions = 16;
     const dynamic_report partitioned = eng.run_dynamic(preset.scenario, preset.sim, 0);
     SCOPED_TRACE(::testing::Message() << "preset " << name);
-    expect_reports_identical(serial, partitioned);
+    EXPECT_TRUE(serial == partitioned);
   }
 }
 
@@ -150,7 +118,7 @@ TEST(SimPartition, AutoModeBelowThresholdMatchesSerialReference) {
   const dynamic_report serial = eng.run_dynamic(spec, dyn, 9);
   dyn.partition.regions = 0;  // auto; 28 nodes < min_nodes => serial
   const dynamic_report automatic = eng.run_dynamic(spec, dyn, 9);
-  expect_reports_identical(serial, automatic);
+  EXPECT_TRUE(serial == automatic);
 }
 
 /// Direct conservative-sync coverage: handlers fan across regions on a

@@ -59,27 +59,6 @@ sim_spec traffic_sim() {
   return dyn;
 }
 
-void expect_traffic_identical(const traffic_report& a, const traffic_report& b) {
-  EXPECT_EQ(a.enabled, b.enabled);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.forwards, b.forwards);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.no_route_drops, b.no_route_drops);
-  EXPECT_EQ(a.dead_drops, b.dead_drops);
-  EXPECT_EQ(a.lost_in_air, b.lost_in_air);
-  EXPECT_EQ(a.queued_at_end, b.queued_at_end);
-  EXPECT_EQ(a.route_refreshes, b.route_refreshes);
-  EXPECT_EQ(a.queue_peak, b.queue_peak);
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);  // bitwise: no tolerance
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.avg_delay, b.avg_delay);
-  EXPECT_EQ(a.forwarding_energy, b.forwarding_energy);
-  EXPECT_EQ(a.energy_mean, b.energy_mean);
-  EXPECT_EQ(a.energy_max, b.energy_max);
-  EXPECT_EQ(a.energy_stddev, b.energy_stddev);
-}
-
 /// Every packet the sources generate must be accounted for exactly
 /// once: delivered, dropped (full queue / no route / dead node), lost
 /// in the air (down or out-of-range receiver, or still in flight at
@@ -130,10 +109,7 @@ TEST(SimTraffic, ConvergecastBitwiseIdenticalAcrossRegionAndThreadCounts) {
       dyn.partition.regions = regions;
       const dynamic_report partitioned = eng.run_dynamic(spec, dyn, 5);
       SCOPED_TRACE(::testing::Message() << "regions=" << regions << " threads=" << threads);
-      EXPECT_EQ(reference.final_topology, partitioned.final_topology);
-      EXPECT_EQ(reference.channel.unicasts, partitioned.channel.unicasts);
-      EXPECT_EQ(reference.channel.tx_energy, partitioned.channel.tx_energy);
-      expect_traffic_identical(reference.traffic, partitioned.traffic);
+      EXPECT_TRUE(reference == partitioned);
     }
   }
 }

@@ -25,6 +25,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "algo/alpha_search.h"
@@ -298,49 +300,31 @@ int cmd_compare(const cli_args& args) {
   return 0;
 }
 
+/// Prints one row per exp::summary of batch `b` that saw a run, in
+/// field-table order, labelled with the field name.
+template <class Batch>
+void print_summaries(const Batch& b, const char* header) {
+  exp::table t({header, "mean", "stddev", "min", "max"});
+  for_each_field(
+      [&t](std::string_view name, const auto& s) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(s)>, exp::summary>) {
+          if (s.count() == 0) return;
+          t.add_row({std::string(name), exp::table::num(s.mean(), 3),
+                     exp::table::num(s.stddev(), 3), exp::table::num(s.min(), 3),
+                     exp::table::num(s.max(), 3)});
+        }
+      },
+      b);
+  t.print(std::cout);
+}
+
 /// Prints a dynamic sweep's aggregates and returns the process exit code.
 int print_dynamic_sweep(const api::scenario_spec& spec, const api::dynamic_batch_report& b,
                         api::seed_range seeds) {
   std::cout << "dynamic scenario " << spec.name << " (" << api::method_name(spec.method)
             << "), seeds [" << seeds.first << ", " << seeds.first + seeds.count << "), " << b.runs
             << " runs\n\n";
-
-  exp::table t({"metric", "mean", "stddev", "min", "max"});
-  const auto row = [&t](const std::string& label, const exp::summary& s, int precision = 2) {
-    t.add_row({label, exp::table::num(s.mean(), precision), exp::table::num(s.stddev(), precision),
-               exp::table::num(s.min(), precision), exp::table::num(s.max(), precision)});
-  };
-  row("broadcasts", b.broadcasts, 0);
-  row("unicasts", b.unicasts, 0);
-  row("tx energy", b.tx_energy, 0);
-  row("beacons", b.beacons, 0);
-  row("joins", b.joins, 1);
-  row("leaves", b.leaves, 1);
-  row("aChanges", b.achanges, 1);
-  row("regrows", b.regrows, 1);
-  row("disruptions", b.disruptions, 1);
-  row("repair latency (mean)", b.repair_latency);
-  row("repair latency (max)", b.repair_latency_max);
-  row("field disruptions", b.field_disruptions, 1);
-  row("field downtime", b.field_downtime);
-  row("time to partition", b.time_to_partition, 1);
-  row("final edges", b.final_edges, 1);
-  row("final avg degree", b.final_degree);
-  row("final avg radius", b.final_radius, 1);
-  row("live nodes", b.live_nodes, 1);
-  if (b.traffic_runs > 0) {
-    row("traffic generated", b.traffic_generated, 0);
-    row("traffic delivered", b.traffic_delivered, 0);
-    row("delivery ratio", b.traffic_delivery_ratio, 3);
-    row("throughput", b.traffic_throughput, 2);
-    row("delivery delay", b.traffic_delay, 3);
-    row("forwarding energy", b.traffic_energy, 0);
-    row("energy spread", b.traffic_energy_spread, 1);
-    row("traffic drops", b.traffic_drops, 1);
-    row("queue peak", b.traffic_queue_peak, 1);
-  }
-  t.print(std::cout);
-
+  print_summaries(b, "metric");
   std::cout << "\nfinal connectivity preserved: " << (b.runs - b.final_connectivity_failures)
             << "/" << b.runs << "\npartitioned runs: " << b.partitioned_runs
             << ", unrepaired disruptions: " << b.unrepaired_disruptions << "\n";
@@ -356,16 +340,7 @@ int print_lifetime_sweep(const api::scenario_spec& spec, const api::lifetime_spe
             << (life.convergecast ? ", convergecast sink " + std::to_string(life.sink) : "")
             << "), seeds [" << seeds.first << ", " << seeds.first + seeds.count << "), " << b.runs
             << " runs\n\n";
-
-  exp::table t({"rounds until", "mean", "stddev", "min", "max"});
-  const auto row = [&t](const std::string& label, const exp::summary& s) {
-    t.add_row({label, exp::table::num(s.mean(), 1), exp::table::num(s.stddev(), 1),
-               exp::table::num(s.min(), 1), exp::table::num(s.max(), 1)});
-  };
-  row("first death", b.first_death);
-  row("25% dead", b.quarter_dead);
-  row("field partition", b.field_partition);
-  t.print(std::cout);
+  print_summaries(b, "rounds until");
   return 0;
 }
 
@@ -507,30 +482,7 @@ int print_static_sweep(const api::scenario_spec& spec, const api::batch_report& 
                        api::seed_range seeds) {
   std::cout << "scenario " << spec.name << " (" << api::method_name(spec.method) << "), seeds ["
             << seeds.first << ", " << seeds.first + seeds.count << "), " << b.runs << " runs\n\n";
-
-  exp::table t({"metric", "mean", "stddev", "min", "max"});
-  const auto row = [&t](const std::string& label, const exp::summary& s, int precision = 2) {
-    t.add_row({label, exp::table::num(s.mean(), precision), exp::table::num(s.stddev(), precision),
-               exp::table::num(s.min(), precision), exp::table::num(s.max(), precision)});
-  };
-  row("edges", b.edges, 1);
-  row("avg degree", b.degree);
-  row("avg radius", b.radius, 1);
-  row("max radius", b.max_radius, 1);
-  row("avg tx power", b.tx_power, 0);
-  row("boundary nodes", b.boundary, 1);
-  row("power stretch", b.power_stretch, 3);
-  row("hop stretch", b.hop_stretch, 3);
-  row("interference", b.interference, 1);
-  row("cut vertices", b.cut_vertices, 1);
-  if (b.has_protocol_stats) {
-    row("protocol messages", b.messages, 0);
-    row("protocol deliveries", b.deliveries, 0);
-    row("protocol tx energy", b.tx_energy, 0);
-    row("completion time", b.completion_time, 2);
-  }
-  t.print(std::cout);
-
+  print_summaries(b, "metric");
   std::cout << "\nconnectivity preserved: " << (b.runs - b.connectivity_failures) << "/" << b.runs
             << "\n";
   return b.connectivity_failures == 0 ? 0 : 1;
