@@ -344,18 +344,17 @@ graph::digraph closure_instance(std::int64_t nodes) {
   return graph::digraph::from_adjacency(std::move(out));
 }
 
-/// Serial baseline vs the two-pass parallel count/fill scatter for the
-/// in-neighbor build inside symmetric_closure. The parallel/serial
-/// ratio is the bench gate: the scatter rewrite must never regress
-/// below the serial path (ratio stays near or under 1 even on
-/// single-core runners, well under on multi-core ones).
-void BM_SymmetricClosureSerial(benchmark::State& state) {
+/// The two-pass count/fill closure at width 1 vs hardware width. The
+/// parallel/width-1 ratio is the bench gate: the pooled scatter must
+/// never lose to its own inline run (ratio stays near or under 1 even
+/// on single-core runners, well under on multi-core ones).
+void BM_SymmetricClosureWidth1(benchmark::State& state) {
   const graph::digraph d = closure_instance(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(d.symmetric_closure());
   }
 }
-BENCHMARK(BM_SymmetricClosureSerial)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SymmetricClosureWidth1)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_SymmetricClosureParallel(benchmark::State& state) {
   const graph::digraph d = closure_instance(state.range(0));
@@ -488,42 +487,6 @@ void BM_DynamicTickIncrementalIndexObstacles(benchmark::State& state) {
 BENCHMARK(BM_DynamicTickIncrementalIndexObstacles)
     ->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
-
-// -- dynamic runs: mirrored agent tables vs full table capture --------
-
-/// A churn + mobility workload whose connectivity is re-evaluated at
-/// every topology-changing event — the path the agent-table mirror
-/// accelerates. range(0) nodes; `mirrored` picks the incremental
-/// closure_mirror or the legacy full per-evaluation table re-read
-/// (reports are bitwise identical either way; tests assert it).
-void run_dynamic_capture(benchmark::State& state, bool mirrored) {
-  api::scenario_spec spec = scaling_spec(state.range(0));
-  spec.method = api::method_spec::protocol();
-  spec.protocol.agent.round_timeout = 0.5;
-  spec.protocol.channel.base_delay = 0.01;
-  api::sim_spec dyn;
-  dyn.horizon = 40.0;
-  dyn.settle = 12.0;
-  dyn.sample_every = 4.0;
-  dyn.mobility = {.kind = api::mobility_kind::random_waypoint,
-                  .min_speed = 2.0,
-                  .max_speed = 8.0,
-                  .tick = 0.5,
-                  .start = 12.0};
-  dyn.failures.random_crashes = state.range(0) / 20;
-  dyn.failures.window_begin = 14.0;
-  dyn.failures.window_end = 30.0;
-  dyn.mirror_agent_tables = mirrored;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.run_dynamic(spec, dyn, 0));
-  }
-  state.SetComplexityN(state.range(0));
-}
-
-void BM_DynamicCaptureMirror(benchmark::State& state) { run_dynamic_capture(state, true); }
-void BM_DynamicCaptureFull(benchmark::State& state) { run_dynamic_capture(state, false); }
-BENCHMARK(BM_DynamicCaptureMirror)->Arg(150)->Arg(600)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DynamicCaptureFull)->Arg(150)->Arg(600)->Unit(benchmark::kMillisecond);
 
 // -- convergecast data plane: traffic on vs off -----------------------
 

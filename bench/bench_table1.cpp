@@ -17,7 +17,8 @@
 // the authors' simulator modeled idealized growth rather than the
 // Increase(p) = 2p schedule of Figure 1. Pass --discrete to measure the
 // deployable doubling schedule instead (degrees rise by ~2 from the
-// overshoot; see EXPERIMENTS.md).
+// overshoot). README.md, "Fidelity to the paper", compares every row
+// with the paper; tests/paper_table1_test.cpp pins them.
 //
 // Usage: bench_table1 [networks] [csv_path] [--discrete] [--threads N]
 #include <fstream>

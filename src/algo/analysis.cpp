@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
 #include "util/parallel.h"
@@ -13,11 +12,10 @@ namespace cbtc::algo {
 namespace {
 
 /// The first two desiderata — subgraph of G_R and partition equality —
-/// are identical under every radio model; both public overloads share
-/// this pass (violations land in the report in this order, before the
-/// per-node radius/power scan).
+/// are identical under every radio model (violations land in the
+/// report in this order, before the per-node requirement scan).
 void check_structure(const graph::undirected_graph& topology,
-                     const graph::undirected_graph& gr, util::thread_pool& pool,
+                     const graph::undirected_graph& gr, const util::thread_pool& pool,
                      invariant_report& rep) {
   rep.subgraph_of_max_power = true;
   for (const graph::edge& e : topology.edges()) {
@@ -28,8 +26,7 @@ void check_structure(const graph::undirected_graph& topology,
     }
   }
 
-  graph::connectivity_scratch scratch;
-  rep.connectivity_preserved = graph::same_connectivity(topology, gr, pool, scratch);
+  rep.connectivity_preserved = graph::same_connectivity(topology, gr, pool);
   if (!rep.connectivity_preserved) {
     rep.violations.push_back("component partition differs: topology has " +
                              std::to_string(graph::connected_components(topology).count) +
@@ -38,108 +35,72 @@ void check_structure(const graph::undirected_graph& topology,
   }
 }
 
-}  // namespace
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  unsigned intra_threads) {
-  return check_invariants(topology, positions, max_range,
-                          graph::build_max_power_graph(positions, max_range), intra_threads);
-}
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  const graph::undirected_graph& max_power_graph,
-                                  unsigned intra_threads) {
-  util::thread_pool pool(intra_threads);
-  return check_invariants(topology, positions, max_range, max_power_graph, pool);
-}
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  const graph::undirected_graph& max_power_graph,
-                                  util::thread_pool& pool) {
-  invariant_report rep;
-  check_structure(topology, max_power_graph, pool, rep);
-
-  // Per-node radius scan, reduced in fixed block order so the report
-  // (flag and violation order) is identical for any thread count.
+/// The third desideratum: every node's requirement `need(u)` (a radius,
+/// or a power under per-link gains) stays within `cap`. Reduced in
+/// fixed block order, so the flag and the violation order are
+/// identical for any pool width.
+template <class Need>
+void check_requirement(std::size_t n, const util::thread_pool& pool, const char* what,
+                       const char* cap_name, double cap, const Need& need,
+                       invariant_report& rep) {
   constexpr double tol = 1e-9;
-  struct radius_partial {
+  struct partial {
     bool ok{true};
     std::vector<std::string> violations;
   };
-  const radius_partial radii = pool.reduce<radius_partial>(
-      topology.num_nodes(), {},
+  const partial scan = pool.reduce<partial>(
+      n, {},
       [&](std::size_t lo, std::size_t hi) {
-        radius_partial part;
+        partial part;
         for (std::size_t u = lo; u < hi; ++u) {
-          const double r =
-              graph::node_radius(topology, positions, static_cast<graph::node_id>(u), 0.0);
-          if (r > max_range * (1.0 + tol)) {
+          const double r = need(static_cast<graph::node_id>(u));
+          if (r > cap * (1.0 + tol)) {
             part.ok = false;
-            part.violations.push_back("node " + std::to_string(u) + " needs radius " +
-                                      std::to_string(r) + " > R = " + std::to_string(max_range));
+            part.violations.push_back("node " + std::to_string(u) + " needs " + what + " " +
+                                      std::to_string(r) + " > " + cap_name + " = " +
+                                      std::to_string(cap));
           }
         }
         return part;
       },
-      [](radius_partial& total, const radius_partial& p) {
+      [](partial& total, const partial& p) {
         total.ok = total.ok && p.ok;
         total.violations.insert(total.violations.end(), p.violations.begin(),
                                 p.violations.end());
       });
-  rep.radii_within_max_range = radii.ok;
-  rep.violations.insert(rep.violations.end(), radii.violations.begin(), radii.violations.end());
-  return rep;
+  rep.radii_within_max_range = scan.ok;
+  rep.violations.insert(rep.violations.end(), scan.violations.begin(), scan.violations.end());
 }
+
+}  // namespace
 
 invariant_report check_invariants(const graph::undirected_graph& topology,
                                   std::span<const geom::vec2> positions,
                                   const radio::link_model& link,
                                   const graph::undirected_graph& max_power_graph,
-                                  util::thread_pool& pool) {
-  if (link.is_isotropic()) {
-    return check_invariants(topology, positions, link.max_range(), max_power_graph, pool);
-  }
-
+                                  const util::thread_pool& pool) {
   invariant_report rep;
   check_structure(topology, max_power_graph, pool, rep);
-
-  // Power desideratum under per-link gains: the worst incident link of
-  // every node must close within the maximum power P.
-  constexpr double tol = 1e-9;
-  const double max_power = link.max_power();
-  struct power_partial {
-    bool ok{true};
-    std::vector<std::string> violations;
-  };
-  const power_partial powers = pool.reduce<power_partial>(
-      topology.num_nodes(), {},
-      [&](std::size_t lo, std::size_t hi) {
-        power_partial part;
-        for (std::size_t u = lo; u < hi; ++u) {
-          double need = 0.0;
-          for (const graph::node_id v : topology.neighbors(static_cast<graph::node_id>(u))) {
-            need = std::max(need, link.required_power(static_cast<graph::node_id>(u), v,
-                                                      positions[u], positions[v]));
-          }
-          if (need > max_power * (1.0 + tol)) {
-            part.ok = false;
-            part.violations.push_back("node " + std::to_string(u) + " needs power " +
-                                      std::to_string(need) +
-                                      " > P = " + std::to_string(max_power));
-          }
-        }
-        return part;
-      },
-      [](power_partial& total, const power_partial& p) {
-        total.ok = total.ok && p.ok;
-        total.violations.insert(total.violations.end(), p.violations.begin(),
-                                p.violations.end());
-      });
-  rep.radii_within_max_range = powers.ok;
-  rep.violations.insert(rep.violations.end(), powers.violations.begin(), powers.violations.end());
+  if (link.is_isotropic()) {
+    check_requirement(topology.num_nodes(), pool, "radius", "R", link.max_range(),
+                      [&](graph::node_id u) {
+                        return graph::node_radius(topology, positions, u, 0.0);
+                      },
+                      rep);
+  } else {
+    // Under per-link gains the worst incident link of every node must
+    // close within the maximum power P.
+    check_requirement(topology.num_nodes(), pool, "power", "P", link.max_power(),
+                      [&](graph::node_id u) {
+                        double need = 0.0;
+                        for (const graph::node_id v : topology.neighbors(u)) {
+                          need = std::max(need, link.required_power(u, v, positions[u],
+                                                                    positions[v]));
+                        }
+                        return need;
+                      },
+                      rep);
+  }
   return rep;
 }
 

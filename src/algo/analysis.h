@@ -8,10 +8,7 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "radio/propagation.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::algo {
 
@@ -28,38 +25,17 @@ struct invariant_report {
 
 /// Checks the paper's three desiderata for a topology-control output
 /// (Section 1): subgraph of G_R, connectivity preservation, and no node
-/// transmitting beyond R. Builds G_R internally; `intra_threads`
-/// parallelizes the per-node radius scan (results are identical for
-/// any thread count).
-[[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
-                                                std::span<const geom::vec2> positions,
-                                                double max_range, unsigned intra_threads = 1);
-
-/// Same checks against a caller-supplied max-power graph, so engines
-/// that already built G_R do not pay for a second construction.
-[[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
-                                                std::span<const geom::vec2> positions,
-                                                double max_range,
-                                                const graph::undirected_graph& max_power_graph,
-                                                unsigned intra_threads = 1);
-
-/// Same checks on a caller-supplied thread pool (engines that already
-/// hold one avoid a second worker spawn per instance).
-[[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
-                                                std::span<const geom::vec2> positions,
-                                                double max_range,
-                                                const graph::undirected_graph& max_power_graph,
-                                                util::thread_pool& pool);
-
-/// Gain-aware checks: `max_power_graph` must be the link-aware G_R,
-/// and the radius desideratum generalizes to "no node needs more than
-/// the maximum power P on any incident link". Delegates to the
-/// distance-based overload (identical report, including violation
-/// strings) when the propagation is isotropic.
-[[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
-                                                std::span<const geom::vec2> positions,
-                                                const radio::link_model& link,
-                                                const graph::undirected_graph& max_power_graph,
-                                                util::thread_pool& pool);
+/// transmitting beyond its maximum. `max_power_graph` must be the
+/// link-aware G_R (graph::build_max_power_graph(positions, link)), so
+/// engines that already built it pay for no second construction.
+/// Under isotropic propagation the third desideratum is "no node needs
+/// a radius beyond R"; under per-link gains it generalizes to "no node
+/// needs more than the maximum power P on any incident link". The
+/// per-node scan reduces in fixed block order on `pool`, so the report
+/// (flags and violation order) is identical for any pool width.
+[[nodiscard]] invariant_report check_invariants(
+    const graph::undirected_graph& topology, std::span<const geom::vec2> positions,
+    const radio::link_model& link, const graph::undirected_graph& max_power_graph,
+    const util::thread_pool& pool = util::thread_pool(1));
 
 }  // namespace cbtc::algo

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <vector>
 
-#include "graph/euclidean.h"
 #include "graph/union_find.h"
 
 namespace cbtc::algo {
@@ -95,28 +94,11 @@ bool has_power_witness(const graph::undirected_graph& c, std::span<const geom::v
 }  // namespace
 
 gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                             std::span<const geom::vec2> positions,
-                                             const radio::link_model& link,
-                                             const gain_removal_options& opts) {
-  util::thread_pool serial(1);
-  return apply_gain_aware_removal(g, positions, link, opts, serial);
-}
-
-gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                             std::span<const geom::vec2> positions,
-                                             const radio::link_model& link,
-                                             const gain_removal_options& opts,
-                                             util::thread_pool& pool) {
-  const graph::undirected_graph candidates = graph::build_max_power_graph(positions, link, pool);
-  return apply_gain_aware_removal(g, candidates, positions, link, opts, pool);
-}
-
-gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
                                              const graph::undirected_graph& candidates,
                                              std::span<const geom::vec2> positions,
                                              const radio::link_model& link,
                                              const gain_removal_options& opts,
-                                             util::thread_pool& pool) {
+                                             const util::thread_pool& pool) {
   gain_removal_result res;
   const std::size_t n = g.num_nodes();
 

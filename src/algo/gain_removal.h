@@ -110,19 +110,6 @@ struct gain_removal_result {
 [[nodiscard]] gain_removal_result apply_gain_aware_removal(
     const graph::undirected_graph& g, const graph::undirected_graph& candidates,
     std::span<const geom::vec2> positions, const radio::link_model& link,
-    const gain_removal_options& opts, util::thread_pool& pool);
-
-/// Convenience overload: builds the candidate graph itself.
-[[nodiscard]] gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                                           std::span<const geom::vec2> positions,
-                                                           const radio::link_model& link,
-                                                           const gain_removal_options& opts,
-                                                           util::thread_pool& pool);
-
-/// Serial convenience overload.
-[[nodiscard]] gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                                           std::span<const geom::vec2> positions,
-                                                           const radio::link_model& link,
-                                                           const gain_removal_options& opts = {});
+    const gain_removal_options& opts = {}, const util::thread_pool& pool = util::thread_pool(1));
 
 }  // namespace cbtc::algo

@@ -41,19 +41,11 @@ graph::digraph cbtc_result::neighbor_digraph() const {
   return d;
 }
 
-graph::undirected_graph cbtc_result::symmetric_closure() const {
-  return neighbor_digraph().symmetric_closure();
-}
-
-graph::undirected_graph cbtc_result::symmetric_core() const {
-  return neighbor_digraph().symmetric_core();
-}
-
-graph::undirected_graph cbtc_result::symmetric_closure(util::thread_pool& pool) const {
+graph::undirected_graph cbtc_result::symmetric_closure(const util::thread_pool& pool) const {
   return neighbor_digraph().symmetric_closure(pool);
 }
 
-graph::undirected_graph cbtc_result::symmetric_core(util::thread_pool& pool) const {
+graph::undirected_graph cbtc_result::symmetric_core(const util::thread_pool& pool) const {
   return neighbor_digraph().symmetric_core(pool);
 }
 

@@ -22,10 +22,7 @@
 #include "graph/types.h"
 #include "radio/power_model.h"
 #include "radio/propagation.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::algo {
 
@@ -65,14 +62,13 @@ struct cbtc_result {
   [[nodiscard]] graph::digraph neighbor_digraph() const;
 
   /// E_alpha: the symmetric closure (the paper's G_alpha edge set).
-  [[nodiscard]] graph::undirected_graph symmetric_closure() const;
+  /// Identical output for any pool width.
+  [[nodiscard]] graph::undirected_graph symmetric_closure(
+      const util::thread_pool& pool = util::thread_pool(1)) const;
 
   /// E^-_alpha: the symmetric core (Section 3.2).
-  [[nodiscard]] graph::undirected_graph symmetric_core() const;
-
-  /// Parallel variants (identical output for any pool width).
-  [[nodiscard]] graph::undirected_graph symmetric_closure(util::thread_pool& pool) const;
-  [[nodiscard]] graph::undirected_graph symmetric_core(util::thread_pool& pool) const;
+  [[nodiscard]] graph::undirected_graph symmetric_core(
+      const util::thread_pool& pool = util::thread_pool(1)) const;
 
   /// Number of boundary nodes.
   [[nodiscard]] std::size_t boundary_count() const;

@@ -47,14 +47,8 @@ bool is_redundant_edge(const graph::undirected_graph& g, std::span<const geom::v
 
 pairwise_result apply_pairwise_removal(const graph::undirected_graph& g,
                                        std::span<const geom::vec2> positions,
-                                       const pairwise_options& opts) {
-  util::thread_pool serial(1);
-  return apply_pairwise_removal(g, positions, opts, serial);
-}
-
-pairwise_result apply_pairwise_removal(const graph::undirected_graph& g,
-                                       std::span<const geom::vec2> positions,
-                                       const pairwise_options& opts, util::thread_pool& pool) {
+                                       const pairwise_options& opts,
+                                       const util::thread_pool& pool) {
   pairwise_result res;
   const std::size_t n = g.num_nodes();
 

@@ -18,10 +18,7 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::algo {
 
@@ -68,20 +65,15 @@ struct pairwise_result {
 };
 
 /// Classifies redundancy on `g` (typically E_alpha or E^s/E^- after the
-/// earlier optimizations) and removes edges per `opts`.
-[[nodiscard]] pairwise_result apply_pairwise_removal(const graph::undirected_graph& g,
-                                                     std::span<const geom::vec2> positions,
-                                                     const pairwise_options& opts = {});
-
-/// Same, with the per-edge redundancy classification (the hot part —
-/// one witness scan over both endpoints' neighborhoods per edge) run
-/// as a deterministic block reduce on `pool`. Identical output for any
-/// pool width: classifications land in per-edge slots and the
-/// redundancy count folds in fixed block order.
-[[nodiscard]] pairwise_result apply_pairwise_removal(const graph::undirected_graph& g,
-                                                     std::span<const geom::vec2> positions,
-                                                     const pairwise_options& opts,
-                                                     util::thread_pool& pool);
+/// earlier optimizations) and removes edges per `opts`. The per-edge
+/// classification (the hot part — one witness scan over both
+/// endpoints' neighborhoods per edge) runs as a deterministic block
+/// reduce on `pool`. Identical output for any pool width:
+/// classifications land in per-edge slots and the redundancy count
+/// folds in fixed block order.
+[[nodiscard]] pairwise_result apply_pairwise_removal(
+    const graph::undirected_graph& g, std::span<const geom::vec2> positions,
+    const pairwise_options& opts = {}, const util::thread_pool& pool = util::thread_pool(1));
 
 /// True if edge {u, v} is redundant in `g` per Definition 3.5 (checked
 /// from both endpoints; the witness w may sit at either end).

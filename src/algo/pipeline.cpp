@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "graph/euclidean.h"
 #include "util/parallel.h"
 
 namespace cbtc::algo {
@@ -34,7 +35,9 @@ topology_result apply_optimizations_impl(cbtc_result grown, std::span<const geom
   if (want_op3 && use_gain) {
     const gain_removal_options gopts{.remove_all = opts.pairwise.remove_all,
                                      .gate = opts.pairwise.gate};
-    gain_removal_result gr = apply_gain_aware_removal(out.topology, positions, *link, gopts, pool);
+    gain_removal_result gr =
+        apply_gain_aware_removal(out.topology, graph::build_max_power_graph(positions, *link, pool),
+                                 positions, *link, gopts, pool);
     out.topology = std::move(gr.topology);
     out.redundant_edges = gr.redundant_edges;
     out.removed_edges = gr.removed_edges;

@@ -10,14 +10,16 @@
 namespace cbtc::algo {
 
 stc_result build_stc_topology(std::span<const geom::vec2> positions,
-                              const radio::link_model& link, util::thread_pool& pool) {
+                              const radio::link_model& link,
+                              const util::thread_pool& pool) {
   const graph::undirected_graph candidates = graph::build_max_power_graph(positions, link, pool);
   return build_stc_topology(candidates, positions, link, pool);
 }
 
 stc_result build_stc_topology(const graph::undirected_graph& candidates,
                               std::span<const geom::vec2> positions,
-                              const radio::link_model& link, util::thread_pool& pool) {
+                              const radio::link_model& link,
+                              const util::thread_pool& pool) {
   stc_result res;
   const std::size_t n = candidates.num_nodes();
 

@@ -53,11 +53,11 @@ struct stc_result {
 [[nodiscard]] stc_result build_stc_topology(const graph::undirected_graph& candidates,
                                             std::span<const geom::vec2> positions,
                                             const radio::link_model& link,
-                                            util::thread_pool& pool);
+                                            const util::thread_pool& pool = util::thread_pool(1));
 
 /// Convenience overload: builds the candidate graph itself.
 [[nodiscard]] stc_result build_stc_topology(std::span<const geom::vec2> positions,
                                             const radio::link_model& link,
-                                            util::thread_pool& pool);
+                                            const util::thread_pool& pool = util::thread_pool(1));
 
 }  // namespace cbtc::algo

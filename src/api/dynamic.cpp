@@ -17,6 +17,8 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "api/engine.h"
@@ -45,32 +47,20 @@ struct live_state {
   std::size_t live{0};
 };
 
-/// `mirror` non-null: the topology comes from the incremental closure
-/// mirror (O(live adjacency) filtered copy). Null: reference path —
-/// re-read every live agent's neighbor table. Both produce the same
-/// edge set (asserted in tests).
+/// The topology is the closure mirror's live graph (an O(live
+/// adjacency) filtered copy); tests/proto_reconfig_test.cpp checks the
+/// mirror against a re-read of the agents' tables.
 live_state capture_live_state(const graph::live_neighbor_index& index,
-                              const std::vector<std::unique_ptr<proto::reconfig_agent>>& agents,
-                              const graph::closure_mirror* mirror) {
-  const std::size_t n = agents.size();
-  live_state s{graph::undirected_graph(n), index.graph(), std::vector<bool>(n), index.live_count()};
+                              const graph::closure_mirror& mirror) {
+  const std::size_t n = mirror.num_nodes();
+  live_state s{mirror.live_graph(), index.graph(), std::vector<bool>(n), index.live_count()};
   for (graph::node_id u = 0; u < n; ++u) s.up[u] = index.is_live(u);
-  if (mirror != nullptr) {
-    s.topology = mirror->live_graph();
-    return s;
-  }
-  for (graph::node_id u = 0; u < n; ++u) {
-    if (!s.up[u]) continue;
-    for (const auto& [v, info] : agents[u]->cbtc().neighbors()) {
-      if (s.up[v]) s.topology.add_edge(u, v);
-    }
-  }
   return s;
 }
 
 dynamic_sample measure(const live_state& s, bool field_connected,
                        const std::vector<geom::vec2>& positions, double max_range, double t,
-                       util::thread_pool& pool, graph::connectivity_scratch& scratch) {
+                       const util::thread_pool& pool) {
   dynamic_sample out;
   out.t = t;
   out.live_nodes = s.live;
@@ -93,7 +83,7 @@ dynamic_sample measure(const live_state& s, bool field_connected,
       },
       [](double& total, const double& part) { total += part; });
   out.avg_radius = s.live == 0 ? 0.0 : radius_sum / static_cast<double>(s.live);
-  out.connectivity_ok = graph::same_connectivity(s.topology, s.gr, pool, scratch);
+  out.connectivity_ok = graph::same_connectivity(s.topology, s.gr, pool);
   out.field_connected = field_connected;
   return out;
 }
@@ -147,6 +137,13 @@ std::uint32_t region_grid_side(const scenario_spec& spec, const sim_spec& sim_cf
 dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& sim_cfg,
                                    std::uint64_t seed) const {
   const std::vector<geom::vec2> positions = spec.make_positions(seed);
+  for (const failure_event& e : sim_cfg.failures.events) {
+    if (e.node >= positions.size()) {
+      throw std::invalid_argument("run_dynamic: failure event node " + std::to_string(e.node) +
+                                  " is not below the node count " +
+                                  std::to_string(positions.size()));
+    }
+  }
   const radio::link_model link = spec.link(seed);
   const radio::power_model& pm = link.power();
   const std::uint64_t instance_seed = spec.base_seed + seed;
@@ -156,9 +153,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   r.nodes = positions.size();
 
   // Engine selection: both engines execute the same canonical event
-  // order (sim/scheduler.h), so the serial simulator in canonical-tie
-  // mode is the bitwise-reference oracle for the partitioned engine at
-  // any region/thread count (asserted in sim_partition_test).
+  // order (sim/scheduler.h), so the serial simulator is the bitwise
+  // reference for the partitioned engine at any region/thread count
+  // (asserted in sim_partition_test).
   util::thread_pool pool(spec.cbtc.intra_threads);
   const std::uint32_t grid_side = region_grid_side(spec, sim_cfg, positions.size());
   const geom::bbox field = spec.region();
@@ -171,7 +168,7 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
         grid_side - 1, static_cast<std::uint32_t>(std::max(0.0, fy * grid_side)));
     return cy * grid_side + cx;
   };
-  sim::simulator serial_sim(sim::tie_policy::canonical);
+  sim::simulator serial_sim;
   std::unique_ptr<sim::partitioned_simulator> psim;
   if (grid_side >= 2) {
     psim = std::make_unique<sim::partitioned_simulator>(
@@ -234,39 +231,33 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     graph::node_id u, v;
     bool added;
   };
-  std::unique_ptr<graph::closure_mirror> mirror;
-  std::vector<std::vector<arc_delta>> mirror_deltas;
-  if (sim_cfg.mirror_agent_tables) {
-    mirror = std::make_unique<graph::closure_mirror>(positions.size());
-    if (psim) mirror_deltas.resize(psim->regions());
-    for (graph::node_id u = 0; u < agents.size(); ++u) {
-      agents[u]->set_table_hook([u, m = mirror.get(), &mirror_deltas](graph::node_id v,
-                                                                      bool added) {
-        // Evaluations are scheduled by the coarser change hook below;
-        // the delta stream only keeps the mirror current.
-        if (sim::partitioned_simulator::in_event_phase()) {
-          mirror_deltas[sim::partitioned_simulator::current_region()].push_back({u, v, added});
-        } else if (added) {
-          m->add_arc(u, v);
-        } else {
-          m->remove_arc(u, v);
-        }
-      });
+  graph::closure_mirror mirror(positions.size());
+  std::vector<std::vector<arc_delta>> mirror_deltas(psim ? psim->regions() : 0);
+  const auto apply_delta = [&mirror](const arc_delta& d) {
+    if (d.added) {
+      mirror.add_arc(d.u, d.v);
+    } else {
+      mirror.remove_arc(d.u, d.v);
     }
-    if (psim) {
-      psim->set_barrier_hook([m = mirror.get(), &mirror_deltas] {
-        for (std::vector<arc_delta>& deltas : mirror_deltas) {
-          for (const arc_delta& d : deltas) {
-            if (d.added) {
-              m->add_arc(d.u, d.v);
-            } else {
-              m->remove_arc(d.u, d.v);
-            }
-          }
-          deltas.clear();
-        }
-      });
-    }
+  };
+  for (graph::node_id u = 0; u < agents.size(); ++u) {
+    agents[u]->set_table_hook([u, &mirror_deltas, &apply_delta](graph::node_id v, bool added) {
+      // Evaluations are scheduled by the coarser change hook below;
+      // the delta stream only keeps the mirror current.
+      if (sim::partitioned_simulator::in_event_phase()) {
+        mirror_deltas[sim::partitioned_simulator::current_region()].push_back({u, v, added});
+      } else {
+        apply_delta({u, v, added});
+      }
+    });
+  }
+  if (psim) {
+    psim->set_barrier_hook([&mirror_deltas, &apply_delta] {
+      for (std::vector<arc_delta>& deltas : mirror_deltas) {
+        for (const arc_delta& d : deltas) apply_delta(d);
+        deltas.clear();
+      }
+    });
   }
 
   // -- event-driven connectivity tracking ---------------------------
@@ -311,17 +302,11 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   };
 
   const auto evaluate_now = [&] {
-    if (mirror) {
-      // In-place: read the mirror's and the index's adjacency directly
-      // — no per-evaluation graph snapshots on the dense-churn path.
-      // Verdict identical to the snapshot comparison (partitions, not
-      // representations, decide); asserted in api_sim_test.
-      track(simulator.now(), graph::same_connectivity(*mirror, index, scratch),
-            field_monitor.connected());
-      return;
-    }
-    const live_state s = capture_live_state(index, agents, mirror.get());
-    track(simulator.now(), graph::same_connectivity(s.topology, s.gr, pool, scratch),
+    // In-place: read the mirror's and the index's adjacency directly —
+    // no per-evaluation graph snapshots on the dense-churn path.
+    // Verdict identical to the snapshot comparison (partitions, not
+    // representations, decide); asserted in radio_propagation_test.
+    track(simulator.now(), graph::same_connectivity(mirror, index, scratch),
           field_monitor.connected());
   };
   // Convergecast data plane (declared before the hooks that mark its
@@ -364,7 +349,7 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     } else {
       index.erase(u);
     }
-    if (mirror) mirror->set_live(u, up);
+    mirror.set_live(u, up);
     note_change();  // the live set itself changed
   });
   for (auto& a : agents) a->set_change_hook(note_change);
@@ -372,10 +357,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   // Convergecast data plane: wraps the agents' handlers (foreign
   // payloads pass through), draws no randomness (the engine-selection
   // gate above is unaffected), and reads the closure topology only
-  // from class-0 refresh events — the mirror path enumerates live
-  // neighbors in place; the reference path snapshots the agents'
-  // tables once per recompute. Periods are clamped up to the channel
-  // base delay so every self-scheduled timer respects the partitioned
+  // from class-0 refresh events, enumerating the mirror's live
+  // neighbors in place. Periods are clamped up to the channel base
+  // delay so every self-scheduled timer respects the partitioned
   // engine's lookahead.
   if (sim_cfg.traffic.enabled() && positions.size() > 1) {
     sim::convergecast_config tc;
@@ -392,37 +376,14 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     tc.service_time = std::max(sim_cfg.traffic.service_time, lead);
     tc.route_refresh = std::max(sim_cfg.traffic.route_refresh, lead);
     tc.queue_capacity = std::max<std::size_t>(1, sim_cfg.traffic.queue_capacity);
-    sim::convergecast::neighbor_fn neighbors;
-    std::function<void()> prepare;
-    if (mirror) {
-      neighbors = [m = mirror.get()](graph::node_id u,
-                                     const std::function<void(graph::node_id)>& fn) {
-        m->for_each_live_neighbor(u, fn);
-      };
-    } else {
-      // Reference path: snapshot the agents' closure right before each
-      // recompute; down nodes end up isolated, matching the mirror.
-      auto snapshot = std::make_shared<graph::undirected_graph>(positions.size());
-      neighbors = [snapshot](graph::node_id u,
-                             const std::function<void(graph::node_id)>& fn) {
-        for (graph::node_id v : snapshot->neighbors(u)) fn(v);
-      };
-      prepare = [snapshot, &index, &agents] {
-        *snapshot = graph::undirected_graph(agents.size());
-        for (graph::node_id u = 0; u < agents.size(); ++u) {
-          if (!index.is_live(u)) continue;
-          for (const auto& [v, info] : agents[u]->cbtc().neighbors()) {
-            if (index.is_live(v)) snapshot->add_edge(u, v);
-          }
-        }
-      };
-    }
     traffic = std::make_unique<sim::convergecast>(
-        medium, tc, std::move(neighbors),
+        medium, tc,
+        [&mirror](graph::node_id u, const std::function<void(graph::node_id)>& fn) {
+          mirror.for_each_live_neighbor(u, fn);
+        },
         [&link, &medium](graph::node_id tx, graph::node_id rx) {
           return link.required_power(tx, rx, medium.position(tx), medium.position(rx));
         });
-    if (prepare) traffic->set_refresh_prepare(std::move(prepare));
     traffic->start();
   }
 
@@ -476,9 +437,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   // horizon; the event-driven tracker covers everything in between.
   live_state state;  // last captured state (reused for the final report)
   const auto observe = [&](double t) {
-    state = capture_live_state(index, agents, mirror.get());
+    state = capture_live_state(index, mirror);
     const dynamic_sample s = measure(state, field_monitor.connected(), medium.positions(),
-                                     pm.max_range(), t, pool, scratch);
+                                     pm.max_range(), t, pool);
     track(t, s.connectivity_ok, s.field_connected);
     r.samples.push_back(s);
   };

@@ -44,7 +44,7 @@ graph::undirected_graph build_baseline(const method_spec& m,
 /// through perm and re-sorted. Assembled as flat CSR in parallel slots.
 graph::undirected_graph relabel_graph(const graph::undirected_graph& g,
                                       std::span<const std::uint32_t> perm,
-                                      util::thread_pool& pool) {
+                                      const util::thread_pool& pool) {
   const std::size_t n = g.num_nodes();
   std::vector<std::size_t> off(n + 1, 0);
   {
@@ -74,7 +74,7 @@ algo::topology_result relabeled_build(std::span<const geom::vec2> positions,
                                       const radio::link_model& link,
                                       const algo::cbtc_params& params,
                                       const algo::optimization_set& opts,
-                                      util::thread_pool& pool) {
+                                      const util::thread_pool& pool) {
   const std::size_t n = positions.size();
   const double cell = link.max_range();
   const std::vector<std::uint32_t> perm = geom::spatial_order(positions, cell);

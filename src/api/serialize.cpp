@@ -404,7 +404,6 @@ jv sim_to_jv(const sim_spec& s) {
   o.add("horizon", jv::of(s.horizon));
   o.add("settle", jv::of(s.settle));
   o.add("sample_every", jv::of(s.sample_every));
-  o.add("mirror_agent_tables", jv::of(s.mirror_agent_tables));
   {
     jv b = jv::object();
     b.add("interval", jv::of(s.beacons.interval));
@@ -466,19 +465,21 @@ jv sim_to_jv(const sim_spec& s) {
 }
 
 sim_spec sim_from_jv(const jv& o) {
-  check_keys(o, "sim", {"horizon", "settle", "sample_every", "mirror_agent_tables", "beacons",
-                        "mobility", "failures", "partition", "traffic"});
+  check_keys(o, "sim", {"horizon", "settle", "sample_every", "beacons", "mobility", "failures",
+                        "partition", "traffic"});
   sim_spec s;
   s.horizon = get_num(o, "horizon", s.horizon);
   s.settle = get_num(o, "settle", s.settle);
   s.sample_every = get_num(o, "sample_every", s.sample_every);
-  s.mirror_agent_tables = get_bool(o, "mirror_agent_tables", s.mirror_agent_tables);
   if (const jv* b = get(o, "beacons")) {
     check_keys(*b, "beacons", {"interval", "miss_limit", "achange_threshold", "shrink_back"});
     s.beacons.interval = get_num(*b, "interval", s.beacons.interval);
     s.beacons.miss_limit = static_cast<std::uint32_t>(get_u64(*b, "miss_limit", s.beacons.miss_limit));
     s.beacons.achange_threshold = get_num(*b, "achange_threshold", s.beacons.achange_threshold);
     s.beacons.shrink_back = get_bool(*b, "shrink_back", s.beacons.shrink_back);
+    // A non-positive period reschedules every beacon at the same
+    // instant forever.
+    require(s.beacons.interval > 0.0, "beacons.interval must be positive");
   }
   if (const jv* m = get(o, "mobility")) {
     check_keys(*m, "mobility",
@@ -490,6 +491,11 @@ sim_spec sim_from_jv(const jv& o) {
     s.mobility.tick = get_num(*m, "tick", s.mobility.tick);
     s.mobility.start = get_num(*m, "start", s.mobility.start);
     s.mobility.until = get_num(*m, "until", s.mobility.until);
+    // Same hang for a non-positive tick; the speed range is a
+    // precondition of std::uniform_real_distribution.
+    require(s.mobility.tick > 0.0, "mobility.tick must be positive");
+    require(s.mobility.min_speed <= s.mobility.max_speed,
+            "mobility.min_speed must not exceed mobility.max_speed");
   }
   if (const jv* part = get(o, "partition")) {
     check_keys(*part, "partition", {"regions", "min_nodes"});

@@ -125,12 +125,6 @@ struct sim_spec {
   beacon_spec beacons{};
   mobility_spec mobility{};
   failure_spec failures{};
-  /// Maintain the agents' symmetric-closure topology incrementally
-  /// from per-agent neighbor-table deltas (graph::closure_mirror)
-  /// instead of re-reading every agent's table at each connectivity
-  /// evaluation. Reports are bitwise identical either way (asserted in
-  /// tests); false exists to keep the reference path exercisable.
-  bool mirror_agent_tables{true};
   /// Spatially partitioned parallel event engine (see partition_spec).
   partition_spec partition{};
   /// Convergecast data plane (off unless traffic.period > 0).

@@ -7,28 +7,20 @@
 
 namespace cbtc::graph {
 
-namespace {
-
-/// Shared body of the pooled overloads: per-node candidate count via
-/// the grid, exclusive prefix sum, per-node fill + sort into one flat
-/// CSR array. `accept(u, v)` is the per-candidate membership test.
-template <class Accept>
-undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, double reach,
-                                     util::thread_pool& pool, const Accept& accept) {
+undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, double max_range,
+                                       const util::thread_pool& pool) {
   const std::size_t n = positions.size();
-  if (n == 0 || reach <= 0.0) return undirected_graph(n);
-  const geom::spatial_grid grid(positions, reach);
+  if (n == 0 || max_range <= 0.0) return undirected_graph(n);
+  // Per-node grid count, exclusive prefix sum, per-node fill + sort
+  // into one flat CSR array.
+  const geom::spatial_grid grid(positions, max_range);
   std::vector<std::size_t> deg(n);
   pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t hi) {
     std::vector<geom::point_index> hits;
     for (std::size_t u = lo; u < hi; ++u) {
       hits.clear();
-      grid.query_radius_into(positions[u], reach, static_cast<geom::point_index>(u), hits);
-      std::size_t count = 0;
-      for (const geom::point_index v : hits) {
-        if (accept(static_cast<node_id>(u), static_cast<node_id>(v))) ++count;
-      }
-      deg[u] = count;
+      grid.query_radius_into(positions[u], max_range, static_cast<geom::point_index>(u), hits);
+      deg[u] = hits.size();
     }
   });
   std::vector<std::size_t> off(n + 1, 0);
@@ -38,34 +30,32 @@ undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, doub
     std::vector<geom::point_index> hits;
     for (std::size_t u = lo; u < hi; ++u) {
       hits.clear();
-      grid.query_radius_into(positions[u], reach, static_cast<geom::point_index>(u), hits);
-      std::size_t w = off[u];
-      for (const geom::point_index v : hits) {
-        if (accept(static_cast<node_id>(u), static_cast<node_id>(v))) {
-          flat[w++] = static_cast<node_id>(v);
-        }
-      }
-      std::sort(flat.begin() + static_cast<std::ptrdiff_t>(off[u]),
-                flat.begin() + static_cast<std::ptrdiff_t>(off[u + 1]));
+      grid.query_radius_into(positions[u], max_range, static_cast<geom::point_index>(u), hits);
+      const auto begin = flat.begin() + static_cast<std::ptrdiff_t>(off[u]);
+      std::copy(hits.begin(), hits.end(), begin);
+      std::sort(begin, begin + static_cast<std::ptrdiff_t>(hits.size()));
     }
   });
   return undirected_graph::from_csr(std::move(off), std::move(flat));
 }
 
-/// Variant for expensive membership tests (per-link gain evaluation):
-/// each unordered pair is tested exactly once, from its lower
-/// endpoint. Pass 1 stores the accepted up-neighbors (v > u) per node
-/// and counts the transpose with relaxed atomics; pass 2 scatters each
-/// up-edge into its upper endpoint's down-segment via atomic cursors.
-/// Scatter order is schedule-dependent but the per-segment sort
-/// restores the unique sorted order, and down-neighbors (< u) precede
-/// up-neighbors (> u), so the result is identical for any pool width
-/// — and edge-identical to the serial overloads.
-template <class Accept>
-undirected_graph build_csr_max_power_once(std::span<const geom::vec2> positions, double reach,
-                                          util::thread_pool& pool, const Accept& accept) {
+undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
+                                       const radio::link_model& link,
+                                       const util::thread_pool& pool) {
+  if (link.is_isotropic()) return build_max_power_graph(positions, link.max_range(), pool);
   const std::size_t n = positions.size();
+  const double reach = link.max_candidate_range();
   if (n == 0 || reach <= 0.0) return undirected_graph(n);
+  // The per-link gain test is expensive, so each unordered pair is
+  // tested exactly once, from its lower endpoint. Pass 1 stores the
+  // accepted up-neighbors (v > u) per node and counts the transpose
+  // with relaxed atomics; pass 2 scatters each up-edge into its upper
+  // endpoint's down-segment via atomic cursors. Scatter order is
+  // schedule-dependent but the per-segment sort restores the unique
+  // sorted order, and down-neighbors (< u) precede up-neighbors (> u),
+  // so the result is identical for any pool width — and
+  // edge-identical to build_max_power_graph_brute.
+  const double max_power = link.max_power();
   const geom::spatial_grid grid(positions, reach);
   std::vector<std::vector<node_id>> up(n);
   std::vector<std::atomic<std::uint32_t>> down(n);  // in-degree, then fill cursor
@@ -76,7 +66,8 @@ undirected_graph build_csr_max_power_once(std::span<const geom::vec2> positions,
       grid.query_radius_into(positions[u], reach, static_cast<geom::point_index>(u), hits);
       std::vector<node_id>& list = up[u];
       for (const geom::point_index v : hits) {
-        if (v > u && accept(static_cast<node_id>(u), static_cast<node_id>(v))) {
+        if (v > u && link.reaches(max_power, static_cast<node_id>(u), v, positions[u],
+                                  positions[v])) {
           list.push_back(static_cast<node_id>(v));
         }
       }
@@ -107,58 +98,6 @@ undirected_graph build_csr_max_power_once(std::span<const geom::vec2> positions,
     }
   });
   return undirected_graph::from_csr(std::move(off), std::move(flat));
-}
-
-}  // namespace
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, double max_range) {
-  undirected_graph g(positions.size());
-  if (positions.empty() || max_range <= 0.0) return g;
-  const geom::spatial_grid grid(positions, max_range);
-  std::vector<geom::point_index> hits;
-  for (node_id u = 0; u < positions.size(); ++u) {
-    hits.clear();
-    grid.query_radius_into(positions[u], max_range, u, hits);
-    for (geom::point_index v : hits) {
-      if (u < v) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                       const radio::link_model& link) {
-  if (link.is_isotropic()) return build_max_power_graph(positions, link.max_range());
-  undirected_graph g(positions.size());
-  const double reach = link.max_candidate_range();
-  if (positions.empty() || reach <= 0.0) return g;
-  const geom::spatial_grid grid(positions, reach);
-  const double max_power = link.max_power();
-  std::vector<geom::point_index> hits;
-  for (node_id u = 0; u < positions.size(); ++u) {
-    hits.clear();
-    grid.query_radius_into(positions[u], reach, u, hits);
-    for (geom::point_index v : hits) {
-      if (u < v && link.reaches(max_power, u, v, positions[u], positions[v])) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, double max_range,
-                                       util::thread_pool& pool) {
-  return build_csr_max_power(positions, max_range, pool, [](node_id, node_id) { return true; });
-}
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                       const radio::link_model& link, util::thread_pool& pool) {
-  if (link.is_isotropic()) return build_max_power_graph(positions, link.max_range(), pool);
-  const double max_power = link.max_power();
-  return build_csr_max_power_once(positions, link.max_candidate_range(), pool,
-                                  [&](node_id u, node_id v) {
-                                    return link.reaches(max_power, u, v, positions[u],
-                                                        positions[v]);
-                                  });
 }
 
 undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,

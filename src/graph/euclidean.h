@@ -17,35 +17,29 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "radio/propagation.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
-/// Builds G_R with a spatial grid (O(n * k) for bounded density).
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     double max_range);
+/// Builds G_R with a spatial grid (O(n * k) for bounded density) as
+/// flat CSR adjacency: per-node count pass, exclusive prefix sum,
+/// parallel fill — zero per-edge sorted insertion. Identical edge set
+/// for any pool width.
+[[nodiscard]] undirected_graph build_max_power_graph(
+    std::span<const geom::vec2> positions, double max_range,
+    const util::thread_pool& pool = util::thread_pool(1));
 
 /// Gain-aware G_R: edge {u, v} iff the link closes at maximum power
-/// under `link`. Delegates to the distance test when the propagation
-/// is isotropic (bitwise-identical edge set).
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     const radio::link_model& link);
-
-/// Parallel variants producing flat CSR adjacency directly: per-node
-/// count pass, exclusive prefix sum, parallel fill — zero per-edge
-/// sorted insertion. Expensive membership tests (per-link gains) are
-/// evaluated once per unordered pair. Edge set identical to the serial
-/// overloads for any pool width.
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     double max_range, util::thread_pool& pool);
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     const radio::link_model& link,
-                                                     util::thread_pool& pool);
+/// under `link`. The per-link membership test runs once per unordered
+/// pair. Delegates to the distance build when the propagation is
+/// isotropic (bitwise-identical edge set).
+[[nodiscard]] undirected_graph build_max_power_graph(
+    std::span<const geom::vec2> positions, const radio::link_model& link,
+    const util::thread_pool& pool = util::thread_pool(1));
 
 /// Reference O(n^2) construction, used to cross-check the grid path.
+/// Tests and bench_scaling share it; it is the one reference kept
+/// beside the pooled build.
 [[nodiscard]] undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,
                                                            double max_range);
 

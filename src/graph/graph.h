@@ -80,9 +80,9 @@ class undirected_graph {
   /// Adopts pre-built adjacency lists wholesale — O(1), no per-edge
   /// insertion. Contract (asserted in debug builds): every list sorted
   /// ascending, no self-loops or duplicates, and the relation is
-  /// symmetric (v in adj[u] iff u in adj[v]). This is how parallel
-  /// constructions (digraph::symmetric_closure / symmetric_core with a
-  /// thread pool) assemble their per-node results.
+  /// symmetric (v in adj[u] iff u in adj[v]). This is how per-node
+  /// constructions (STC growth, closure_mirror snapshots) assemble
+  /// their results.
   [[nodiscard]] static undirected_graph from_adjacency(std::vector<std::vector<node_id>> adj);
 
   /// Adopts a flat CSR adjacency wholesale: `offsets` has num_nodes + 1

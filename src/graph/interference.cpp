@@ -36,7 +36,7 @@ std::size_t edge_interference(const undirected_graph& g, std::span<const geom::v
 
 interference_stats topology_interference(const undirected_graph& g,
                                          std::span<const geom::vec2> positions,
-                                         util::thread_pool& pool) {
+                                         const util::thread_pool& pool) {
   interference_stats stats;
   const std::vector<edge> edges = g.edges();
   stats.edges = edges.size();
@@ -72,12 +72,6 @@ interference_stats topology_interference(const undirected_graph& g,
   stats.max = cov.max;
   stats.mean = static_cast<double>(cov.total) / static_cast<double>(edges.size());
   return stats;
-}
-
-interference_stats topology_interference(const undirected_graph& g,
-                                         std::span<const geom::vec2> positions) {
-  util::thread_pool serial(1);
-  return topology_interference(g, positions, serial);
 }
 
 }  // namespace cbtc::graph

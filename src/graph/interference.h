@@ -14,10 +14,7 @@
 
 #include "geom/vec2.h"
 #include "graph/graph.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -35,12 +32,8 @@ struct interference_stats {
 /// Coverage-based interference over all edges of the topology. Edges
 /// are counted in parallel; the counts are integers, so the result is
 /// the same at every pool width.
-[[nodiscard]] interference_stats topology_interference(const undirected_graph& g,
-                                                       std::span<const geom::vec2> positions,
-                                                       util::thread_pool& pool);
-
-/// Width-1 topology_interference.
-[[nodiscard]] interference_stats topology_interference(const undirected_graph& g,
-                                                       std::span<const geom::vec2> positions);
+[[nodiscard]] interference_stats topology_interference(
+    const undirected_graph& g, std::span<const geom::vec2> positions,
+    const util::thread_pool& pool = util::thread_pool(1));
 
 }  // namespace cbtc::graph

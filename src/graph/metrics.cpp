@@ -72,7 +72,7 @@ namespace {
 using sssp_fn = std::function<std::vector<double>(const undirected_graph&, node_id)>;
 
 stretch_stats stretch_impl(const undirected_graph& sparse, const undirected_graph& dense,
-                           std::size_t sample_sources, util::thread_pool& pool,
+                           std::size_t sample_sources, const util::thread_pool& pool,
                            const sssp_fn& sssp) {
   stretch_stats stats;
   const std::size_t n = dense.num_nodes();
@@ -136,28 +136,15 @@ std::vector<double> bfs_as_double(const undirected_graph& g, node_id s) {
 
 stretch_stats power_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                             const std::vector<geom::vec2>& positions, double exponent,
-                            std::size_t sample_sources, util::thread_pool& pool) {
+                            std::size_t sample_sources, const util::thread_pool& pool) {
   const edge_cost_fn cost = power_cost(positions, exponent);
   return stretch_impl(sparse, dense, sample_sources, pool,
                       [&cost](const undirected_graph& g, node_id s) { return dijkstra(g, s, cost); });
 }
 
-stretch_stats power_stretch(const undirected_graph& sparse, const undirected_graph& dense,
-                            const std::vector<geom::vec2>& positions, double exponent,
-                            std::size_t sample_sources) {
-  util::thread_pool serial(1);
-  return power_stretch(sparse, dense, positions, exponent, sample_sources, serial);
-}
-
 stretch_stats hop_stretch(const undirected_graph& sparse, const undirected_graph& dense,
-                          std::size_t sample_sources, util::thread_pool& pool) {
+                          std::size_t sample_sources, const util::thread_pool& pool) {
   return stretch_impl(sparse, dense, sample_sources, pool, bfs_as_double);
-}
-
-stretch_stats hop_stretch(const undirected_graph& sparse, const undirected_graph& dense,
-                          std::size_t sample_sources) {
-  util::thread_pool serial(1);
-  return hop_stretch(sparse, dense, sample_sources, serial);
 }
 
 }  // namespace cbtc::graph

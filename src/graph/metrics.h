@@ -13,10 +13,7 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -66,22 +63,14 @@ struct stretch_stats {
 [[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
                                           const undirected_graph& dense,
                                           const std::vector<geom::vec2>& positions, double exponent,
-                                          std::size_t sample_sources, util::thread_pool& pool);
-
-/// Width-1 power_stretch.
-[[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
-                                          const undirected_graph& dense,
-                                          const std::vector<geom::vec2>& positions, double exponent,
-                                          std::size_t sample_sources = 32);
+                                          std::size_t sample_sources = 32,
+                                          const util::thread_pool& pool = util::thread_pool(1));
 
 /// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts), with the
 /// same sources and pool contract as power_stretch.
 [[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
-                                        const undirected_graph& dense, std::size_t sample_sources,
-                                        util::thread_pool& pool);
-
-/// Width-1 hop_stretch.
-[[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
-                                        const undirected_graph& dense, std::size_t sample_sources = 32);
+                                        const undirected_graph& dense,
+                                        std::size_t sample_sources = 32,
+                                        const util::thread_pool& pool = util::thread_pool(1));
 
 }  // namespace cbtc::graph

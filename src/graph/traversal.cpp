@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <utility>
 
 #include "util/parallel.h"
 
@@ -44,42 +43,6 @@ bool reachable(const undirected_graph& g, node_id u, node_id v) {
 
 namespace {
 
-node_id uf_find(std::vector<node_id>& parent, node_id x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
-  }
-  return x;
-}
-
-/// Builds the component forest of `g` into `parent`/`size` (union by
-/// size), flattens every node to its root, and returns the component
-/// count. Reuses the vectors' capacity across calls.
-std::size_t uf_build(const undirected_graph& g, std::vector<node_id>& parent,
-                     std::vector<std::uint32_t>& size) {
-  const std::size_t n = g.num_nodes();
-  parent.resize(n);
-  size.assign(n, 1);
-  for (node_id u = 0; u < n; ++u) parent[u] = u;
-  std::size_t sets = n;
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v : g.neighbors(u)) {
-      if (v <= u) continue;  // each edge once
-      node_id ra = uf_find(parent, u);
-      node_id rb = uf_find(parent, v);
-      if (ra == rb) continue;
-      if (size[ra] < size[rb]) std::swap(ra, rb);
-      parent[rb] = ra;
-      size[ra] += size[rb];
-      --sets;
-    }
-  }
-  // Flatten so the verification phase can read roots concurrently
-  // without mutating the forest.
-  for (node_id u = 0; u < n; ++u) parent[u] = uf_find(parent, u);
-  return sets;
-}
-
 /// Every edge of `a` inside one component of `b`'s flattened forest?
 bool edges_within(const undirected_graph& a, const std::vector<node_id>& root_b, std::size_t lo,
                   std::size_t hi) {
@@ -93,31 +56,25 @@ bool edges_within(const undirected_graph& a, const std::vector<node_id>& root_b,
 
 }  // namespace
 
-bool same_connectivity(const undirected_graph& a, const undirected_graph& b) {
-  connectivity_scratch scratch;
-  return same_connectivity(a, b, scratch);
-}
-
 bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
-                       connectivity_scratch& scratch) {
+                       const util::thread_pool& pool) {
   if (a.num_nodes() != b.num_nodes()) return false;
-  if (uf_build(a, scratch.root_a, scratch.size_a) != uf_build(b, scratch.root_b, scratch.size_b)) {
+  const auto view = [](const undirected_graph& g) {
+    return [&g](node_id u, auto&& emit) {
+      for (const node_id v : g.neighbors(u)) emit(v);
+    };
+  };
+  const std::size_t n = a.num_nodes();
+  connectivity_scratch scratch;
+  if (detail::view_uf_build(n, view(a), scratch.root_a, scratch.size_a) !=
+      detail::view_uf_build(n, view(b), scratch.root_b, scratch.size_b)) {
     return false;
   }
   // Equal component counts + "a refines b" (every a-edge stays inside
   // one b-component, hence every a-component sits inside one
   // b-component) force the partitions to be equal.
-  return edges_within(a, scratch.root_b, 0, a.num_nodes());
-}
-
-bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
-                       util::thread_pool& pool, connectivity_scratch& scratch) {
-  if (a.num_nodes() != b.num_nodes()) return false;
-  if (uf_build(a, scratch.root_a, scratch.size_a) != uf_build(b, scratch.root_b, scratch.size_b)) {
-    return false;
-  }
   return pool.reduce<bool>(
-      a.num_nodes(), true,
+      n, true,
       [&](std::size_t lo, std::size_t hi) { return edges_within(a, scratch.root_b, lo, hi); },
       [](bool& total, const bool& part) { total = total && part; });
 }

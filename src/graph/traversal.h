@@ -12,10 +12,7 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -35,10 +32,11 @@ struct component_labels {
 /// True if u and v are in the same component.
 [[nodiscard]] bool reachable(const undirected_graph& g, node_id u, node_id v);
 
-/// Reusable buffers for same_connectivity: two disjoint-set forests.
-/// Event-driven callers (the dynamic engine evaluates connectivity at
-/// every topology-changing event) hold one across calls so the
-/// comparison performs no allocations after the first use.
+/// Reusable buffers for same_connectivity_views: two disjoint-set
+/// forests. Event-driven callers (the dynamic engine evaluates
+/// connectivity at every topology-changing event) hold one across
+/// calls so the comparison performs no allocations after the first
+/// use.
 struct connectivity_scratch {
   std::vector<node_id> root_a;
   std::vector<node_id> root_b;
@@ -54,18 +52,11 @@ struct connectivity_scratch {
 /// forests (union by size + path halving, O(m alpha)), compare
 /// component counts, then check that every edge of `a` stays inside
 /// one `b`-component — a partition that refines another with the same
-/// block count equals it.
-[[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b);
-
-/// Same, with caller-owned scratch (no per-call allocations).
+/// block count equals it. The edge-containment check runs over fixed
+/// node blocks on `pool` (the forests are flattened first, so that
+/// phase only reads). Identical verdict for any pool width.
 [[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
-                                     connectivity_scratch& scratch);
-
-/// Same, with the edge-containment check parallelized over fixed
-/// node blocks on `pool` (the forests are flattened first, so the
-/// parallel phase only reads). Identical verdict for any pool width.
-[[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
-                                     util::thread_pool& pool, connectivity_scratch& scratch);
+                                     const util::thread_pool& pool = util::thread_pool(1));
 
 // ---- adjacency-view comparison --------------------------------------
 // same_connectivity without materializing graphs: callers that hold an
@@ -74,7 +65,7 @@ struct connectivity_scratch {
 // undirected_graphs per evaluation. A view is a callable
 // `view(u, emit)` invoking `emit(v)` for every neighbor v of u (each
 // edge visible from both endpoints). The verdict is identical to the
-// graph overloads: partitions — not forest shapes — decide.
+// graph comparison: partitions — not forest shapes — decide.
 
 namespace detail {
 
@@ -125,7 +116,7 @@ template <class ViewA, class ViewB>
     return false;
   }
   // Equal component counts + "a refines b" force partition equality
-  // (same argument as the graph overloads).
+  // (same argument as the graph comparison).
   bool within = true;
   for (node_id u = 0; u < n && within; ++u) {
     a(u, [&](node_id v) {

@@ -11,7 +11,8 @@
 // loss constant and unit reception threshold, so that
 //   rx_power = tx_power / d^n   and   "decodable" <=> rx_power >= 1.
 // The algorithm only ever consumes *ratios* of powers, so the constants
-// cancel and this loses no generality (see DESIGN.md, substitutions).
+// cancel and this loses no generality (see "Fidelity to the paper" in
+// README.md).
 //
 // Non-uniform fields (lognormal shadowing, obstacle attenuation) scale
 // these quantities by a per-link gain; radio::link_model composes this

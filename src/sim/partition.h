@@ -30,7 +30,7 @@
 // Because each lane drains in key order and a node's events all land
 // in one lane per instant, every node observes exactly the restriction
 // of the one canonical total order (sim/scheduler.h) to its own events
-// — reports are bitwise-identical to the canonical-tie serial
+// — reports are bitwise-identical to the single-queue serial
 // simulator at any region count and any thread count.
 #pragma once
 
@@ -61,7 +61,7 @@ class partitioned_simulator final : public scheduler {
   struct config {
     std::uint32_t regions{1};
     double lookahead{0.0};           ///< minimum delivery delay; must be > 0
-    util::thread_pool* pool{nullptr};  ///< lanes fan across this pool's width
+    const util::thread_pool* pool{nullptr};  ///< lanes fan across this pool's width
     std::size_t serial_batch_limit{32};  ///< instants this small drain inline
   };
 
@@ -123,7 +123,7 @@ class partitioned_simulator final : public scheduler {
   std::vector<std::uint64_t> node_seq_;
   std::vector<std::uint64_t> region_events_;
   std::vector<std::uint32_t> active_;  // scratch: lanes with work this instant
-  util::thread_pool* pool_;
+  const util::thread_pool* pool_;
   double lookahead_;
   std::size_t serial_batch_limit_;
   time_point now_{0.0};

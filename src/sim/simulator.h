@@ -6,15 +6,10 @@
 // loop; its asynchronous model (Section 4) by unbounded-but-finite
 // random delays injected at the channel layer.
 //
-// Two tie policies at equal times:
-//   * fifo (default) — every schedule call, whatever its type, gets
-//     the next global sequence number, so ties run in scheduling
-//     order. Byte-identical to the historical behavior; the static
-//     protocol runner stays on this.
-//   * canonical — typed keys (global < node timer < delivery, then
-//     ids / per-node counters). This is the one total order the
-//     partitioned engine reproduces region-by-region, so the dynamic
-//     engine uses canonical mode for its single-queue reference path.
+// Ties at equal times break by canonical typed keys (global < node
+// timer < delivery, then ids / per-node counters). This is the one
+// total order the partitioned engine reproduces region-by-region, so
+// this single-queue loop is its bitwise reference.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +21,8 @@
 
 namespace cbtc::sim {
 
-enum class tie_policy { fifo, canonical };
-
 class simulator final : public scheduler {
  public:
-  explicit simulator(tie_policy ties = tie_policy::fifo) : ties_(ties) {}
-
   [[nodiscard]] time_point now() const override { return now_; }
 
   /// Schedules `fn` to run at absolute time `t` (clamped to now()).
@@ -64,13 +55,11 @@ class simulator final : public scheduler {
     bool operator()(const event& a, const event& b) const { return b.key < a.key; }
   };
 
-  event_key make_key(time_point t, std::uint8_t cls, graph::node_id a, graph::node_id b,
-                     std::uint64_t seq, std::uint32_t copy);
+  void push(event_key key, action fn);
   void pop_run_top();
   void fire_instant_hook_if_due();
 
   std::priority_queue<event, std::vector<event>, later> queue_;
-  tie_policy ties_;
   time_point now_{0.0};
   std::uint64_t global_seq_{0};
   std::vector<std::uint64_t> node_seq_;

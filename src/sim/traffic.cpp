@@ -53,7 +53,6 @@ void convergecast::start() {
 void convergecast::refresh_routes() {
   if (dirty_.exchange(false, std::memory_order_relaxed)) {
     ++route_refreshes_;
-    if (prepare_) prepare_();
     constexpr double inf = std::numeric_limits<double>::infinity();
     dist_.assign(n_, inf);
     std::fill(next_hop_.begin(), next_hop_.end(), graph::invalid_node);

@@ -94,11 +94,6 @@ class convergecast {
   /// topology / liveness / move hooks.
   void mark_routes_stale() { dirty_.store(true, std::memory_order_relaxed); }
 
-  /// Optional: runs (serially) right before each actual route
-  /// recompute — lets a caller without an incremental closure mirror
-  /// snapshot the topology its neighbor_fn will then read.
-  void set_refresh_prepare(std::function<void()> fn) { prepare_ = std::move(fn); }
-
   /// Folds the per-node ledgers into stats() in node order. Call once
   /// after the run completes.
   void finish();
@@ -125,7 +120,6 @@ class convergecast {
   convergecast_config cfg_;
   neighbor_fn neighbors_;
   cost_fn cost_;
-  std::function<void()> prepare_;
   std::size_t n_;
 
   std::atomic<bool> dirty_{true};

@@ -13,8 +13,9 @@ unsigned resolve_threads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void thread_pool::parallel_for_chunks(std::size_t n, std::size_t chunk,
-                                      const std::function<void(std::size_t, std::size_t)>& body) {
+void thread_pool::parallel_for_chunks(
+    std::size_t n, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& body) const {
   if (n == 0) return;
   chunk = std::max<std::size_t>(1, chunk);
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
@@ -31,7 +32,8 @@ void thread_pool::parallel_for_chunks(std::size_t n, std::size_t chunk,
   executor::instance().run(t);
 }
 
-void thread_pool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
+void thread_pool::parallel_for(std::size_t n,
+                               const std::function<void(std::size_t)>& body) const {
   // Coalesce indices so tiny bodies do not pay one std::function call
   // and one atomic claim each; per-slot writes keep determinism
   // regardless of the chunking.

@@ -21,8 +21,10 @@
 // Construction is free, pools nest (a loop body may drive its own
 // pool; the executor composes the two by task submission instead of
 // spawning width x width threads), and a pool with num_threads == 1
-// runs everything inline on the calling thread, so `intra_threads = 1`
-// (the default) is exactly the old serial code path.
+// runs everything inline on the calling thread. Every pooled pass
+// therefore has exactly one implementation: its trailing
+// `const thread_pool& pool = thread_pool(1)` parameter makes the
+// width-1 call the serial path.
 #pragma once
 
 #include <cstddef>
@@ -60,19 +62,20 @@ class thread_pool {
   /// Runs body(i) for every i in [0, n), in parallel, and blocks until
   /// all are done. The first exception thrown by any body is rethrown
   /// on the caller (remaining work is abandoned).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) const;
 
   /// Runs body(lo, hi) over [0, n) split into chunks of `chunk`
   /// indices. parallel_for is this with per-index chunks coalesced.
   void parallel_for_chunks(std::size_t n, std::size_t chunk,
-                           const std::function<void(std::size_t, std::size_t)>& body);
+                           const std::function<void(std::size_t, std::size_t)>& body) const;
 
   /// Deterministic block-ordered reduction: partials[b] =
   /// per_block(lo_b, hi_b) over fixed `reduce_block`-sized blocks, then
   /// merge(total, partials[b]) in ascending block order. The result
   /// does not depend on the pool width.
   template <class T, class PerBlock, class Merge>
-  [[nodiscard]] T reduce(std::size_t n, T init, const PerBlock& per_block, const Merge& merge) {
+  [[nodiscard]] T reduce(std::size_t n, T init, const PerBlock& per_block,
+                         const Merge& merge) const {
     if (n == 0) return init;
     const std::size_t blocks = (n + reduce_block - 1) / reduce_block;
     // One slot per block. The wrapper keeps T = bool off the packed

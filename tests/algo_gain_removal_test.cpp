@@ -118,11 +118,12 @@ TEST(GainRemoval, IsotropicDropSetDominatesPairwise) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::vector<vec2> positions = field(100, seed);
     const graph::undirected_graph g = grown_topology(positions, link);
+    const graph::undirected_graph c = graph::build_max_power_graph(positions, link, pool);
     for (const bool remove_all : {false, true}) {
       const pairwise_result pw =
           apply_pairwise_removal(g, positions, {.remove_all = remove_all}, pool);
       const gain_removal_result ga =
-          apply_gain_aware_removal(g, positions, link, {.remove_all = remove_all}, pool);
+          apply_gain_aware_removal(g, c, positions, link, {.remove_all = remove_all}, pool);
       EXPECT_GE(ga.redundant_edges, pw.redundant_edges) << "seed " << seed;
       EXPECT_GE(ga.removed_edges, pw.removed_edges) << "seed " << seed;
       // Superset of the drop set == subset of the kept set.
@@ -142,11 +143,11 @@ TEST(GainRemoval, BitwiseDeterministicAcrossPoolWidths) {
     const std::vector<vec2> positions = field(110, seed);
     for (const auto& [name, link] : all_links(seed)) {
       const graph::undirected_graph g = grown_topology(positions, link);
-      util::thread_pool one(1);
-      const gain_removal_result ref = apply_gain_aware_removal(g, positions, link, {}, one);
+      const graph::undirected_graph c = graph::build_max_power_graph(positions, link);
+      const gain_removal_result ref = apply_gain_aware_removal(g, c, positions, link);
       for (const unsigned width : {3u, 8u}) {
         util::thread_pool pool(width);
-        const gain_removal_result got = apply_gain_aware_removal(g, positions, link, {}, pool);
+        const gain_removal_result got = apply_gain_aware_removal(g, c, positions, link, {}, pool);
         EXPECT_TRUE(got.topology == ref.topology) << name << " width " << width;
         EXPECT_EQ(got.redundant_edges, ref.redundant_edges) << name << " width " << width;
         EXPECT_EQ(got.removed_edges, ref.removed_edges) << name << " width " << width;
@@ -164,7 +165,8 @@ TEST(GainRemoval, PowerStretchStaysBounded) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const std::vector<vec2> positions = field(100, seed);
     const graph::undirected_graph g = grown_topology(positions, link);
-    const gain_removal_result res = apply_gain_aware_removal(g, positions, link, {}, pool);
+    const gain_removal_result res = apply_gain_aware_removal(
+        g, graph::build_max_power_graph(positions, link, pool), positions, link, {}, pool);
     const graph::stretch_stats st =
         graph::power_stretch(res.topology, g, positions, 2.0, positions.size());
     EXPECT_GE(st.mean, 1.0) << "seed " << seed;
@@ -187,9 +189,10 @@ TEST(GainRemoval, CoincidentNodesNeverDropZeroPowerEdges) {
   g.add_edge(1, 2);
   g.add_edge(0, 3);
   g.add_edge(2, 3);
-  const gain_removal_result res = apply_gain_aware_removal(g, pts, link, {.remove_all = true});
+  const graph::undirected_graph c = graph::build_max_power_graph(pts, link);
+  const gain_removal_result res = apply_gain_aware_removal(g, c, pts, link, {.remove_all = true});
   EXPECT_TRUE(res.topology.has_edge(0, 1));
-  const invariant_report inv = check_invariants(res.topology, pts, pm.max_range(), 1);
+  const invariant_report inv = check_invariants(res.topology, pts, link, c);
   EXPECT_TRUE(inv.connectivity_preserved);
 }
 
@@ -197,10 +200,10 @@ TEST(GainRemoval, EmptyAndSingletonGraphs) {
   const radio::link_model link(pm);
   const graph::undirected_graph empty(0);
   const std::vector<vec2> none;
-  EXPECT_EQ(apply_gain_aware_removal(empty, none, link, {}).removed_edges, 0u);
+  EXPECT_EQ(apply_gain_aware_removal(empty, empty, none, link).removed_edges, 0u);
   const graph::undirected_graph lone(1);
   const std::vector<vec2> one{{0, 0}};
-  const gain_removal_result res = apply_gain_aware_removal(lone, one, link, {});
+  const gain_removal_result res = apply_gain_aware_removal(lone, lone, one, link);
   EXPECT_EQ(res.topology.num_nodes(), 1u);
   EXPECT_EQ(res.topology.num_edges(), 0u);
 }
@@ -211,12 +214,12 @@ TEST(GainRemoval, DeeperWitnessSearchDropsAtLeastAsMuch) {
     const std::vector<vec2> positions = field(90, seed);
     for (const auto& [name, link] : all_links(seed)) {
       const graph::undirected_graph g = grown_topology(positions, link);
-      const gain_removal_result two =
-          apply_gain_aware_removal(g, positions, link, {.max_witness_hops = 2}, pool);
-      const gain_removal_result four =
-          apply_gain_aware_removal(g, positions, link, {.max_witness_hops = 4}, pool);
-      EXPECT_GE(four.redundant_edges, two.redundant_edges) << name << " seed " << seed;
       const graph::undirected_graph c = graph::build_max_power_graph(positions, link, pool);
+      const gain_removal_result two =
+          apply_gain_aware_removal(g, c, positions, link, {.max_witness_hops = 2}, pool);
+      const gain_removal_result four =
+          apply_gain_aware_removal(g, c, positions, link, {.max_witness_hops = 4}, pool);
+      EXPECT_GE(four.redundant_edges, two.redundant_edges) << name << " seed " << seed;
       EXPECT_TRUE(check_invariants(four.topology, positions, link, c, pool).ok())
           << name << " seed " << seed;
     }

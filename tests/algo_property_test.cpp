@@ -69,7 +69,7 @@ TEST_P(ConnectivitySweep, Theorem21_SymmetricClosurePreservesConnectivity) {
   const auto g_alpha = r.symmetric_closure();
   EXPECT_TRUE(graph::same_connectivity(g_alpha, gr_)) << GetParam();
   // G_alpha is a subgraph of G_R with per-node radius <= R.
-  const invariant_report rep = check_invariants(g_alpha, positions_, pm_.max_range());
+  const invariant_report rep = check_invariants(g_alpha, positions_, pm_, gr_);
   EXPECT_TRUE(rep.ok()) << GetParam() << (rep.violations.empty() ? "" : ": " + rep.violations[0]);
 }
 
@@ -105,7 +105,7 @@ TEST_P(ConnectivitySweep, Theorem36_PairwiseRemovalPreservesConnectivity) {
 
 TEST_P(ConnectivitySweep, FullPipelinePreservesConnectivityAndInvariants) {
   const topology_result t = build_topology(positions_, pm_, params_, optimization_set::all());
-  const invariant_report rep = check_invariants(t.topology, positions_, pm_.max_range());
+  const invariant_report rep = check_invariants(t.topology, positions_, pm_, gr_);
   EXPECT_TRUE(rep.ok()) << GetParam() << (rep.violations.empty() ? "" : ": " + rep.violations[0]);
   EXPECT_EQ(t.asymmetric_applied, asymmetric_removal_applicable(GetParam().alpha));
 }

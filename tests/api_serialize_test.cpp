@@ -61,7 +61,6 @@ scenario_file busy_file() {
                   .tick = 0.25,
                   .start = 10.0,
                   .until = 80.0};
-  dyn.mirror_agent_tables = false;  // non-default: must survive the trip
   dyn.partition = {.regions = 9, .min_nodes = 2048};
   dyn.failures.random_crashes = 6;
   dyn.failures.window_begin = 15.0;
@@ -121,7 +120,6 @@ TEST(ApiSerialize, RoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(x.horizon, y.horizon);
   EXPECT_DOUBLE_EQ(x.settle, y.settle);
   EXPECT_DOUBLE_EQ(x.sample_every, y.sample_every);
-  EXPECT_EQ(x.mirror_agent_tables, y.mirror_agent_tables);
   EXPECT_EQ(x.partition.regions, y.partition.regions);
   EXPECT_EQ(x.partition.min_nodes, y.partition.min_nodes);
   EXPECT_DOUBLE_EQ(x.beacons.interval, y.beacons.interval);
@@ -229,6 +227,17 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   EXPECT_THROW(
       parse_scenario_json(R"({"scenario": {}, "sim": {"partition": {"regions": 4.5}}})"),
       std::invalid_argument);
+  // A zero or negative beacon interval or mobility tick would
+  // reschedule its timer at the same instant forever; a speed range
+  // with min > max breaks std::uniform_real_distribution.
+  for (const char* bad : {R"({"beacons": {"interval": 0}})", R"({"beacons": {"interval": -1}})",
+                          R"({"mobility": {"kind": "random_waypoint", "tick": 0}})",
+                          R"({"mobility": {"kind": "bouncing", "tick": -0.5}})",
+                          R"({"mobility": {"min_speed": 5, "max_speed": 2}})"}) {
+    EXPECT_THROW(parse_scenario_json(std::string(R"({"scenario": {}, "sim": )") + bad + "}"),
+                 std::invalid_argument)
+        << bad;
+  }
   // Positions without kind "fixed" would silently run a different
   // network than the file describes.
   EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),
@@ -387,11 +396,10 @@ TEST(ApiSerialize, RandomSpecsRoundTripIdempotently) {
       sim_spec dyn;
       dyn.horizon = pick_double(1.0, 500.0);
       dyn.settle = pick_double(0.0, 50.0);
-      dyn.mirror_agent_tables = rng() % 2 == 0;
       dyn.partition.regions = static_cast<std::uint32_t>(rng() % 17);
       dyn.partition.min_nodes = rng() % 10000;
       dyn.mobility.kind = static_cast<mobility_kind>(rng() % 3);
-      dyn.mobility.max_speed = pick_double(0.0, 20.0);
+      dyn.mobility.max_speed = pick_double(1.0, 20.0);  // below min_speed (1) is rejected
       dyn.failures.random_crashes = rng() % 10;
       f.sim = dyn;
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "api/api.h"
 #include "report_equal.h"
@@ -47,66 +48,6 @@ TEST(ApiSim, DynamicBatchAggregatesAreThreadCountInvariant) {
   EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
-/// The incremental closure mirror must be observationally invisible:
-/// a run that maintains the agents' topology from table deltas and a
-/// run that re-reads every neighbor table at each evaluation produce
-/// the bitwise-identical dynamic_report — same samples, same exact
-/// disruption windows, same final topology.
-TEST(ApiSim, MirroredAgentTablesMatchFullCaptureBitwise) {
-  const scenario_spec spec = churn_scenario();
-  sim_spec dyn = churn_sim();
-  // Add mobility on top of the crashes so joins/leaves/aChanges,
-  // regrows, and shrink-back prunes all stream table deltas.
-  dyn.mobility = {.kind = mobility_kind::random_waypoint,
-                  .min_speed = 1.0,
-                  .max_speed = 4.0,
-                  .tick = 0.5,
-                  .start = 9.0};
-  const engine eng;
-
-  for (const std::uint64_t seed : {0ull, 1ull, 2ull, 3ull}) {
-    dyn.mirror_agent_tables = true;
-    const dynamic_report mirrored = eng.run_dynamic(spec, dyn, seed);
-    dyn.mirror_agent_tables = false;
-    const dynamic_report full = eng.run_dynamic(spec, dyn, seed);
-    SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    EXPECT_TRUE(mirrored == full);
-  }
-}
-
-/// The mirrored path now compares connectivity *in place* (adjacency
-/// views over closure_mirror + live_neighbor_index, no per-evaluation
-/// graph snapshots); the full-capture path still materializes
-/// snapshots. Their dynamic_reports must stay bitwise identical — also
-/// under non-uniform per-link gains, where the live index filters
-/// every candidate link.
-TEST(ApiSim, InPlaceMirrorConnectivityMatchesSnapshotPathUnderPropagation) {
-  scenario_spec spec = churn_scenario();
-  sim_spec dyn = churn_sim();
-  dyn.mobility = {.kind = mobility_kind::random_waypoint,
-                  .min_speed = 1.0,
-                  .max_speed = 4.0,
-                  .tick = 0.5,
-                  .start = 9.0};
-  const engine eng;
-
-  for (const bool shadowed : {false, true}) {
-    spec.radio.propagation =
-        shadowed ? propagation_spec{.kind = radio::propagation_kind::lognormal_shadowing,
-                                    .sigma_db = 3.0,
-                                    .clamp_db = 6.0}
-                 : propagation_spec{};
-    for (const std::uint64_t seed : {0ull, 1ull}) {
-      dyn.mirror_agent_tables = true;
-      const dynamic_report in_place = eng.run_dynamic(spec, dyn, seed);
-      dyn.mirror_agent_tables = false;
-      const dynamic_report snapshot = eng.run_dynamic(spec, dyn, seed);
-      SCOPED_TRACE(::testing::Message() << "shadowed=" << shadowed << " seed " << seed);
-      EXPECT_TRUE(in_place == snapshot);
-    }
-  }
-}
-
 TEST(ApiSim, RunDynamicIsDeterministicPerSeed) {
   const scenario_spec spec = churn_scenario();
   const sim_spec dyn = churn_sim();
@@ -114,6 +55,21 @@ TEST(ApiSim, RunDynamicIsDeterministicPerSeed) {
   const dynamic_report a = eng.run_dynamic(spec, dyn, 2);
   const dynamic_report b = eng.run_dynamic(spec, dyn, 2);
   EXPECT_TRUE(a == b);
+}
+
+// A failure event that names a node beyond the node count must be
+// refused before the run starts: firing it would index past the
+// medium's liveness table.
+TEST(ApiSim, RunDynamicRejectsFailureEventBeyondNodeCount) {
+  const scenario_spec spec = churn_scenario();
+  sim_spec dyn = churn_sim();
+  const engine eng;
+  for (const graph::node_id bad : {graph::node_id{24}, graph::node_id{4000000000u}}) {
+    dyn.failures.events = {{.node = bad, .time = 16.0, .restart = false}};
+    EXPECT_THROW((void)eng.run_dynamic(spec, dyn, 0), std::invalid_argument) << bad;
+  }
+  dyn.failures.events = {{.node = 23, .time = 16.0, .restart = false}};
+  EXPECT_FALSE(eng.run_dynamic(spec, dyn, 0).up[23]);  // the last node is a valid target
 }
 
 // Crash a quarter of the nodes after the topology settles: the NDP

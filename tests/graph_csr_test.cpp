@@ -117,7 +117,7 @@ TEST(CsrGraph, FromCsrEmptyAndIsolatedNodes) {
   EXPECT_FALSE(g.has_edge(0, 1));
 }
 
-TEST(CsrDigraph, ClosureAndCoreIdenticalSerialVsPool) {
+TEST(CsrDigraph, ClosureAndCoreIdenticalAtAnyWidth) {
   std::mt19937_64 rng(20010601);
   util::thread_pool pool(4);
   for (int trial = 0; trial < 25; ++trial) {
@@ -167,32 +167,31 @@ TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
     const std::vector<geom::vec2> pos = random_positions(n, 900.0, rng);
     const undirected_graph g = build_max_power_graph(pos, 320.0);
     const algo::pairwise_options opts{.remove_all = trial % 2 == 0};
-    const algo::pairwise_result serial = algo::apply_pairwise_removal(g, pos, opts);
+    const algo::pairwise_result one = algo::apply_pairwise_removal(g, pos, opts);
     const algo::pairwise_result wide = algo::apply_pairwise_removal(g, pos, opts, four);
     const algo::pairwise_result flat_in = algo::apply_pairwise_removal(g.flattened(), pos, opts, four);
-    EXPECT_EQ(serial.redundant_edges, wide.redundant_edges);
-    EXPECT_EQ(serial.removed_edges, wide.removed_edges);
-    expect_identical(serial.topology, wide.topology);
-    expect_identical(serial.topology, flat_in.topology);
+    EXPECT_EQ(one.redundant_edges, wide.redundant_edges);
+    EXPECT_EQ(one.removed_edges, wide.removed_edges);
+    expect_identical(one.topology, wide.topology);
+    expect_identical(one.topology, flat_in.topology);
   }
 }
 
-TEST(CsrGraph, PooledMaxPowerGraphMatchesSerial) {
+TEST(CsrGraph, PooledMaxPowerGraphMatchesBruteAtAnyWidth) {
   std::mt19937_64 rng(5150);
   util::thread_pool four(4);
-  util::thread_pool one(1);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 50 + rng() % 150;
     const std::vector<geom::vec2> pos = random_positions(n, 1200.0, rng);
-    expect_identical(build_max_power_graph(pos, 400.0),
-                     build_max_power_graph(pos, 400.0, four));
-    expect_identical(build_max_power_graph(pos, 400.0),
-                     build_max_power_graph(pos, 400.0, one));
+    const undirected_graph brute = build_max_power_graph_brute(pos, 400.0);
+    expect_identical(brute, build_max_power_graph(pos, 400.0));
+    expect_identical(brute, build_max_power_graph(pos, 400.0, four));
     const radio::link_model shadowed(
         radio::power_model(2.0, 400.0),
         radio::propagation_model::lognormal_shadowing(4.0, 8.0, 77 + trial));
-    expect_identical(build_max_power_graph(pos, shadowed),
-                     build_max_power_graph(pos, shadowed, four));
+    const undirected_graph shadowed_brute = build_max_power_graph_brute(pos, shadowed);
+    expect_identical(shadowed_brute, build_max_power_graph(pos, shadowed));
+    expect_identical(shadowed_brute, build_max_power_graph(pos, shadowed, four));
   }
 }
 

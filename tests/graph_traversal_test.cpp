@@ -131,6 +131,13 @@ undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& rng) {
   return g;
 }
 
+/// Adjacency view of a graph for same_connectivity_views.
+auto view_of(const undirected_graph& g) {
+  return [&g](node_id u, auto&& emit) {
+    for (const node_id v : g.neighbors(u)) emit(v);
+  };
+}
+
 TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
   std::mt19937_64 rng(20260729);
   util::thread_pool pool(4);
@@ -153,8 +160,9 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
     }
     const bool expected = same_connectivity_bfs(a, b);
     EXPECT_EQ(expected, same_connectivity(a, b)) << "trial " << trial;
-    EXPECT_EQ(expected, same_connectivity(a, b, scratch)) << "trial " << trial;
-    EXPECT_EQ(expected, same_connectivity(a, b, pool, scratch)) << "trial " << trial;
+    EXPECT_EQ(expected, same_connectivity(a, b, pool)) << "trial " << trial;
+    EXPECT_EQ(expected, same_connectivity_views(n, view_of(a), view_of(b), scratch))
+        << "trial " << trial;
     ++(expected ? agreements_true : agreements_false);
   }
   // The trial mix must exercise both verdicts for the comparison to
@@ -166,12 +174,12 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
 TEST(SameConnectivity, ScratchIsReusableAcrossDifferentSizes) {
   connectivity_scratch scratch;
   const undirected_graph big = path_graph(50);
-  EXPECT_TRUE(same_connectivity(big, big, scratch));
+  EXPECT_TRUE(same_connectivity_views(50, view_of(big), view_of(big), scratch));
   const undirected_graph small = path_graph(3);
-  EXPECT_TRUE(same_connectivity(small, small, scratch));
+  EXPECT_TRUE(same_connectivity_views(3, view_of(small), view_of(small), scratch));
   undirected_graph split = path_graph(3);
   split.remove_edge(1, 2);
-  EXPECT_FALSE(same_connectivity(small, split, scratch));
+  EXPECT_FALSE(same_connectivity_views(3, view_of(small), view_of(split), scratch));
 }
 
 TEST(BfsDistances, PathGraph) {

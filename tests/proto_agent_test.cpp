@@ -158,7 +158,8 @@ TEST(ProtocolAgent, JitteredDeliveryStillMatchesOracle) {
 TEST(ProtocolAgent, DirectionNoiseKeepsConnectivity) {
   // Bounded AoA noise changes which cones look covered but, with the
   // symmetric closure, mild noise does not break connectivity in
-  // practice (sensitivity knob for the substitution in DESIGN.md).
+  // practice (sensitivity knob for the angle-of-arrival substitution in
+  // README.md, "Fidelity to the paper").
   protocol_run_config cfg = reliable_config();
   cfg.direction_noise = 0.02;
   cfg.seed = 8;

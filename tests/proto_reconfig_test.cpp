@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
+#include "graph/live_index.h"
 #include "graph/traversal.h"
 #include "proto/reconfig.h"
 #include "radio/power_model.h"
+#include "radio/propagation.h"
 #include "sim/failure.h"
 #include "sim/mobility.h"
 
@@ -25,8 +28,9 @@ struct reconfig_net {
   sim::medium medium;
   std::vector<std::unique_ptr<reconfig_agent>> agents;
 
-  explicit reconfig_net(const std::vector<vec2>& positions, reconfig_config cfg = default_config())
-      : medium(simulator, pm) {
+  explicit reconfig_net(const std::vector<vec2>& positions, reconfig_config cfg = default_config(),
+                        radio::link_model link = pm)
+      : medium(simulator, std::move(link)) {
     for (const vec2& p : positions) {
       const node_id id = medium.add_node(p, {});
       agents.push_back(std::make_unique<reconfig_agent>(medium, id, cfg));
@@ -233,6 +237,76 @@ TEST(Reconfig, PartitionRejoinHealsViaBoundaryBeacons) {
   EXPECT_EQ(graph::connected_components(net.live_gr()).count, 1u);
   EXPECT_TRUE(graph::same_connectivity(net.live_topology(), net.live_gr()));
   EXPECT_TRUE(graph::reachable(net.live_topology(), 0, 3));
+}
+
+// Direct oracle for the dynamic engine's closure mirror: a
+// graph::closure_mirror fed only by the agents' table deltas and the
+// medium's liveness hook must equal a re-read of every live agent's
+// table (live_topology) at every instant where a table or the live set
+// changed — through crashes, a restart and waypoint mobility, under
+// isotropic and lognormal-shadowed links.
+TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
+  const auto positions = geom::uniform_points(40, geom::bbox::rect(1100, 1100), 29);
+  for (const bool shadowed : {false, true}) {
+    SCOPED_TRACE(shadowed ? "shadowed" : "isotropic");
+    const radio::link_model link(
+        pm, shadowed ? radio::propagation_model::lognormal_shadowing(3.0, 6.0, 29)
+                     : radio::propagation_model::isotropic());
+    reconfig_net net(positions, reconfig_net::default_config(), link);
+
+    graph::closure_mirror mirror(positions.size());
+    for (node_id u = 0; u < positions.size(); ++u) {
+      net.agents[u]->set_table_hook([&mirror, &net, u](node_id v, bool added) {
+        if (added) {
+          mirror.add_arc(u, v);
+        } else {
+          mirror.remove_arc(u, v);
+        }
+        net.simulator.request_instant_hook();
+      });
+    }
+    net.medium.set_liveness_hook([&mirror, &net](node_id u, bool up) {
+      mirror.set_live(u, up);
+      net.simulator.request_instant_hook();
+    });
+    std::size_t checks = 0;
+    std::size_t mismatches = 0;
+    double first_mismatch = -1.0;
+    net.simulator.set_instant_hook([&] {
+      ++checks;
+      if (!(mirror.live_graph() == net.live_topology())) {
+        if (mismatches++ == 0) first_mismatch = net.simulator.now();
+      }
+    });
+
+    net.start(90.0);
+    sim::failure_injector inj(net.medium, 5);
+    inj.random_crashes(5, 16.0, 20.0);
+    inj.crash_at(0, 18.0);
+    inj.restart_at(0, 35.0);
+    sim::random_waypoint rw(net.medium,
+                            {.region = geom::bbox::rect(1100, 1100), .min_speed = 1.0,
+                             .max_speed = 3.0, .pause = 0.0},
+                            31);
+    net.simulator.schedule_at(15.0, [&] { rw.start(0.5, 60.0); });
+    net.simulator.run_until(90.0);
+
+    EXPECT_EQ(mismatches, 0u) << "first at t=" << first_mismatch;
+    std::uint64_t leaves = 0;
+    std::uint64_t regrows = 0;
+    std::uint64_t achanges = 0;
+    for (const auto& a : net.agents) {
+      leaves += a->stats().leaves;
+      regrows += a->stats().regrows;
+      achanges += a->stats().achanges;
+    }
+    // The comparison must have run through real churn.
+    EXPECT_GT(checks, 100u);
+    EXPECT_GT(leaves, 0u);
+    EXPECT_GT(regrows, 0u);
+    EXPECT_GT(achanges, 0u);
+    EXPECT_TRUE(net.medium.is_up(0));
+  }
 }
 
 TEST(Reconfig, StationaryNetworkStaysQuiet) {
