@@ -56,6 +56,8 @@ struct pairwise_options {
   /// removed (the full strength of Theorem 3.6).
   bool remove_all{false};
   pairwise_gate gate{pairwise_gate::either_endpoint};
+
+  [[nodiscard]] bool operator==(const pairwise_options&) const = default;
 };
 
 struct pairwise_result {

@@ -55,6 +55,8 @@ struct cbtc_params {
   /// defaults to a threshold no preset reaches instead of "always".
   /// 0 = relabel every instance (tests force this).
   std::size_t relabel_min_nodes{65536};
+
+  [[nodiscard]] bool operator==(const cbtc_params&) const = default;
 };
 
 /// Canonical alpha values studied in the paper.

@@ -44,6 +44,8 @@ struct optimization_set {
   [[nodiscard]] static optimization_set all() {
     return {.shrink_back = true, .asymmetric_removal = true, .pairwise_removal = true};
   }
+
+  [[nodiscard]] bool operator==(const optimization_set&) const = default;
 };
 
 struct topology_result {

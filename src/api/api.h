@@ -13,12 +13,14 @@
 //
 // See scenario.h (what to run), sim_spec.h (what happens over time),
 // report.h (what you get back), engine.h (how it runs), registry.h
-// (canonical workloads), serialize.h (JSON scenario files).
+// (canonical workloads), serialize.h (JSON scenario files), schema.h
+// (their field tables and enum names).
 #pragma once
 
 #include "api/engine.h"     // IWYU pragma: export
 #include "api/registry.h"   // IWYU pragma: export
 #include "api/report.h"     // IWYU pragma: export
+#include "api/schema.h"     // IWYU pragma: export
 #include "api/scenario.h"   // IWYU pragma: export
 #include "api/serialize.h"  // IWYU pragma: export
 #include "api/sim_spec.h"   // IWYU pragma: export

@@ -528,6 +528,8 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
   const graph::undirected_graph& topology = built.topology;
 
   const std::size_t n = positions.size();
+  // Every round draws flow endpoints modulo n.
+  if (n == 0) throw std::invalid_argument("run_lifetime: the deployment has no nodes");
   const double battery = life.battery_rounds * pm.max_power();
   std::vector<double> charge(n, battery);
   std::vector<bool> alive(n, true);

@@ -1,5 +1,6 @@
 #include "api/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -157,7 +158,7 @@ struct parser {
   std::size_t pos{0};
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("JSON, offset " + std::to_string(pos) + ": " + what);
+    throw std::invalid_argument("JSON: offset " + std::to_string(pos) + ": " + what);
   }
 
   void skip_ws() {
@@ -237,6 +238,18 @@ struct parser {
     return j;
   }
 
+  /// A repeated key would silently shadow its twin: every reader
+  /// takes the first. Sorted, so a hostile object costs n log n.
+  void reject_repeated_keys(const jv& obj) const {
+    std::vector<std::string_view> keys;
+    keys.reserve(obj.fields.size());
+    for (const auto& [key, value] : obj.fields) keys.push_back(key);
+    std::ranges::sort(keys);
+    if (const auto twin = std::ranges::adjacent_find(keys); twin != keys.end()) {
+      fail("duplicate key \"" + std::string(*twin) + "\"");
+    }
+  }
+
   /// `depth` counts the arrays and objects enclosing this value. One
   /// recursion frame per level: without the cap, a frame of a few KB
   /// of brackets would exhaust the stack.
@@ -256,6 +269,7 @@ struct parser {
         obj.fields.emplace_back(std::move(key), parse_value(depth + 1));
         if (consume(',')) continue;
         expect('}');
+        reject_repeated_keys(obj);
         return obj;
       }
     }
@@ -323,13 +337,6 @@ void require(bool cond, const std::string& what) {
   if (!cond) throw std::invalid_argument("JSON: " + what);
 }
 
-double get_num(const jv& obj, std::string_view key, double fallback) {
-  const jv* v = get(obj, key);
-  if (v == nullptr) return fallback;
-  require(v->k == jv::kind::number, std::string(key) + " must be a number");
-  return v->num;
-}
-
 std::uint64_t as_u64(const jv& v, std::string_view what) {
   require(v.k == jv::kind::number, std::string(what) + " must be a number");
   std::uint64_t out = 0;
@@ -349,10 +356,6 @@ std::uint64_t as_u64(const jv& v, std::string_view what) {
 std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback) {
   const jv* v = get(obj, key);
   return v == nullptr ? fallback : as_u64(*v, key);
-}
-
-std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback) {
-  return static_cast<std::size_t>(get_u64(obj, key, fallback));
 }
 
 bool get_bool(const jv& obj, std::string_view key, bool fallback) {

@@ -9,7 +9,7 @@
 // cycle exactly — the wire layer's bitwise-determinism contract rests
 // on that.
 //
-// The field helpers (`get_num`, `check_keys`, ...) implement the
+// The field helpers (`get_u64`, `check_keys`, ...) implement the
 // strict-parsing policy both consumers share: unknown keys and
 // type-mismatched values are errors, never silently dropped.
 #pragma once
@@ -60,8 +60,8 @@ void write_value(std::ostream& os, const jv& v, int indent);
 inline constexpr std::size_t max_depth = 64;
 
 /// Parses one JSON value; throws std::invalid_argument with an
-/// offset-annotated message on malformed input, trailing content, or
-/// nesting deeper than max_depth.
+/// offset-annotated message on malformed input, trailing content,
+/// nesting deeper than max_depth, or an object that repeats a key.
 [[nodiscard]] jv parse_document(std::string_view text);
 
 // ---- object field access (strict: unknown keys are errors) ---------
@@ -74,14 +74,12 @@ void check_keys(const jv& obj, const char* where,
 /// Throws std::invalid_argument("JSON: " + what) when !cond.
 void require(bool cond, const std::string& what);
 
-[[nodiscard]] double get_num(const jv& obj, std::string_view key, double fallback);
 /// Exact for plain integer literals; accepts other spellings of an
 /// exact non-negative integer (e.g. 1e3) but rejects fractions and
 /// values of 2^64 and up. `what` names the value in the error.
 [[nodiscard]] std::uint64_t as_u64(const jv& v, std::string_view what);
 /// as_u64 of field `key`, or `fallback` when the field is absent.
 [[nodiscard]] std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback);
-[[nodiscard]] std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback);
 [[nodiscard]] bool get_bool(const jv& obj, std::string_view key, bool fallback);
 [[nodiscard]] std::string get_str(const jv& obj, std::string_view key, std::string fallback);
 

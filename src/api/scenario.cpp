@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "api/schema.h"
 #include "geom/random_points.h"
 #include "geom/structured_points.h"
 
@@ -76,48 +77,17 @@ geom::bbox scenario_spec::region() const {
 }
 
 std::string method_name(const method_spec& m) {
-  switch (m.k) {
-    case method_spec::kind::oracle:
-      return "oracle";
-    case method_spec::kind::protocol:
-      return "protocol";
-    case method_spec::kind::stc:
-      return "stc";
-    case method_spec::kind::baseline:
-      break;
-  }
-  switch (m.baseline) {
-    case baseline_kind::euclidean_mst:
-      return "mst";
-    case baseline_kind::relative_neighborhood:
-      return "rng";
-    case baseline_kind::gabriel:
-      return "gabriel";
-    case baseline_kind::yao:
-      return "yao";
-    case baseline_kind::knn:
-      return "knn";
-    case baseline_kind::max_power:
-      return "max-power";
-  }
-  return "unknown";
+  return std::string(m.k == method_spec::kind::baseline
+                         ? schema::name_of(schema::baseline_names, m.baseline)
+                         : schema::name_of(schema::method_kind_names, m.k));
 }
 
 method_spec parse_method(const std::string& name) {
-  if (name == "oracle") return method_spec::oracle();
-  if (name == "protocol") return method_spec::protocol();
-  if (name == "stc" || name == "sethu-gerety") return method_spec::stc();
-  if (name == "mst" || name == "euclidean-mst") {
-    return method_spec::of_baseline(baseline_kind::euclidean_mst);
+  for (const auto& [spelling, k] : schema::method_kind_names) {
+    if (spelling == name) return {.k = k};
   }
-  if (name == "rng" || name == "relative-neighborhood") {
-    return method_spec::of_baseline(baseline_kind::relative_neighborhood);
-  }
-  if (name == "gabriel") return method_spec::of_baseline(baseline_kind::gabriel);
-  if (name == "yao") return method_spec::of_baseline(baseline_kind::yao);
-  if (name == "knn") return method_spec::of_baseline(baseline_kind::knn);
-  if (name == "max-power" || name == "none") {
-    return method_spec::of_baseline(baseline_kind::max_power);
+  for (const auto& [spelling, b] : schema::baseline_names) {
+    if (spelling == name) return method_spec::of_baseline(b);
   }
   throw std::invalid_argument("unknown method: " + name);
 }

@@ -50,6 +50,8 @@ struct deployment_spec {
   std::vector<geom::vec2> fixed;
 
   [[nodiscard]] static deployment_spec fixed_positions(std::vector<geom::vec2> positions);
+
+  [[nodiscard]] bool operator==(const deployment_spec&) const = default;
 };
 
 /// Per-link propagation on top of the power law (radio/propagation.h).
@@ -71,6 +73,8 @@ struct propagation_spec {
   /// The concrete model for one instance (`instance_seed` is
   /// base_seed + run seed; only shadowing consumes it).
   [[nodiscard]] radio::propagation_model model(std::uint64_t instance_seed) const;
+
+  [[nodiscard]] bool operator==(const propagation_spec&) const = default;
 };
 
 /// Radio parameters; the power model is derived as p(d) = d^exponent
@@ -80,6 +84,8 @@ struct radio_spec {
   double path_loss_exponent{2.0};
   double max_range{500.0};
   propagation_spec propagation{};
+
+  [[nodiscard]] bool operator==(const radio_spec&) const = default;
 };
 
 enum class baseline_kind {
@@ -109,6 +115,8 @@ struct method_spec {
   [[nodiscard]] static method_spec of_baseline(baseline_kind b) {
     return {.k = kind::baseline, .baseline = b};
   }
+
+  [[nodiscard]] bool operator==(const method_spec&) const = default;
 };
 
 /// Which (potentially costly) metrics the engine computes per run.
@@ -121,6 +129,8 @@ struct metric_options {
   std::size_t stretch_samples{8};
   bool interference{true};          ///< coverage-based edge interference
   bool robustness{true};            ///< articulation-point count
+
+  [[nodiscard]] bool operator==(const metric_options&) const = default;
 };
 
 /// Library-level post-processing applied after the method finishes.
@@ -128,6 +138,8 @@ struct post_options {
   /// Extension: back up bridge edges for single-failure resilience
   /// (algo::augment_bridge_resilience).
   bool bridge_augmentation{false};
+
+  [[nodiscard]] bool operator==(const post_options&) const = default;
 };
 
 /// A complete scenario: deployment + radio + method + parameters.
@@ -165,6 +177,8 @@ struct scenario_spec {
 
   /// Nominal deployment region (bounding box of `fixed` deployments).
   [[nodiscard]] geom::bbox region() const;
+
+  [[nodiscard]] bool operator==(const scenario_spec&) const = default;
 };
 
 /// Half-open run range: seeds `first, first + 1, ..., first + count - 1`.

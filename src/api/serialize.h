@@ -27,10 +27,14 @@
 //                  "convergecast": true, "sink": 0}
 //   }
 //
-// The writer emits every field (a saved file is a complete, durable
-// record of the experiment even if spec defaults change later); the
-// parser rejects unknown keys so typos fail loudly instead of being
-// silently ignored.
+// The writer emits every field that shapes a run, so a saved file is
+// a durable record even if spec defaults change later. It omits only
+// fields another kind owns (tree_branching unless the deployment is a
+// tree, ...) and blocks left at an inert default: isotropic
+// propagation, the default partition, disabled traffic, and the
+// lifetime policy, convergecast and sink. The parser rejects unknown,
+// repeated and kind-foreign keys and out-of-domain values, so mistakes
+// fail loudly instead of being silently ignored (api/schema.h).
 #pragma once
 
 #include <optional>
@@ -48,14 +52,17 @@ struct scenario_file {
   scenario_spec scenario{};
   std::optional<sim_spec> sim;
   std::optional<lifetime_spec> lifetime;
+
+  [[nodiscard]] bool operator==(const scenario_file&) const = default;
 };
 
 /// Serializes to pretty-printed JSON (doubles round-trip exactly).
 [[nodiscard]] std::string to_json(const scenario_file& file);
 [[nodiscard]] std::string to_json(const scenario_spec& spec);
 
-/// Parses a scenario file; throws std::invalid_argument with a
-/// position-annotated message on malformed JSON or unknown keys.
+/// Parses a scenario file; throws std::invalid_argument naming the
+/// offset or field path on malformed JSON, unknown or repeated keys,
+/// kind-foreign keys or out-of-domain values.
 [[nodiscard]] scenario_file parse_scenario_json(std::string_view text);
 
 /// File I/O convenience wrappers; throw std::runtime_error on I/O

@@ -15,8 +15,8 @@
 // surviving field partitions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/types.h"
@@ -40,6 +40,8 @@ struct mobility_spec {
   double start{0.0};
   /// Absolute sim time motion ends (0 = move until the horizon).
   double until{0.0};
+
+  [[nodiscard]] bool operator==(const mobility_spec&) const = default;
 };
 
 /// One scheduled crash or restart.
@@ -47,6 +49,8 @@ struct failure_event {
   graph::node_id node{0};
   double time{0.0};
   bool restart{false};  ///< false = crash, true = restart
+
+  [[nodiscard]] bool operator==(const failure_event&) const = default;
 };
 
 struct failure_spec {
@@ -59,6 +63,8 @@ struct failure_spec {
   std::vector<failure_event> events;
 
   [[nodiscard]] bool empty() const { return random_crashes == 0 && events.empty(); }
+
+  [[nodiscard]] bool operator==(const failure_spec&) const = default;
 };
 
 /// Neighbor-discovery (beaconing) parameters — the api-level mirror of
@@ -76,6 +82,8 @@ struct beacon_spec {
   [[nodiscard]] double failure_detection_time() const {
     return static_cast<double>(miss_limit) * interval;
   }
+
+  [[nodiscard]] bool operator==(const beacon_spec&) const = default;
 };
 
 /// Spatial partitioning of the dynamic event engine (conservative
@@ -91,6 +99,8 @@ struct beacon_spec {
 struct partition_spec {
   std::uint32_t regions{0};     ///< 0 = auto, 1 = force serial reference
   std::size_t min_nodes{4096};  ///< auto mode engages at this node count
+
+  [[nodiscard]] bool operator==(const partition_spec&) const = default;
 };
 
 /// Convergecast data plane over the reconfigured topology
@@ -113,7 +123,16 @@ struct traffic_spec {
   std::size_t queue_capacity{8};
 
   [[nodiscard]] bool enabled() const { return period > 0.0; }
+
+  [[nodiscard]] bool operator==(const traffic_spec&) const = default;
 };
+
+/// Most periods of one self-rescheduling cadence (sample_every, the
+/// beacon interval, the mobility tick, the traffic period and route
+/// refresh) that a parsed sim block may fit into its horizon: a work
+/// budget, so no scenario file or batch request schedules unbounded
+/// work.
+inline constexpr std::size_t max_periods_per_run = 1'000'000;
 
 /// A complete dynamic simulation: what happens between t = 0 and the
 /// horizon. The initial growing phase runs first; metric sampling
@@ -129,6 +148,8 @@ struct sim_spec {
   partition_spec partition{};
   /// Convergecast data plane (off unless traffic.period > 0).
   traffic_spec traffic{};
+
+  [[nodiscard]] bool operator==(const sim_spec&) const = default;
 };
 
 /// Topology-adaptation strategy for lifetime runs — how routes react
@@ -165,14 +186,8 @@ struct lifetime_spec {
   /// The sink is mains-powered (pays neither beacons nor relaying).
   bool convergecast{false};
   graph::node_id sink{0};
+
+  [[nodiscard]] bool operator==(const lifetime_spec&) const = default;
 };
-
-/// Canonical policy name ("plain_cbtc", "energy_balanced",
-/// "cooperative_adaptation") — the scenario-JSON spelling.
-[[nodiscard]] std::string lifetime_policy_name(lifetime_policy p);
-
-/// Parses `lifetime_policy_name` output plus short aliases ("plain",
-/// "balanced", "cooperative"); throws std::invalid_argument.
-[[nodiscard]] lifetime_policy parse_lifetime_policy(const std::string& name);
 
 }  // namespace cbtc::api

@@ -1,12 +1,14 @@
 #include "api/wire.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "api/schema.h"
 #include "api/serialize_detail.h"
 #include "exp/stats.h"
 
@@ -21,6 +23,18 @@ using json::jv;
 using json::require;
 
 namespace {
+
+constexpr schema::enum_name<batch_mode> mode_names[] = {
+    {"static", batch_mode::static_runs},
+    {"dynamic", batch_mode::dynamic_runs},
+    {"lifetime", batch_mode::lifetime_runs}};
+
+constexpr schema::enum_name<message_type> type_names[] = {
+    {"hello", message_type::hello}, {"batch_request", message_type::batch_request},
+    {"block_partial", message_type::block_partial}, {"done", message_type::done},
+    {"error", message_type::error}, {"shutdown", message_type::shutdown}};
+
+std::string_view mode_name(batch_mode m) { return schema::name_of(mode_names, m); }
 
 std::string render(const jv& root) {
   std::ostringstream os;
@@ -116,7 +130,7 @@ std::uint64_t decode_partial(const message& m, batch_mode expect, Report& out) {
   require(m.type == message_type::block_partial, "expected a block_partial message");
   const jv& o = m.body;
   check_keys(o, "block_partial", {"type", "mode", "block", "report"});
-  const batch_mode mode = parse_mode(get_str(o, "mode", ""));
+  const batch_mode mode = schema::parse_name(mode_names, get_str(o, "mode", ""));
   require(mode == expect, std::string("block_partial mode '") + std::string(mode_name(mode)) +
                               "' does not match the requested '" +
                               std::string(mode_name(expect)) + "' batch");
@@ -127,22 +141,6 @@ std::uint64_t decode_partial(const message& m, batch_mode expect, Report& out) {
 }
 
 }  // namespace
-
-std::string_view mode_name(batch_mode m) {
-  switch (m) {
-    case batch_mode::static_runs: return "static";
-    case batch_mode::dynamic_runs: return "dynamic";
-    case batch_mode::lifetime_runs: return "lifetime";
-  }
-  return "static";
-}
-
-batch_mode parse_mode(const std::string& name) {
-  if (name == "static") return batch_mode::static_runs;
-  if (name == "dynamic") return batch_mode::dynamic_runs;
-  if (name == "lifetime") return batch_mode::lifetime_runs;
-  throw std::invalid_argument("wire: unknown batch mode '" + name + "'");
-}
 
 // ---- encoders ------------------------------------------------------
 
@@ -217,22 +215,7 @@ message decode_message(std::string_view frame) {
   message m;
   m.body = json::parse_document(frame);
   require(m.body.k == jv::kind::object, "wire frame must be a JSON object");
-  const std::string type = get_str(m.body, "type", "");
-  if (type == "hello") {
-    m.type = message_type::hello;
-  } else if (type == "batch_request") {
-    m.type = message_type::batch_request;
-  } else if (type == "block_partial") {
-    m.type = message_type::block_partial;
-  } else if (type == "done") {
-    m.type = message_type::done;
-  } else if (type == "error") {
-    m.type = message_type::error;
-  } else if (type == "shutdown") {
-    m.type = message_type::shutdown;
-  } else {
-    throw std::invalid_argument("wire: unknown message type '" + type + "'");
-  }
+  m.type = schema::parse_name(type_names, get_str(m.body, "type", ""));
   return m;
 }
 
@@ -256,10 +239,9 @@ batch_request decode_batch_request(const message& m) {
   check_keys(o, "batch_request",
              {"type", "mode", "scenario", "sim", "lifetime", "seeds", "blocks", "threads"});
   batch_request req;
-  req.mode = parse_mode(get_str(o, "mode", ""));
+  req.mode = schema::parse_name(mode_names, get_str(o, "mode", ""));
   const jv* scenario = get(o, "scenario");
-  require(scenario != nullptr && scenario->k == jv::kind::object,
-          "batch_request.scenario must be an object");
+  require(scenario != nullptr, "batch_request.scenario is missing");
   req.scenario = detail::scenario_from_jv(*scenario);
   const jv* sim = get(o, "sim");
   require((sim != nullptr) == (req.mode == batch_mode::dynamic_runs),
@@ -280,7 +262,10 @@ batch_request decode_batch_request(const message& m) {
   };
   range_of("seeds", req.seeds.first, req.seeds.count);
   range_of("blocks", req.blocks.first, req.blocks.count);
-  req.threads = static_cast<unsigned>(get_u64(o, "threads", 0));
+  const std::uint64_t threads = get_u64(o, "threads", 0);
+  require(threads <= std::numeric_limits<unsigned>::max(),
+          "batch_request.threads must be below 2^32");
+  req.threads = static_cast<unsigned>(threads);
   return req;
 }
 

@@ -41,9 +41,6 @@ inline constexpr std::string_view protocol_name = "cbtc-wire";
 /// Which batch entry point a request runs.
 enum class batch_mode { static_runs, dynamic_runs, lifetime_runs };
 
-[[nodiscard]] std::string_view mode_name(batch_mode m);
-[[nodiscard]] batch_mode parse_mode(const std::string& name);
-
 /// One shard's slice of a batch: the full seed range plus the block
 /// sub-range this shard should execute (block indices are relative to
 /// the whole batch — see engine::batch_block_size).

@@ -27,6 +27,8 @@ struct bbox {
   [[nodiscard]] vec2 clamp(const vec2& p) const {
     return {std::clamp(p.x, min.x, max.x), std::clamp(p.y, min.y, max.y)};
   }
+
+  [[nodiscard]] constexpr bool operator==(const bbox&) const = default;
 };
 
 }  // namespace cbtc::geom

@@ -36,6 +36,8 @@ struct agent_config {
   double reply_margin{1.0};
   /// Number of Hello re-broadcasts per power level (lossy channels).
   std::uint32_t retries_per_level{1};
+
+  [[nodiscard]] bool operator==(const agent_config&) const = default;
 };
 
 /// What the agent knows about a discovered neighbor.

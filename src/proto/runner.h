@@ -29,6 +29,8 @@ struct protocol_run_config {
   bool send_drop_notices{false};
   /// Hard cap on simulated events (guards against runaway schedules).
   std::size_t max_events{50'000'000};
+
+  [[nodiscard]] bool operator==(const protocol_run_config&) const = default;
 };
 
 struct protocol_run_result {

@@ -19,6 +19,8 @@ struct channel_params {
   double base_delay{0.01};     // fixed per-hop latency (sim time units)
   double delay_per_unit{0.0};  // propagation delay per distance unit
   double jitter_max{0.0};      // uniform extra delay in [0, jitter_max]
+
+  [[nodiscard]] bool operator==(const channel_params&) const = default;
 };
 
 class channel {

@@ -48,10 +48,7 @@ struct obstacle {
   geom::bbox box;
   double loss_db{6.0};
 
-  [[nodiscard]] bool operator==(const obstacle& o) const {
-    return box.min.x == o.box.min.x && box.min.y == o.box.min.y && box.max.x == o.box.max.x &&
-           box.max.y == o.box.max.y && loss_db == o.loss_db;
-  }
+  [[nodiscard]] bool operator==(const obstacle&) const = default;
 };
 
 /// True if the closed segment [p, q] intersects `box` (shared with the

@@ -3,9 +3,19 @@
 // malformed input (bad JSON, unknown keys, wrong types) fails loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "api/api.h"
 #include "api/json.h"
@@ -14,25 +24,36 @@
 namespace cbtc::api {
 namespace {
 
+/// Every serialized field off its default. Kind-specific fields are
+/// written for their own kind only, so busy_files() adds the kinds
+/// busy_file() does not pick.
 scenario_file busy_file() {
   scenario_file f;
   scenario_spec& s = f.scenario;
   s.name = "round_trip";
-  s.deploy = {.kind = deployment_kind::cluster,
+  s.deploy = {.kind = deployment_kind::tree,
               .nodes = 77,
               .region_side = 1234.5,
               .clusters = 3,
               .cluster_sigma = 99.5,
-              .grid_jitter = 0.25};
-  s.radio = {.path_loss_exponent = 4.0, .max_range = 321.0};
-  s.method = method_spec::of_baseline(baseline_kind::yao);
-  s.method.yao_cones = 8;
-  s.cbtc.alpha = 2.0;
-  s.cbtc.mode = algo::growth_mode::continuous;
-  s.cbtc.initial_power = 17.5;
-  s.cbtc.increase_factor = 3.0;
+              .grid_jitter = 0.25,
+              .tree_branching = 3};
+  s.radio = {.path_loss_exponent = 4.0,
+             .max_range = 321.0,
+             .propagation = {.kind = radio::propagation_kind::lognormal_shadowing,
+                             .sigma_db = 5.5,
+                             .clamp_db = 11.0,
+                             .seed = 0xfeedfacecafebeefULL}};
+  s.method = method_spec::of_baseline(baseline_kind::knn);
+  s.method.knn_k = 5;
+  s.cbtc = {.alpha = 2.0,
+            .mode = algo::growth_mode::continuous,
+            .initial_power = 17.5,
+            .increase_factor = 3.0,
+            .intra_threads = 3,
+            .relabel_min_nodes = 99};
   s.opts = {.shrink_back = true,
-            .asymmetric_removal = false,
+            .asymmetric_removal = true,
             .pairwise_removal = true,
             .gain_aware = true};
   s.protocol.agent.round_timeout = 0.75;
@@ -46,7 +67,7 @@ scenario_file busy_file() {
                         .delay_per_unit = 0.001,
                         .jitter_max = 0.03};
   s.base_seed = 0xdeadbeefcafef00dULL;  // must survive as an exact u64
-  s.metrics = {.stretch = false, .stretch_samples = 5, .interference = false, .robustness = true};
+  s.metrics = {.stretch = false, .stretch_samples = 5, .interference = false, .robustness = false};
   s.post.bridge_augmentation = true;
 
   sim_spec dyn;
@@ -67,80 +88,46 @@ scenario_file busy_file() {
   dyn.failures.window_end = 45.0;
   dyn.failures.events.push_back({.node = 12, .time = 33.0, .restart = false});
   dyn.failures.events.push_back({.node = 12, .time = 44.0, .restart = true});
+  dyn.traffic = {.period = 1.5,
+                 .sink = 4,
+                 .start = 12.0,
+                 .until = 90.0,
+                 .service_time = 0.1,
+                 .route_refresh = 2.0,
+                 .queue_capacity = 12};
   f.sim = dyn;
+  f.lifetime = lifetime_spec{.battery_rounds = 17.5,
+                             .flows = 12,
+                             .max_rounds = 3000,
+                             .policy = lifetime_policy::cooperative_adaptation,
+                             .convergecast = true,
+                             .sink = 4};
   return f;
 }
 
+/// busy_file() plus the kinds it does not pick: star, yao and an
+/// obstacle field, then a fixed deployment.
+std::vector<scenario_file> busy_files() {
+  std::vector<scenario_file> files(3, busy_file());
+  deployment_spec& star = files[1].scenario.deploy;
+  star.kind = deployment_kind::star;
+  star.tree_branching = deployment_spec{}.tree_branching;
+  star.star_arms = 7;
+  files[1].scenario.method = method_spec::of_baseline(baseline_kind::yao);
+  files[1].scenario.method.yao_cones = 8;
+  files[1].scenario.radio.propagation = {
+      .kind = radio::propagation_kind::obstacle_field,
+      .obstacles = {{.box = {{1.5, 2.5}, {30.0, 40.0}}, .loss_db = 7.25},
+                    {.box = {{-10.0, -20.0}, {-1.0, -2.0}}, .loss_db = 3.0}}};
+  files[2].scenario.deploy = deployment_spec::fixed_positions({{0.0, 0.0}, {100.5, -3.25}});
+  return files;
+}
+
 TEST(ApiSerialize, RoundTripPreservesEveryField) {
-  const scenario_file original = busy_file();
-  const scenario_file parsed = parse_scenario_json(to_json(original));
-
-  const scenario_spec& a = original.scenario;
-  const scenario_spec& b = parsed.scenario;
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.deploy.kind, b.deploy.kind);
-  EXPECT_EQ(a.deploy.nodes, b.deploy.nodes);
-  EXPECT_DOUBLE_EQ(a.deploy.region_side, b.deploy.region_side);
-  EXPECT_EQ(a.deploy.clusters, b.deploy.clusters);
-  EXPECT_DOUBLE_EQ(a.deploy.cluster_sigma, b.deploy.cluster_sigma);
-  EXPECT_DOUBLE_EQ(a.deploy.grid_jitter, b.deploy.grid_jitter);
-  EXPECT_DOUBLE_EQ(a.radio.path_loss_exponent, b.radio.path_loss_exponent);
-  EXPECT_DOUBLE_EQ(a.radio.max_range, b.radio.max_range);
-  EXPECT_EQ(a.method.k, b.method.k);
-  EXPECT_EQ(a.method.baseline, b.method.baseline);
-  EXPECT_EQ(a.method.yao_cones, b.method.yao_cones);
-  EXPECT_DOUBLE_EQ(a.cbtc.alpha, b.cbtc.alpha);
-  EXPECT_EQ(a.cbtc.mode, b.cbtc.mode);
-  EXPECT_DOUBLE_EQ(a.cbtc.initial_power, b.cbtc.initial_power);
-  EXPECT_DOUBLE_EQ(a.cbtc.increase_factor, b.cbtc.increase_factor);
-  EXPECT_EQ(a.opts.shrink_back, b.opts.shrink_back);
-  EXPECT_EQ(a.opts.asymmetric_removal, b.opts.asymmetric_removal);
-  EXPECT_EQ(a.opts.pairwise_removal, b.opts.pairwise_removal);
-  EXPECT_EQ(a.opts.gain_aware, b.opts.gain_aware);
-  EXPECT_DOUBLE_EQ(a.protocol.agent.round_timeout, b.protocol.agent.round_timeout);
-  EXPECT_DOUBLE_EQ(a.protocol.agent.reply_margin, b.protocol.agent.reply_margin);
-  EXPECT_EQ(a.protocol.agent.retries_per_level, b.protocol.agent.retries_per_level);
-  EXPECT_DOUBLE_EQ(a.protocol.direction_noise, b.protocol.direction_noise);
-  EXPECT_EQ(a.protocol.max_events, b.protocol.max_events);
-  EXPECT_DOUBLE_EQ(a.protocol.channel.drop_prob, b.protocol.channel.drop_prob);
-  EXPECT_DOUBLE_EQ(a.protocol.channel.dup_prob, b.protocol.channel.dup_prob);
-  EXPECT_DOUBLE_EQ(a.protocol.channel.base_delay, b.protocol.channel.base_delay);
-  EXPECT_DOUBLE_EQ(a.protocol.channel.delay_per_unit, b.protocol.channel.delay_per_unit);
-  EXPECT_DOUBLE_EQ(a.protocol.channel.jitter_max, b.protocol.channel.jitter_max);
-  EXPECT_EQ(a.base_seed, b.base_seed);
-  EXPECT_EQ(a.metrics.stretch, b.metrics.stretch);
-  EXPECT_EQ(a.metrics.stretch_samples, b.metrics.stretch_samples);
-  EXPECT_EQ(a.metrics.interference, b.metrics.interference);
-  EXPECT_EQ(a.metrics.robustness, b.metrics.robustness);
-  EXPECT_EQ(a.post.bridge_augmentation, b.post.bridge_augmentation);
-
-  ASSERT_TRUE(parsed.sim.has_value());
-  const sim_spec& x = *original.sim;
-  const sim_spec& y = *parsed.sim;
-  EXPECT_DOUBLE_EQ(x.horizon, y.horizon);
-  EXPECT_DOUBLE_EQ(x.settle, y.settle);
-  EXPECT_DOUBLE_EQ(x.sample_every, y.sample_every);
-  EXPECT_EQ(x.partition.regions, y.partition.regions);
-  EXPECT_EQ(x.partition.min_nodes, y.partition.min_nodes);
-  EXPECT_DOUBLE_EQ(x.beacons.interval, y.beacons.interval);
-  EXPECT_EQ(x.beacons.miss_limit, y.beacons.miss_limit);
-  EXPECT_DOUBLE_EQ(x.beacons.achange_threshold, y.beacons.achange_threshold);
-  EXPECT_EQ(x.beacons.shrink_back, y.beacons.shrink_back);
-  EXPECT_EQ(x.mobility.kind, y.mobility.kind);
-  EXPECT_DOUBLE_EQ(x.mobility.min_speed, y.mobility.min_speed);
-  EXPECT_DOUBLE_EQ(x.mobility.max_speed, y.mobility.max_speed);
-  EXPECT_DOUBLE_EQ(x.mobility.pause, y.mobility.pause);
-  EXPECT_DOUBLE_EQ(x.mobility.tick, y.mobility.tick);
-  EXPECT_DOUBLE_EQ(x.mobility.start, y.mobility.start);
-  EXPECT_DOUBLE_EQ(x.mobility.until, y.mobility.until);
-  EXPECT_EQ(x.failures.random_crashes, y.failures.random_crashes);
-  EXPECT_DOUBLE_EQ(x.failures.window_begin, y.failures.window_begin);
-  EXPECT_DOUBLE_EQ(x.failures.window_end, y.failures.window_end);
-  ASSERT_EQ(y.failures.events.size(), 2u);
-  EXPECT_EQ(y.failures.events[0].node, 12u);
-  EXPECT_DOUBLE_EQ(y.failures.events[0].time, 33.0);
-  EXPECT_FALSE(y.failures.events[0].restart);
-  EXPECT_TRUE(y.failures.events[1].restart);
+  for (const scenario_file& original : busy_files()) {
+    const std::string text = to_json(original);
+    EXPECT_TRUE(parse_scenario_json(text) == original) << text;
+  }
 }
 
 TEST(ApiSerialize, FixedPositionsRoundTrip) {
@@ -228,19 +215,66 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
       parse_scenario_json(R"({"scenario": {}, "sim": {"partition": {"regions": 4.5}}})"),
       std::invalid_argument);
   // A zero or negative beacon interval or mobility tick would
-  // reschedule its timer at the same instant forever; a speed range
-  // with min > max breaks std::uniform_real_distribution.
+  // reschedule its timer at the same instant forever, and a cadence
+  // that fits more than max_periods_per_run periods into the horizon
+  // would run (near) forever; a speed range or crash window with
+  // begin > end breaks std::uniform_real_distribution.
   for (const char* bad : {R"({"beacons": {"interval": 0}})", R"({"beacons": {"interval": -1}})",
                           R"({"mobility": {"kind": "random_waypoint", "tick": 0}})",
                           R"({"mobility": {"kind": "bouncing", "tick": -0.5}})",
-                          R"({"mobility": {"min_speed": 5, "max_speed": 2}})"}) {
+                          R"({"mobility": {"min_speed": 5, "max_speed": 2}})",
+                          R"({"sample_every": 1e-9})", R"({"beacons": {"interval": 1e-9}})",
+                          R"({"horizon": 1e300})",
+                          R"({"mobility": {"kind": "bouncing", "tick": 1e-9}})",
+                          R"({"traffic": {"period": 1e-9}})",
+                          R"({"traffic": {"period": 1, "route_refresh": 1e-9}})",
+                          R"({"failures": {"window": [40, 20]}})"}) {
     EXPECT_THROW(parse_scenario_json(std::string(R"({"scenario": {}, "sim": )") + bad + "}"),
                  std::invalid_argument)
         << bad;
   }
-  // Positions without kind "fixed" would silently run a different
-  // network than the file describes.
-  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),
+  // Exactly max_periods_per_run periods fit; a tick is no cadence
+  // while nothing moves.
+  EXPECT_NO_THROW((void)parse_scenario_json(R"({"scenario": {}, "sim": {
+      "horizon": 1e6, "sample_every": 1, "mobility": {"tick": 1e-9}}})"));
+  // Positions without kind "fixed", and any other kind-specific field
+  // on a foreign kind, would silently run a different network than
+  // the file describes.
+  for (const char* bad : {R"({"deployment": {"positions": [[0, 0]]}})",
+                          R"({"deployment": {"kind": "uniform", "tree_branching": 3}})",
+                          R"({"method": {"name": "protocol", "knn_k": 4}})"}) {
+    EXPECT_THROW(parse_scenario_json(std::string(R"({"scenario": )") + bad + "}"),
+                 std::invalid_argument)
+        << bad;
+  }
+  // Values outside their field's domain, each of which ran (or crashed,
+  // or was cast down to 32 bits) before the field tables.
+  const char* const out_of_domain[] = {
+      R"({"scenario": {"deployment": {"nodes": 0}}, "lifetime": {}})",
+      R"({"scenario": {"deployment": {"region_side": -100}}})",
+      R"({"scenario": {"deployment": {"clusters": 0}}})",
+      R"({"scenario": {"deployment": {"kind": "tree", "tree_branching": 0}}})",
+      R"({"scenario": {"deployment": {"kind": "star", "star_arms": 0}}})",
+      R"({"scenario": {"method": {"name": "yao", "yao_cones": 0}}})",
+      R"({"scenario": {"method": {"name": "knn", "knn_k": 0}}})",
+      R"({"scenario": {"protocol": {"round_timeout": 0}}})",
+      R"({"scenario": {"protocol": {"reply_margin": -1}}})",
+      R"({"scenario": {"protocol": {"direction_noise": -1}}})",
+      R"({"scenario": {"protocol": {"retries_per_level": 4294967299}}})",
+      R"({"scenario": {"cbtc": {"intra_threads": 4294967299}}})",
+      R"({"scenario": {}, "sim": {"horizon": -1}})",
+      R"({"scenario": {}, "sim": {"mobility": {"pause": -1}}})",
+      R"({"scenario": {}, "sim": {"beacons": {"miss_limit": 4294967299}}})",
+      R"({"scenario": {}, "sim": {"partition": {"regions": 4294967299}}})",
+      R"({"scenario": {}, "sim": {"traffic": {"period": 1, "sink": 4294967299}}})",
+      R"({"scenario": {}, "sim": {"failures": {"events": [{"node": 4294967299}]}}})",
+      R"({"scenario": {}, "lifetime": {"sink": 4294967299}})",
+  };
+  for (const char* bad : out_of_domain) {
+    EXPECT_THROW(parse_scenario_json(bad), std::invalid_argument) << bad;
+  }
+  // A repeated key would silently run its first value.
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 30, "nodes": 70}}})"),
                std::invalid_argument);
   // Exact integers in scientific notation are still fine.
   const scenario_file sci =
@@ -478,15 +512,236 @@ TEST(ApiSerialize, MalformedPropagationFailsLoudly) {
             radio::propagation_kind::lognormal_shadowing);
 }
 
+/// Special values the spec structs document stay legal.
+TEST(ApiSerialize, DocumentedSpecialValuesAreAccepted) {
+  const scenario_file f = parse_scenario_json(R"({
+    "scenario": {"deployment": {"kind": "grid", "grid_jitter": 0},
+                 "cbtc": {"initial_power": -1, "intra_threads": 0, "relabel_min_nodes": 0}},
+    "sim": {"sample_every": 0, "partition": {"regions": 1},
+            "mobility": {"kind": "bouncing", "until": 0},
+            "traffic": {"period": 0, "start": 0, "until": 0}}
+  })");
+  EXPECT_EQ(f.scenario.cbtc.intra_threads, 0u);
+  ASSERT_TRUE(f.sim.has_value());
+  EXPECT_FALSE(f.sim->traffic.enabled());
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {}, "sim": {"partition": {"regions": 0}}})")
+                .sim->partition.regions,
+            0u);
+}
+
+// ---- the field tables, walked ----------------------------------------
+
+/// One field of a spec table: where it sits and what it admits.
+struct table_field {
+  std::vector<std::string> path;  ///< object keys and array indices from the file root
+  std::string where;              ///< the path as error messages spell it
+  std::optional<schema::domain> dom;  ///< empty for a name table
+  bool gated{false};
+};
+
+template <class T>
+concept has_table = requires(const T& t) { schema::for_each_field([](auto&&...) {}, t); };
+template <class T>
+concept table_array = requires { typename T::value_type; } && has_table<typename T::value_type>;
+
+template <class S>
+void collect(const S& spec, const std::vector<std::string>& path, const std::string& where,
+             std::vector<table_field>& out) {
+  schema::for_each_field(
+      [&](std::string_view key, const auto& member, const auto& dom, schema::gate g = {}) {
+        table_field field{path, where + "." + std::string(key), std::nullopt, !g.owner.empty()};
+        field.path.emplace_back(key);
+        using T = std::remove_cvref_t<decltype(member)>;
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(dom)>, schema::domain>) {
+          field.dom = dom;
+          EXPECT_NE(dom.k, schema::domain::kind::none) << field.where << " has no domain";
+          if (dom.k == schema::domain::kind::nested) {
+            if constexpr (has_table<T>) {
+              collect(member, field.path, field.where, out);
+            } else if constexpr (table_array<T>) {
+              std::vector<std::string> element = field.path;
+              element.emplace_back("0");
+              collect(typename T::value_type{}, element, field.where + "[0]", out);
+            }
+          }
+        }
+        out.push_back(field);
+      },
+      spec);
+}
+
+/// The node at `path` (object keys, or indices into arrays), if any.
+json::jv* find(json::jv& root, const std::vector<std::string>& path) {
+  json::jv* at = &root;
+  for (const std::string& step : path) {
+    if (at->k == json::jv::kind::array) {
+      const std::size_t i = std::stoul(step);
+      if (i >= at->items.size()) return nullptr;
+      at = &at->items[i];
+      continue;
+    }
+    const auto it = std::ranges::find(at->fields, step, [](const auto& kv) { return kv.first; });
+    if (it == at->fields.end()) return nullptr;
+    at = &it->second;
+  }
+  return at;
+}
+
+/// The literals just outside a field's domain, and one of a wrong type.
+std::vector<std::string> violations(const table_field& field) {
+  const auto literal = [](double x) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), x).ptr);
+  };
+  if (!field.dom) return {"\"bogus\"", "7"};
+  const schema::domain& d = *field.dom;
+  switch (d.k) {
+    case schema::domain::kind::number: {
+      std::vector<std::string> out = {"\"bogus\""};
+      if (std::isfinite(d.lo)) out.push_back(literal(d.lo_open ? d.lo : d.lo - 1.0));
+      if (std::isfinite(d.hi)) out.push_back(literal(d.hi_open ? d.hi : d.hi + 1.0));
+      return out;
+    }
+    case schema::domain::kind::flag: return {"1", "\"bogus\""};
+    default: return {"7"};
+  }
+}
+
+/// Walks every field of every spec table and feeds each the values just
+/// outside its domain (0 or -1 at the bounds, 2^32 for u32 fields,
+/// "bogus" for names, a wrong type for every field) and, for a
+/// kind-specific field, its key under a foreign kind. Each must be
+/// rejected with the field's path in the message.
+TEST(ApiSerialize, EveryTableFieldRejectsValuesOutsideItsDomain) {
+  std::vector<table_field> fields;
+  collect(scenario_spec{}, {"scenario"}, "scenario", fields);
+  collect(sim_spec{}, {"sim"}, "sim", fields);
+  collect(lifetime_spec{}, {"lifetime"}, "lifetime", fields);
+  std::vector<json::jv> bases;
+  for (const scenario_file& f : busy_files()) bases.push_back(json::parse_document(to_json(f)));
+
+  const auto expect_rejected = [](const json::jv& doc, const std::string& where) {
+    std::ostringstream text;
+    json::write_value(text, doc, 0);
+    try {
+      (void)parse_scenario_json(text.str());
+      ADD_FAILURE() << where << " accepted in\n" << text.str();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  };
+  std::size_t rejected = 0;
+  for (const table_field& field : fields) {
+    const auto base =
+        std::ranges::find_if(bases, [&](json::jv& b) { return find(b, field.path) != nullptr; });
+    ASSERT_NE(base, bases.end()) << "no busy file writes " << field.where;
+    for (const std::string& bad : violations(field)) {
+      json::jv doc = *base;
+      json::jv* slot = find(doc, field.path);
+      // Number pairs and boxes: the violation goes into the first entry.
+      while (field.dom && field.dom->k == schema::domain::kind::number &&
+             slot->k == json::jv::kind::array) {
+        slot = &slot->items.front();
+      }
+      *slot = json::parse_document(bad);
+      expect_rejected(doc, field.where);
+      ++rejected;
+    }
+    if (field.gated) {
+      const std::vector<std::string> parent(field.path.begin(), field.path.end() - 1);
+      const auto foreign = std::ranges::find_if(bases, [&](json::jv& b) {
+        return find(b, parent) != nullptr && find(b, field.path) == nullptr;
+      });
+      ASSERT_NE(foreign, bases.end()) << "no busy file omits " << field.where;
+      json::jv doc = *foreign;
+      find(doc, parent)->add(field.path.back(), *find(*base, field.path));
+      expect_rejected(doc, field.where);
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, fields.size());
+}
+
+/// 64-bit FNV-1a: pins an exact byte string in one table line.
+std::uint64_t digest(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+/// The bytes every preset, example file and batch request serializes
+/// to, pinned so a change to the writer cannot move them unnoticed;
+/// and every preset reads back as itself.
+TEST(ApiSerialize, GoldenBytesArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"dense_sensor_field", 0x10def6b75fb639acULL},
+      {"figure6", 0xa2e524240c53f79fULL},
+      {"grid_mesh", 0x13c7c1a0bdbd4cb7ULL},
+      {"paper_basic", 0xe1700a349f894d8eULL},
+      {"paper_protocol", 0x7bbfda7f28e9e19aULL},
+      {"paper_table1", 0x5ebec687eda334faULL},
+      {"shadowed_field", 0x196cadc96ee2eb58ULL},
+      {"shadowed_field_stc", 0xab458f70d22484a5ULL},
+      {"sparse_adhoc", 0x5b6a78037b9a9c7ULL},
+      {"urban_obstacles", 0x7bcee933a10f9494ULL},
+      {"urban_obstacles_stc", 0x8df698b9279555c9ULL},
+      {"convergecast_grid", 0x72cc4ac79566e84bULL},
+      {"crash_recovery", 0x31227ec4423a682bULL},
+      {"dense_mobile_field", 0x904088114ba74fcbULL},
+      {"mobile_churn", 0xdb2767b41992994dULL},
+      {"shadowed_field_mobile", 0x4343ac5953100f4bULL},
+      {"urban_obstacles_churn", 0x5eca75fc33c6d9faULL},
+      {"examples/convergecast_grid", 0x72cc4ac79566e84bULL},
+      {"examples/mobile_churn", 0xdf5dbb1f29695f32ULL},
+      {"examples/sensor_attrition", 0x673a09786856d564ULL},
+      {"examples/shadowed_mesh", 0x2a6ddb9af0f8cb7aULL},
+      {"request/static", 0x59a3800925970d93ULL},
+      {"request/dynamic", 0x50c2b5e3277f6051ULL},
+      {"request/lifetime", 0x97813c3de2b48c57ULL},
+  };
+  const auto check = [&](const std::string& label, const std::string& bytes) {
+    const auto it = golden.find(label);
+    EXPECT_TRUE(it != golden.end() && digest(bytes) == it->second)
+        << "{\"" << label << "\", 0x" << std::hex << digest(bytes) << "ULL},";
+  };
+  for (const std::string& name : scenario_names()) {
+    const scenario_file preset{.scenario = get_scenario(name)};
+    check(name, to_json(preset));
+    EXPECT_TRUE(parse_scenario_json(to_json(preset)) == preset) << name;
+  }
+  for (const std::string& name : dynamic_scenario_names()) {
+    const dynamic_scenario dyn = get_dynamic_scenario(name);
+    const scenario_file preset{.scenario = dyn.scenario, .sim = dyn.sim};
+    check(name, to_json(preset));
+    EXPECT_TRUE(parse_scenario_json(to_json(preset)) == preset) << name;
+  }
+  for (const char* example :
+       {"convergecast_grid", "mobile_churn", "sensor_attrition", "shadowed_mesh"}) {
+    const std::string path =
+        std::string(CBTC_SOURCE_DIR) + "/examples/scenarios/" + example + ".json";
+    check(std::string("examples/") + example, to_json(load_scenario_file(path)));
+  }
+  wire::batch_request req;
+  req.seeds = {3, 100};
+  req.blocks = {1, 4};
+  req.threads = 2;
+  req.scenario = get_scenario("paper_table1");
+  check("request/static", wire::encode_batch_request(req));
+  req.mode = wire::batch_mode::dynamic_runs;
+  req.scenario = get_dynamic_scenario("mobile_churn").scenario;
+  req.sim = get_dynamic_scenario("mobile_churn").sim;
+  check("request/dynamic", wire::encode_batch_request(req));
+  req.mode = wire::batch_mode::lifetime_runs;
+  req.scenario = get_scenario("paper_protocol");
+  req.lifetime = {.policy = lifetime_policy::energy_balanced, .convergecast = true, .sink = 5};
+  check("request/lifetime", wire::encode_batch_request(req));
+}
+
 TEST(ApiSerialize, SaveAndLoadFile) {
   const std::string path = "/tmp/cbtc_serialize_test.json";
   const scenario_file original = busy_file();
   save_scenario_file(path, original);
-  const scenario_file loaded = load_scenario_file(path);
-  EXPECT_EQ(loaded.scenario.name, original.scenario.name);
-  EXPECT_EQ(loaded.scenario.base_seed, original.scenario.base_seed);
-  ASSERT_TRUE(loaded.sim.has_value());
-  EXPECT_DOUBLE_EQ(loaded.sim->horizon, original.sim->horizon);
+  EXPECT_TRUE(load_scenario_file(path) == original);
   std::remove(path.c_str());
   EXPECT_THROW(load_scenario_file("/nonexistent/dir/x.json"), std::runtime_error);
 }

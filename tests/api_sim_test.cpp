@@ -72,6 +72,14 @@ TEST(ApiSim, RunDynamicRejectsFailureEventBeyondNodeCount) {
   EXPECT_FALSE(eng.run_dynamic(spec, dyn, 0).up[23]);  // the last node is a valid target
 }
 
+// Every lifetime round draws flow endpoints modulo the node count, so
+// an empty deployment must be refused before the first round.
+TEST(ApiSim, RunLifetimeRejectsEmptyDeployment) {
+  scenario_spec spec;
+  spec.deploy.nodes = 0;
+  EXPECT_THROW((void)engine().run_lifetime(spec, lifetime_spec{}, 0), std::invalid_argument);
+}
+
 // Crash a quarter of the nodes after the topology settles: the NDP
 // must notice within its failure-detection time tau = miss_limit *
 // interval, the survivors must regrow around the holes, and every

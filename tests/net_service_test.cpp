@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,6 +175,33 @@ TEST(ShardDispatchTest, DynamicAndLifetimeBatchesMatchInProcess) {
   const lifetime_batch_report ref_life = eng.run_batch(test_spec(), life, seeds, 2);
   const lifetime_batch_report got_life = dispatcher.run_batch(test_spec(), life, seeds);
   EXPECT_TRUE(api::reports_equal(ref_life, got_life));
+}
+
+// A request the shard's parser rejects (a 0-node lifetime batch, which
+// would divide by zero in run_lifetime) comes back as an error frame;
+// the shard keeps serving and the next batch matches in-process.
+TEST(ShardDispatchTest, RejectedRequestLeavesTheShardServing) {
+  shard_fleet fleet{std::vector<net::serve_config>(1)};
+  dispatch_config cfg = config_for(fleet);
+  cfg.max_block_retries = 0;  // fail on the first error frame, naming it
+  shard_dispatcher dispatcher(cfg);
+  api::lifetime_spec life;
+  life.battery_rounds = 20.0;
+  life.max_rounds = 2000;
+  const api::seed_range seeds{0, 20};
+
+  api::scenario_spec empty = test_spec();
+  empty.deploy.nodes = 0;
+  try {
+    (void)dispatcher.run_batch(empty, life, seeds);
+    ADD_FAILURE() << "a 0-node lifetime batch was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("scenario.deployment.nodes"), std::string::npos)
+        << e.what();
+  }
+
+  const lifetime_batch_report reference = engine().run_batch(test_spec(), life, seeds, 2);
+  EXPECT_TRUE(api::reports_equal(reference, dispatcher.run_batch(test_spec(), life, seeds)));
 }
 
 TEST(ShardDispatchTest, EndpointParsing) {

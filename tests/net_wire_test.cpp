@@ -342,6 +342,16 @@ TEST(WireTest, MalformedMessagesAreRejected) {
   EXPECT_THROW(wire::decode_message("not json"), std::invalid_argument);
   EXPECT_THROW(wire::decode_message("[1, 2, 3]"), std::invalid_argument);
   EXPECT_THROW(wire::decode_message(R"({"type": "nonsense"})"), std::invalid_argument);
+  // A thread count past 32 bits is rejected, not cast down.
+  wire::batch_request req;
+  req.threads = 3;
+  std::string frame = wire::encode_batch_request(req);
+  frame.replace(frame.find(R"("threads": 3)"), 12, R"("threads": 4294967299)");
+  EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+               std::invalid_argument);
+  // A repeated key is rejected in every frame, not read as its first.
+  EXPECT_THROW(wire::decode_message(R"({"type": "done", "blocks": 1, "blocks": 2})"),
+               std::invalid_argument);
   // Unknown keys are rejected, not ignored (strict-parse policy).
   EXPECT_THROW((void)wire::decode_done(wire::decode_message(
                    R"({"type": "done", "blocks": 1, "extra": true})")),

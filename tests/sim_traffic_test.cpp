@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/api.h"
@@ -166,7 +167,7 @@ TEST(SimTraffic, AllPoliciesProduceOrderedMilestones) {
   for (const lifetime_policy policy :
        {lifetime_policy::plain_cbtc, lifetime_policy::energy_balanced,
         lifetime_policy::cooperative_adaptation}) {
-    SCOPED_TRACE(lifetime_policy_name(policy));
+    SCOPED_TRACE(schema::name_of(schema::lifetime_policy_names, policy));
     lifetime_spec life;
     life.policy = policy;
     life.convergecast = true;
@@ -281,15 +282,18 @@ TEST(SimTraffic, ScenarioFileRoundTripsTrafficAndLifetime) {
 }
 
 TEST(SimTraffic, PolicyNamesParseWithAliases) {
-  EXPECT_EQ(parse_lifetime_policy("plain"), lifetime_policy::plain_cbtc);
-  EXPECT_EQ(parse_lifetime_policy("balanced"), lifetime_policy::energy_balanced);
-  EXPECT_EQ(parse_lifetime_policy("cooperative"), lifetime_policy::cooperative_adaptation);
+  const auto parse = [](std::string_view name) {
+    return schema::parse_name(schema::lifetime_policy_names, name);
+  };
+  EXPECT_EQ(parse("plain"), lifetime_policy::plain_cbtc);
+  EXPECT_EQ(parse("balanced"), lifetime_policy::energy_balanced);
+  EXPECT_EQ(parse("cooperative"), lifetime_policy::cooperative_adaptation);
   for (const lifetime_policy p :
        {lifetime_policy::plain_cbtc, lifetime_policy::energy_balanced,
         lifetime_policy::cooperative_adaptation}) {
-    EXPECT_EQ(parse_lifetime_policy(lifetime_policy_name(p)), p);
+    EXPECT_EQ(parse(schema::name_of(schema::lifetime_policy_names, p)), p);
   }
-  EXPECT_THROW((void)parse_lifetime_policy("greedy"), std::invalid_argument);
+  EXPECT_THROW((void)parse("greedy"), std::invalid_argument);
 }
 
 TEST(SimTraffic, UnknownTrafficKeysAreRejected) {

@@ -33,8 +33,6 @@
 #include "api/api.h"
 #include "api/dispatch.h"
 #include "exp/table.h"
-#include "geom/random_points.h"
-#include "geom/structured_points.h"
 #include "graph/graph_io.h"
 #include "graph/position_io.h"
 #include "net/service.h"
@@ -42,6 +40,7 @@
 namespace {
 
 using namespace cbtc;
+namespace schema = api::schema;
 
 /// A bad command line: print the message, then usage, exit 2.
 struct usage_error : std::runtime_error {
@@ -154,32 +153,24 @@ int usage() {
 }
 
 int cmd_generate(const cli_args& args) {
-  const std::size_t nodes = args.count("nodes", 100);
-  const double side = args.num("region", 1500.0);
-  const auto seed = static_cast<std::uint64_t>(args.count("seed", 1));
-  const std::string layout = args.get("layout", "uniform");
   const std::string out = args.get("out", "nodes.csv");
-  const geom::bbox region = geom::bbox::rect(side, side);
-
-  std::vector<geom::vec2> positions;
-  if (layout == "uniform") {
-    positions = geom::uniform_points(nodes, region, seed);
-  } else if (layout == "cluster") {
-    positions = geom::clustered_points(nodes, args.count("clusters", 5),
-                                       args.num("sigma", side / 10.0), region, seed);
-  } else if (layout == "grid") {
-    const double jitter = args.num("jitter", 0.3);
-    positions = jitter <= 0.0 ? geom::grid_points(nodes, region)
-                              : geom::jittered_grid_points(nodes, jitter, region, seed);
-  } else if (layout == "ring") {
-    positions = geom::ring_points(nodes, region);
-  } else if (layout == "tree") {
-    positions = geom::tree_points(nodes, args.count("branching", 2), region);
-  } else if (layout == "star") {
-    positions = geom::star_points(nodes, args.count("arms", 4), region);
-  } else {
-    throw usage_error("unknown layout: " + layout);
+  api::scenario_spec spec;
+  api::deployment_spec& d = spec.deploy;
+  try {
+    d.kind = schema::parse_name(schema::deployment_names, args.get("layout", "uniform"));
+  } catch (const std::invalid_argument& e) {
+    throw usage_error(std::string("--layout: ") + e.what());
   }
+  if (d.kind == api::deployment_kind::fixed) throw usage_error("unknown layout: fixed");
+  d.nodes = args.count("nodes", 100);
+  d.region_side = args.num("region", 1500.0);
+  d.clusters = args.count("clusters", 5);
+  d.cluster_sigma = args.num("sigma", d.region_side / 10.0);
+  d.grid_jitter = args.num("jitter", 0.3);
+  d.tree_branching = args.count("branching", 2);
+  d.star_arms = args.count("arms", 4);
+  spec.base_seed = 0;  // the generator seed is --seed itself
+  const std::vector<geom::vec2> positions = spec.make_positions(args.count("seed", 1));
   graph::save_positions_csv(out, positions);
   std::cout << "wrote " << positions.size() << " positions to " << out << "\n";
   return 0;
@@ -336,7 +327,7 @@ int print_dynamic_sweep(const api::scenario_spec& spec, const api::dynamic_batch
 int print_lifetime_sweep(const api::scenario_spec& spec, const api::lifetime_spec& life,
                          const api::lifetime_batch_report& b, api::seed_range seeds) {
   std::cout << "lifetime scenario " << spec.name << " (" << api::method_name(spec.method)
-            << ", policy " << api::lifetime_policy_name(life.policy)
+            << ", policy " << schema::name_of(schema::lifetime_policy_names, life.policy)
             << (life.convergecast ? ", convergecast sink " + std::to_string(life.sink) : "")
             << "), seeds [" << seeds.first << ", " << seeds.first + seeds.count << "), " << b.runs
             << " runs\n\n";
@@ -406,25 +397,22 @@ sweep_setup resolve_sweep(const cli_args& args) {
     spec.radio.max_range = args.num("range", spec.radio.max_range);
   }
   if (args.options.contains("propagation")) {
-    const std::string kind = args.get("propagation", "isotropic");
-    if (kind == "isotropic") {
-      spec.radio.propagation = {};
-    } else if (kind == "shadowing" || kind == "lognormal_shadowing") {
-      // Only the kind flips; sigma/clamp/seed already in the scenario
-      // (or the spec defaults) survive, with --shadow-* on top below.
-      spec.radio.propagation.kind = radio::propagation_kind::lognormal_shadowing;
-    } else if (kind == "obstacles" || kind == "obstacle_field") {
-      // Obstacle geometry comes from the scenario (registry preset or
-      // JSON file); the flag only re-selects the kind.
-      if (spec.radio.propagation.obstacles.empty()) {
-        throw usage_error("--propagation obstacles needs a scenario that defines obstacles "
-                          "(e.g. --scenario urban_obstacles or a JSON file)");
-      }
-      spec.radio.propagation.kind = radio::propagation_kind::obstacle_field;
-    } else {
-      throw usage_error("unknown propagation kind: " + kind +
-                        " (expected isotropic | shadowing | obstacles)");
+    radio::propagation_kind kind{};
+    try {
+      kind = schema::parse_name(schema::propagation_names, args.get("propagation", ""));
+    } catch (const std::invalid_argument& e) {
+      throw usage_error(std::string("--propagation: ") + e.what());
     }
+    // Only the kind flips: sigma/clamp/seed and the obstacle geometry
+    // come from the scenario (registry preset or JSON file), with
+    // --shadow-* on top below; isotropic drops them.
+    if (kind == radio::propagation_kind::isotropic) spec.radio.propagation = {};
+    if (kind == radio::propagation_kind::obstacle_field &&
+        spec.radio.propagation.obstacles.empty()) {
+      throw usage_error("--propagation obstacles needs a scenario that defines obstacles "
+                        "(e.g. --scenario urban_obstacles or a JSON file)");
+    }
+    spec.radio.propagation.kind = kind;
   }
   if (spec.radio.propagation.kind == radio::propagation_kind::lognormal_shadowing) {
     spec.radio.propagation.sigma_db =
@@ -456,7 +444,8 @@ sweep_setup resolve_sweep(const cli_args& args) {
   if (lifetime) {
     if (args.options.contains("policy")) {
       try {
-        lifetime->policy = api::parse_lifetime_policy(args.get("policy", ""));
+        lifetime->policy =
+            schema::parse_name(schema::lifetime_policy_names, args.get("policy", ""));
       } catch (const std::invalid_argument& e) {
         throw usage_error(e.what());
       }
