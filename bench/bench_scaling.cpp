@@ -335,13 +335,20 @@ graph::digraph closure_instance(std::int64_t nodes) {
   const auto positions = make_positions(nodes);
   util::thread_pool pool(0);
   const graph::undirected_graph gr = graph::build_max_power_graph(positions, pm.max_range(), pool);
-  std::vector<std::vector<graph::node_id>> out(gr.num_nodes());
-  for (graph::node_id u = 0; u < gr.num_nodes(); ++u) {
-    for (const graph::node_id v : gr.neighbors(u)) {
-      if ((u + 2u * v) % 3u != 0u) out[u].push_back(v);
-    }
-  }
-  return graph::digraph::from_adjacency(std::move(out));
+  const auto kept = [](graph::node_id u) {
+    return [u](graph::node_id v) { return (u + 2u * v) % 3u != 0u; };
+  };
+  return graph::assemble<graph::digraph>(
+      gr.num_nodes(),
+      [&](graph::node_id u) {
+        const auto nb = gr.neighbors(u);
+        return static_cast<std::size_t>(std::count_if(nb.begin(), nb.end(), kept(u)));
+      },
+      [&](graph::node_id u, std::span<graph::node_id> out) {
+        const auto nb = gr.neighbors(u);
+        std::copy_if(nb.begin(), nb.end(), out.begin(), kept(u));
+      },
+      pool);
 }
 
 /// The two-pass count/fill closure at width 1 vs hardware width. The

@@ -21,6 +21,8 @@ struct invariant_report {
   [[nodiscard]] bool ok() const {
     return subgraph_of_max_power && connectivity_preserved && radii_within_max_range;
   }
+
+  [[nodiscard]] bool operator==(const invariant_report&) const = default;
 };
 
 /// Checks the paper's three desiderata for a topology-control output

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "graph/euclidean.h"
 #include "graph/robustness.h"
@@ -11,11 +13,12 @@ namespace cbtc::algo {
 
 namespace {
 
-/// Component labels of `g` with edge {a, b} removed.
+/// Component labels of `g` with edge `e` removed.
 graph::component_labels split_without(const graph::undirected_graph& g, const graph::edge& e) {
-  graph::undirected_graph cut = g;
-  cut.remove_edge(e.u, e.v);
-  return graph::connected_components(cut);
+  std::vector<graph::edge> rest = g.edges();
+  std::erase(rest, e);
+  return graph::connected_components(
+      graph::undirected_graph::from_edges(g.num_nodes(), std::move(rest)));
 }
 
 }  // namespace
@@ -24,6 +27,7 @@ augment_result augment_bridge_resilience(const graph::undirected_graph& topology
                                          std::span<const geom::vec2> positions, double max_range) {
   augment_result res;
   res.topology = topology;
+  std::vector<graph::edge> edges = topology.edges();
   const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
 
   // Iterate until no avoidable bridge remains. Each added edge kills at
@@ -57,7 +61,8 @@ augment_result augment_bridge_resilience(const graph::undirected_graph& topology
         ++unavoidable;  // G_R itself has no bypass for this cut
         continue;
       }
-      res.topology.add_edge(best.u, best.v);
+      edges.push_back(best);
+      res.topology = graph::undirected_graph::from_edges(topology.num_nodes(), edges);
       ++res.edges_added;
       fixed_any = true;
     }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "algo/removal_pass.h"
 #include "graph/union_find.h"
 
 namespace cbtc::algo {
@@ -99,114 +101,19 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
                                              const radio::link_model& link,
                                              const gain_removal_options& opts,
                                              const util::thread_pool& pool) {
-  gain_removal_result res;
-  const std::size_t n = g.num_nodes();
-
-  // Lex-sorted edge table with per-node offsets, exactly as in
-  // apply_pairwise_removal: node u's up-edges {u, v > u} occupy
-  // [eoff[u], eoff[u + 1]), so every per-node pass below locates any
-  // incident edge's slot locally.
-  std::vector<std::size_t> eoff(n + 1, 0);
-  {
-    std::vector<std::size_t> updeg(n);
-    pool.parallel_for(n, [&](std::size_t u) {
-      const std::span<const graph::node_id> nb = g.neighbors(static_cast<graph::node_id>(u));
-      updeg[u] = static_cast<std::size_t>(
-          nb.end() - std::upper_bound(nb.begin(), nb.end(), static_cast<graph::node_id>(u)));
-    });
-    for (std::size_t u = 0; u < n; ++u) eoff[u + 1] = eoff[u] + updeg[u];
-  }
-  const std::size_t m = eoff[n];
-  std::vector<graph::edge> edges(m);
-  pool.parallel_for(n, [&](std::size_t u) {
-    const auto uid = static_cast<graph::node_id>(u);
-    const std::span<const graph::node_id> nb = g.neighbors(uid);
-    std::size_t w = eoff[u];
-    for (auto it = std::upper_bound(nb.begin(), nb.end(), uid); it != nb.end(); ++it) {
-      edges[w++] = {uid, *it};
-    }
-  });
-  /// Index of edge {a, b} (a < b) in the table.
-  const auto edge_index = [&](graph::node_id a, graph::node_id b) {
-    const std::span<const graph::node_id> nb = g.neighbors(a);
-    const auto first = std::upper_bound(nb.begin(), nb.end(), a);
-    return eoff[a] + static_cast<std::size_t>(std::lower_bound(first, nb.end(), b) - first);
-  };
-
-  // Per-edge classification against the candidate graph. Slot writes
-  // plus block-ordered count; the required power doubles as the gate
-  // metric below, so it is computed once and carried.
-  std::vector<unsigned char> redundant(m, 0);
-  std::vector<double> powers(m);
-  res.redundant_edges = pool.reduce<std::size_t>(
-      m, 0,
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t count = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto [u, v] = edges[i];
-          const gain_edge_id eid = gain_edge_id::of(u, v, positions, link);
-          powers[i] = eid.power;
-          redundant[i] =
-              has_power_witness(candidates, positions, link, u, v, eid, opts.max_witness_hops)
-                  ? 1
-                  : 0;
-          count += redundant[i];
-        }
-        return count;
-      },
-      [](std::size_t& total, const std::size_t& part) { total += part; });
-
-  // Costliest non-redundant link per node: removing only redundant
-  // edges above this power cannot raise any node's transmit power and
-  // brings it down to exactly this budget — the pairwise radius gate
-  // with required link power in place of Euclidean length.
-  std::vector<double> costliest_needed(n, 0.0);
-  if (!opts.remove_all) {
-    pool.parallel_for(n, [&](std::size_t u) {
-      const auto uid = static_cast<graph::node_id>(u);
-      double best = 0.0;
-      std::size_t up = eoff[u];
-      for (const graph::node_id v : g.neighbors(uid)) {
-        const std::size_t i = v > uid ? up++ : edge_index(v, uid);
-        if (!redundant[i]) best = std::max(best, powers[i]);
-      }
-      costliest_needed[u] = best;
-    });
-  }
-
-  std::vector<unsigned char> drop(m, 0);
-  res.removed_edges = pool.reduce<std::size_t>(
-      m, 0,
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t count = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          bool d = redundant[i] != 0;
-          if (d && !opts.remove_all) {
-            const auto [u, v] = edges[i];
-            const double p = powers[i];
-            d = opts.gate == pairwise_gate::either_endpoint
-                    ? (p > costliest_needed[u] || p > costliest_needed[v])
-                    : (p > costliest_needed[u] && p > costliest_needed[v]);
-          }
-          drop[i] = d ? 1 : 0;
-          count += drop[i];
-        }
-        return count;
-      },
-      [](std::size_t& total, const std::size_t& part) { total += part; });
-
-  // Connectivity repair (see the header comment): witness paths live in
-  // the candidate graph, so for alpha > 2*pi/3 the surviving subgraph
-  // of `g` is not *provably* in one piece per component of `g`. Re-add
+  // Witness paths live in the candidate graph, so for alpha > 2*pi/3
+  // the surviving subgraph of `g` is not *provably* in one piece per
+  // component of `g` (see the header comment). The repair re-adds
   // dropped edges in ascending gain_edge_id order until the kept
   // partition matches `g`'s partition again. Serial and keyed on the
   // width-independent drop verdicts, hence deterministic; a no-op
   // whenever the drop set was already safe.
-  if (res.removed_edges > 0) {
+  const auto repair = [n = g.num_nodes()](std::span<const graph::edge> edges,
+                                          std::span<const double> powers,
+                                          std::span<unsigned char> drop) {
     graph::union_find uf(n);
     std::vector<std::size_t> dropped;
-    dropped.reserve(res.removed_edges);
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
       if (drop[i]) {
         dropped.push_back(i);
       } else {
@@ -217,44 +124,24 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
       return std::tie(powers[a], edges[a].v, edges[a].u) <
              std::tie(powers[b], edges[b].v, edges[b].u);
     });
+    std::size_t restored = 0;
     for (const std::size_t i : dropped) {
       if (uf.unite(edges[i].u, edges[i].v)) {
         drop[i] = 0;
-        ++res.restored_edges;
+        ++restored;
       }
     }
-    res.removed_edges -= res.restored_edges;
-  }
-
-  // Surviving topology as flat CSR: kept-degree count, prefix sum,
-  // parallel fill.
-  std::vector<std::size_t> koff(n + 1, 0);
-  {
-    std::vector<std::size_t> kdeg(n);
-    pool.parallel_for(n, [&](std::size_t u) {
-      const auto uid = static_cast<graph::node_id>(u);
-      std::size_t up = eoff[u];
-      std::size_t count = 0;
-      for (const graph::node_id v : g.neighbors(uid)) {
-        const std::size_t i = v > uid ? up++ : edge_index(v, uid);
-        if (!drop[i]) ++count;
-      }
-      kdeg[u] = count;
-    });
-    for (std::size_t u = 0; u < n; ++u) koff[u + 1] = koff[u] + kdeg[u];
-  }
-  std::vector<graph::node_id> kflat(koff[n]);
-  pool.parallel_for(n, [&](std::size_t u) {
-    const auto uid = static_cast<graph::node_id>(u);
-    std::size_t up = eoff[u];
-    std::size_t w = koff[u];
-    for (const graph::node_id v : g.neighbors(uid)) {
-      const std::size_t i = v > uid ? up++ : edge_index(v, uid);
-      if (!drop[i]) kflat[w++] = v;
-    }
-  });
-  res.topology = graph::undirected_graph::from_csr(std::move(koff), std::move(kflat));
-  return res;
+    return restored;
+  };
+  detail::removal_outcome out = detail::remove_redundant_edges(
+      g, opts.remove_all, opts.gate,
+      [&](graph::node_id u, graph::node_id v, double& power) {
+        const gain_edge_id eid = gain_edge_id::of(u, v, positions, link);
+        power = eid.power;
+        return has_power_witness(candidates, positions, link, u, v, eid, opts.max_witness_hops);
+      },
+      repair, pool);
+  return {std::move(out.topology), out.redundant_edges, out.removed_edges, out.restored_edges};
 }
 
 }  // namespace cbtc::algo

@@ -33,20 +33,23 @@ double node_result::out_radius() const {
   return r;
 }
 
-graph::digraph cbtc_result::neighbor_digraph() const {
-  graph::digraph d(nodes.size());
-  for (node_id u = 0; u < nodes.size(); ++u) {
-    for (const neighbor_record& r : nodes[u].neighbors) d.add_arc(u, r.id);
-  }
-  return d;
+graph::digraph cbtc_result::neighbor_digraph(const util::thread_pool& pool) const {
+  return graph::assemble<graph::digraph>(
+      nodes.size(), [&](node_id u) { return nodes[u].neighbors.size(); },
+      [&](node_id u, std::span<node_id> out) {
+        std::transform(nodes[u].neighbors.begin(), nodes[u].neighbors.end(), out.begin(),
+                       [](const neighbor_record& r) { return r.id; });
+        std::sort(out.begin(), out.end());
+      },
+      pool);
 }
 
 graph::undirected_graph cbtc_result::symmetric_closure(const util::thread_pool& pool) const {
-  return neighbor_digraph().symmetric_closure(pool);
+  return neighbor_digraph(pool).symmetric_closure(pool);
 }
 
 graph::undirected_graph cbtc_result::symmetric_core(const util::thread_pool& pool) const {
-  return neighbor_digraph().symmetric_core(pool);
+  return neighbor_digraph(pool).symmetric_core(pool);
 }
 
 std::size_t cbtc_result::boundary_count() const {

@@ -35,6 +35,8 @@ struct neighbor_record {
   double direction{0.0};        // bearing from the discovering node, [0, 2*pi)
   std::uint32_t level{0};       // index into node_result::level_powers
   double discovery_power{0.0};  // the power tag (Section 3.1 / Section 4)
+
+  [[nodiscard]] bool operator==(const neighbor_record&) const = default;
 };
 
 /// Per-node outcome of CBTC(alpha).
@@ -49,6 +51,8 @@ struct node_result {
   [[nodiscard]] std::vector<double> directions() const;
   /// rad^-_{u,alpha}: distance of the farthest node in N_alpha(u).
   [[nodiscard]] double out_radius() const;
+
+  [[nodiscard]] bool operator==(const node_result&) const = default;
 };
 
 /// Whole-network outcome.
@@ -58,8 +62,10 @@ struct cbtc_result {
 
   [[nodiscard]] std::size_t num_nodes() const { return nodes.size(); }
 
-  /// The directed neighbor relation N_alpha.
-  [[nodiscard]] graph::digraph neighbor_digraph() const;
+  /// The directed neighbor relation N_alpha, assembled per node on
+  /// `pool` (identical output for any width).
+  [[nodiscard]] graph::digraph neighbor_digraph(
+      const util::thread_pool& pool = util::thread_pool(1)) const;
 
   /// E_alpha: the symmetric closure (the paper's G_alpha edge set).
   /// Identical output for any pool width.
@@ -72,6 +78,8 @@ struct cbtc_result {
 
   /// Number of boundary nodes.
   [[nodiscard]] std::size_t boundary_count() const;
+
+  [[nodiscard]] bool operator==(const cbtc_result&) const = default;
 };
 
 /// Runs CBTC(alpha) for every node. `positions` defines the network;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "algo/gain_removal.h"
+#include "graph/digraph.h"
 #include "graph/euclidean.h"
 
 namespace cbtc::algo {
@@ -25,8 +26,8 @@ stc_result build_stc_topology(const graph::undirected_graph& candidates,
 
   // Per-node keep decisions: each slot written by exactly one task, so
   // the outcome is width-independent by construction. kept[u] ends up
-  // sorted by node id (the output contract of from_adjacency), with
-  // the scan itself running in ascending gain_edge_id order.
+  // sorted by node id (a digraph's out-list order), with the scan
+  // itself running in ascending gain_edge_id order.
   std::vector<std::vector<graph::node_id>> kept(n);
   res.kept_links = pool.reduce<std::size_t>(
       n, 0,
@@ -67,23 +68,15 @@ stc_result build_stc_topology(const graph::undirected_graph& candidates,
       [](std::size_t& total, const std::size_t& part) { total += part; });
   res.pruned_links = candidates.num_edges() * 2 - res.kept_links;
 
-  // Symmetrize: edge {u, v} survives iff either endpoint kept it. The
-  // reverse lists are gathered serially (push order ascending in u, so
-  // they come out sorted), then merged per node in parallel.
-  std::vector<std::vector<graph::node_id>> incoming(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const graph::node_id v : kept[u]) {
-      incoming[v].push_back(static_cast<graph::node_id>(u));
-    }
-  }
-  std::vector<std::vector<graph::node_id>> adj(n);
-  pool.parallel_for(n, [&](std::size_t u) {
-    adj[u].resize(kept[u].size() + incoming[u].size());
-    const auto end = std::set_union(kept[u].begin(), kept[u].end(), incoming[u].begin(),
-                                    incoming[u].end(), adj[u].begin());
-    adj[u].erase(end, adj[u].end());
-  });
-  res.topology = graph::undirected_graph::from_adjacency(std::move(adj));
+  // Edge {u, v} survives iff either endpoint kept it: the symmetric
+  // closure of the kept relation.
+  const graph::digraph kept_relation = graph::assemble<graph::digraph>(
+      n, [&](graph::node_id u) { return kept[u].size(); },
+      [&](graph::node_id u, std::span<graph::node_id> out) {
+        std::copy(kept[u].begin(), kept[u].end(), out.begin());
+      },
+      pool);
+  res.topology = kept_relation.symmetric_closure(pool);
   return res;
 }
 

@@ -89,7 +89,6 @@ dynamic_sample measure(const live_state& s, bool field_connected,
 }
 
 bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vector<bool>& alive) {
-  graph::undirected_graph live(g.num_nodes());
   graph::node_id first_alive = graph::invalid_node;
   std::size_t alive_count = 0;
   for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
@@ -99,10 +98,7 @@ bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vecto
     }
   }
   if (alive_count <= 1) return true;
-  for (const graph::edge& e : g.edges()) {
-    if (alive[e.u] && alive[e.v]) live.add_edge(e.u, e.v);
-  }
-  const auto comps = graph::connected_components(live);
+  const auto comps = graph::connected_components(g.induced(alive));
   for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
     if (alive[u] && !comps.same_component(u, first_alive)) return false;
   }
@@ -655,15 +651,11 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
         someone_died = true;
         ++deaths;
         if (res.first_death == 0.0) res.first_death = static_cast<double>(round);
-        const std::vector<graph::node_id> nbrs(live.neighbors(u).begin(),
-                                               live.neighbors(u).end());
-        for (graph::node_id v : nbrs) live.remove_edge(u, v);
-        if (live_gr.num_nodes() > 0) {
-          const std::vector<graph::node_id> gnbrs(live_gr.neighbors(u).begin(),
-                                                  live_gr.neighbors(u).end());
-          for (graph::node_id v : gnbrs) live_gr.remove_edge(u, v);
-        }
       }
+    }
+    if (someone_died) {
+      live = topology.induced(alive);
+      if (live_gr.num_nodes() > 0) live_gr = gr.induced(alive);
     }
     if (res.quarter_dead == 0.0 && deaths * 4 >= n) {
       res.quarter_dead = static_cast<double>(round);

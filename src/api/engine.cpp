@@ -41,26 +41,22 @@ graph::undirected_graph build_baseline(const method_spec& m,
 
 /// The graph `g` (over permuted labels) mapped back to original labels:
 /// node perm[k] of the result owns node k's neighbors, each mapped
-/// through perm and re-sorted. Assembled as flat CSR in parallel slots.
+/// through perm and re-sorted. Assembled per original node through the
+/// inverse permutation.
 graph::undirected_graph relabel_graph(const graph::undirected_graph& g,
                                       std::span<const std::uint32_t> perm,
                                       const util::thread_pool& pool) {
-  const std::size_t n = g.num_nodes();
-  std::vector<std::size_t> off(n + 1, 0);
-  {
-    std::vector<std::size_t> deg(n);
-    pool.parallel_for(n, [&](std::size_t k) { deg[perm[k]] = g.degree(static_cast<graph::node_id>(k)); });
-    for (std::size_t u = 0; u < n; ++u) off[u + 1] = off[u] + deg[u];
-  }
-  std::vector<graph::node_id> flat(off[n]);
-  pool.parallel_for(n, [&](std::size_t k) {
-    const std::size_t u = perm[k];
-    std::size_t w = off[u];
-    for (const graph::node_id v : g.neighbors(static_cast<graph::node_id>(k))) flat[w++] = perm[v];
-    std::sort(flat.begin() + static_cast<std::ptrdiff_t>(off[u]),
-              flat.begin() + static_cast<std::ptrdiff_t>(off[u + 1]));
-  });
-  return graph::undirected_graph::from_csr(std::move(off), std::move(flat));
+  std::vector<graph::node_id> inverse(perm.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) inverse[perm[k]] = static_cast<graph::node_id>(k);
+  return graph::assemble<graph::undirected_graph>(
+      g.num_nodes(), [&](graph::node_id u) { return g.degree(inverse[u]); },
+      [&](graph::node_id u, std::span<graph::node_id> out) {
+        const std::span<const graph::node_id> nb = g.neighbors(inverse[u]);
+        std::transform(nb.begin(), nb.end(), out.begin(),
+                       [&](graph::node_id v) { return perm[v]; });
+        std::sort(out.begin(), out.end());
+      },
+      pool);
 }
 
 /// Oracle pipeline under a spatial relabeling: nodes are permuted into

@@ -83,6 +83,8 @@ struct run_report {
   [[nodiscard]] bool connectivity_preserved() const {
     return invariants.connectivity_preserved;
   }
+
+  [[nodiscard]] bool operator==(const run_report&) const = default;
 };
 
 /// Aggregates over a batch of runs (one summary per scalar metric).

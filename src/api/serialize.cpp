@@ -139,6 +139,16 @@ void check_rules(sim_spec& s, const jv&, const std::string& path) {
   }
 }
 
+/// A lifetime run's rounds each pay upkeep and route `flows` flows:
+/// the cadence budget bounds their product (in double, so it cannot
+/// overflow).
+void check_rules(lifetime_spec& l, const jv&, const std::string& path) {
+  require(static_cast<double>(l.max_rounds) * (static_cast<double>(l.flows) + 1.0) <=
+              static_cast<double>(max_periods_per_run),
+          path + ".max_rounds * (" + path + ".flows + 1) exceeds max_periods_per_run (" +
+              std::to_string(max_periods_per_run) + ")");
+}
+
 // ---- specs <-> jv, derived from the field tables -------------------
 
 template <class S>

@@ -129,9 +129,9 @@ struct traffic_spec {
 
 /// Most periods of one self-rescheduling cadence (sample_every, the
 /// beacon interval, the mobility tick, the traffic period and route
-/// refresh) that a parsed sim block may fit into its horizon: a work
-/// budget, so no scenario file or batch request schedules unbounded
-/// work.
+/// refresh) that a parsed sim block may fit into its horizon, and most
+/// rounds times (flows + 1) of a parsed lifetime block: a work budget,
+/// so no scenario file or batch request schedules unbounded work.
 inline constexpr std::size_t max_periods_per_run = 1'000'000;
 
 /// A complete dynamic simulation: what happens between t = 0 and the

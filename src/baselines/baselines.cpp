@@ -1,6 +1,7 @@
 #include "baselines/baselines.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "geom/angle.h"
@@ -26,18 +27,18 @@ graph::undirected_graph euclidean_mst(std::span<const geom::vec2> positions, dou
     return a.len_sq < b.len_sq || (a.len_sq == b.len_sq && std::pair{a.u, a.v} < std::pair{b.u, b.v});
   });
 
-  graph::undirected_graph mst(positions.size());
+  std::vector<graph::edge> mst;
   graph::union_find uf(positions.size());
   for (const weighted& e : edges) {
-    if (uf.unite(e.u, e.v)) mst.add_edge(e.u, e.v);
+    if (uf.unite(e.u, e.v)) mst.push_back({e.u, e.v});
   }
-  return mst;
+  return graph::undirected_graph::from_edges(positions.size(), std::move(mst));
 }
 
 graph::undirected_graph relative_neighborhood_graph(std::span<const geom::vec2> positions,
                                                     double max_range) {
   const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
-  graph::undirected_graph rng(positions.size());
+  std::vector<graph::edge> rng;
   for (const graph::edge& e : gr.edges()) {
     const double d_uv = geom::distance_sq(positions[e.u], positions[e.v]);
     bool blocked = false;
@@ -52,14 +53,14 @@ graph::undirected_graph relative_neighborhood_graph(std::span<const geom::vec2> 
         break;
       }
     }
-    if (!blocked) rng.add_edge(e.u, e.v);
+    if (!blocked) rng.push_back(e);
   }
-  return rng;
+  return graph::undirected_graph::from_edges(positions.size(), std::move(rng));
 }
 
 graph::undirected_graph gabriel_graph(std::span<const geom::vec2> positions, double max_range) {
   const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
-  graph::undirected_graph gg(positions.size());
+  std::vector<graph::edge> gg;
   for (const graph::edge& e : gr.edges()) {
     const geom::vec2 mid = (positions[e.u] + positions[e.v]) / 2.0;
     const double r_sq = geom::distance_sq(positions[e.u], positions[e.v]) / 4.0;
@@ -72,15 +73,15 @@ graph::undirected_graph gabriel_graph(std::span<const geom::vec2> positions, dou
         break;
       }
     }
-    if (!blocked) gg.add_edge(e.u, e.v);
+    if (!blocked) gg.push_back(e);
   }
-  return gg;
+  return graph::undirected_graph::from_edges(positions.size(), std::move(gg));
 }
 
 graph::undirected_graph yao_graph(std::span<const geom::vec2> positions, double max_range,
                                   std::size_t cones) {
-  graph::undirected_graph yao(positions.size());
-  if (cones == 0 || positions.empty()) return yao;
+  if (cones == 0 || positions.empty()) return graph::undirected_graph(positions.size());
+  std::vector<graph::edge> yao;
   const geom::spatial_grid grid(positions, max_range);
   const double sector = geom::two_pi / static_cast<double>(cones);
 
@@ -103,16 +104,16 @@ graph::undirected_graph yao_graph(std::span<const geom::vec2> positions, double 
       }
     }
     for (node_id v : best) {
-      if (v != graph::invalid_node) yao.add_edge(u, v);
+      if (v != graph::invalid_node) yao.push_back({u, v});
     }
   }
-  return yao;
+  return graph::undirected_graph::from_edges(positions.size(), std::move(yao));
 }
 
 graph::undirected_graph knn_graph(std::span<const geom::vec2> positions, double max_range,
                                   std::size_t k) {
-  graph::undirected_graph knn(positions.size());
-  if (positions.empty() || k == 0) return knn;
+  if (positions.empty() || k == 0) return graph::undirected_graph(positions.size());
+  std::vector<graph::edge> knn;
   const geom::spatial_grid grid(positions, max_range);
   std::vector<geom::point_index> hits;
   for (node_id u = 0; u < positions.size(); ++u) {
@@ -124,9 +125,9 @@ graph::undirected_graph knn_graph(std::span<const geom::vec2> positions, double 
       return da < db || (da == db && a < b);
     });
     const std::size_t take = std::min(k, hits.size());
-    for (std::size_t i = 0; i < take; ++i) knn.add_edge(u, hits[i]);
+    for (std::size_t i = 0; i < take; ++i) knn.push_back({u, hits[i]});
   }
-  return knn;
+  return graph::undirected_graph::from_edges(positions.size(), std::move(knn));
 }
 
 }  // namespace cbtc::baselines

@@ -102,27 +102,27 @@ undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
 
 undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,
                                              double max_range) {
-  undirected_graph g(positions.size());
+  std::vector<edge> edges;
   const double r_sq = max_range * max_range;
   for (node_id u = 0; u < positions.size(); ++u) {
     for (node_id v = u + 1; v < positions.size(); ++v) {
-      if (geom::distance_sq(positions[u], positions[v]) <= r_sq) g.add_edge(u, v);
+      if (geom::distance_sq(positions[u], positions[v]) <= r_sq) edges.push_back({u, v});
     }
   }
-  return g;
+  return undirected_graph::from_edges(positions.size(), std::move(edges));
 }
 
 undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,
                                              const radio::link_model& link) {
   if (link.is_isotropic()) return build_max_power_graph_brute(positions, link.max_range());
-  undirected_graph g(positions.size());
+  std::vector<edge> edges;
   const double max_power = link.max_power();
   for (node_id u = 0; u < positions.size(); ++u) {
     for (node_id v = u + 1; v < positions.size(); ++v) {
-      if (link.reaches(max_power, u, v, positions[u], positions[v])) g.add_edge(u, v);
+      if (link.reaches(max_power, u, v, positions[u], positions[v])) edges.push_back({u, v});
     }
   }
-  return g;
+  return undirected_graph::from_edges(positions.size(), std::move(edges));
 }
 
 double edge_length(std::span<const geom::vec2> positions, node_id u, node_id v) {

@@ -5,99 +5,56 @@
 
 namespace cbtc::graph {
 
-namespace {
-
-bool sorted_insert(std::vector<node_id>& list, node_id v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it != list.end() && *it == v) return false;
-  list.insert(it, v);
-  return true;
-}
-
-bool sorted_erase(std::vector<node_id>& list, node_id v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it == list.end() || *it != v) return false;
-  list.erase(it);
-  return true;
-}
-
-}  // namespace
-
-void undirected_graph::materialize() {
-  if (!is_flat()) return;
-  adj_.resize(num_nodes_);
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    adj_[u].assign(flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]),
-                   flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]));
-  }
-  offsets_.clear();
-  offsets_.shrink_to_fit();
-  flat_.clear();
-  flat_.shrink_to_fit();
-}
-
-bool undirected_graph::add_edge(node_id u, node_id v) {
-  if (u == v) return false;
-  materialize();
-  if (!sorted_insert(adj_[u], v)) return false;
-  sorted_insert(adj_[v], u);
-  ++num_edges_;
-  return true;
-}
-
-bool undirected_graph::remove_edge(node_id u, node_id v) {
-  if (u == v) return false;
-  materialize();
-  if (!sorted_erase(adj_[u], v)) return false;
-  sorted_erase(adj_[v], u);
-  --num_edges_;
-  return true;
-}
-
 bool undirected_graph::has_edge(node_id u, node_id v) const {
-  if (u >= num_nodes_ || v >= num_nodes_) return false;
+  if (u >= num_nodes() || v >= num_nodes()) return false;
   const std::span<const node_id> list = neighbors(u);
   return std::binary_search(list.begin(), list.end(), v);
 }
 
-bool operator==(const undirected_graph& a, const undirected_graph& b) {
-  if (a.num_nodes_ != b.num_nodes_ || a.num_edges_ != b.num_edges_) return false;
-  for (node_id u = 0; u < a.num_nodes_; ++u) {
-    const std::span<const node_id> la = a.neighbors(u);
-    const std::span<const node_id> lb = b.neighbors(u);
-    if (!std::equal(la.begin(), la.end(), lb.begin(), lb.end())) return false;
-  }
-  return true;
-}
-
 undirected_graph undirected_graph::induced(const std::vector<bool>& mask) const {
-  undirected_graph g(num_nodes());
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    if (u >= mask.size() || !mask[u]) continue;
-    for (node_id v : neighbors(u)) {
-      if (u < v && v < mask.size() && mask[v]) g.add_edge(u, v);
-    }
-  }
-  return g;
+  const auto kept = [&](node_id u) { return u < mask.size() && mask[u]; };
+  // A kept node keeps its kept neighbors; a masked-out node keeps none.
+  const auto candidates = [&](node_id u) {
+    return kept(u) ? neighbors(u) : std::span<const node_id>{};
+  };
+  return assemble<undirected_graph>(
+      num_nodes(),
+      [&](node_id u) {
+        const std::span<const node_id> nb = candidates(u);
+        return static_cast<std::size_t>(std::count_if(nb.begin(), nb.end(), kept));
+      },
+      [&](node_id u, std::span<node_id> out) {
+        const std::span<const node_id> nb = candidates(u);
+        std::copy_if(nb.begin(), nb.end(), out.begin(), kept);
+      });
 }
 
-undirected_graph undirected_graph::from_adjacency(std::vector<std::vector<node_id>> adj) {
-  undirected_graph g(adj.size());
-  std::size_t total_degree = 0;
-  for (node_id u = 0; u < adj.size(); ++u) {
-    assert(std::is_sorted(adj[u].begin(), adj[u].end()));
-    assert(std::adjacent_find(adj[u].begin(), adj[u].end()) == adj[u].end());
-    assert(!std::binary_search(adj[u].begin(), adj[u].end(), u));
-#ifndef NDEBUG
-    for (const node_id v : adj[u]) {
-      assert(std::binary_search(adj[v].begin(), adj[v].end(), u));  // symmetric
-    }
-#endif
-    total_degree += adj[u].size();
+undirected_graph undirected_graph::from_edges(std::size_t num_nodes, std::vector<edge> edges) {
+  for (edge& e : edges) {
+    assert(e.u < num_nodes && e.v < num_nodes);
+    if (e.u > e.v) std::swap(e.u, e.v);
   }
-  g.adj_ = std::move(adj);
-  g.num_edges_ = total_degree / 2;
-  return g;
+  std::erase_if(edges, [](const edge& e) { return e.u == e.v; });
+  std::sort(edges.begin(), edges.end(), [](const edge& a, const edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::size_t> offsets(num_nodes + 1, 0);
+  for (const edge& e : edges) {
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (std::size_t u = 0; u < num_nodes; ++u) offsets[u + 1] += offsets[u];
+  // In lexicographic edge order every node receives its lower
+  // neighbors (as the v end) before its higher ones (as the u end),
+  // each run ascending, so the lists fill already sorted.
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<node_id> flat(offsets[num_nodes]);
+  for (const edge& e : edges) {
+    flat[cursor[e.u]++] = e.v;
+    flat[cursor[e.v]++] = e.u;
+  }
+  return from_csr(std::move(offsets), std::move(flat));
 }
 
 undirected_graph undirected_graph::from_csr(std::vector<std::size_t> offsets,
@@ -105,11 +62,8 @@ undirected_graph undirected_graph::from_csr(std::vector<std::size_t> offsets,
   assert(!offsets.empty());
   assert(offsets.front() == 0);
   assert(offsets.back() == neighbors.size());
-  undirected_graph g;
-  g.num_nodes_ = offsets.size() - 1;
-  g.num_edges_ = neighbors.size() / 2;
 #ifndef NDEBUG
-  for (node_id u = 0; u < g.num_nodes_; ++u) {
+  for (node_id u = 0; u + 1 < offsets.size(); ++u) {
     assert(offsets[u] <= offsets[u + 1]);
     const auto lo = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[u]);
     const auto hi = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]);
@@ -123,26 +77,16 @@ undirected_graph undirected_graph::from_csr(std::vector<std::size_t> offsets,
     }
   }
 #endif
+  undirected_graph g;
   g.offsets_ = std::move(offsets);
   g.flat_ = std::move(neighbors);
   return g;
 }
 
-undirected_graph undirected_graph::flattened() const {
-  std::vector<std::size_t> offsets(num_nodes_ + 1, 0);
-  for (node_id u = 0; u < num_nodes_; ++u) offsets[u + 1] = offsets[u] + degree(u);
-  std::vector<node_id> flat(offsets.back());
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    const std::span<const node_id> list = neighbors(u);
-    std::copy(list.begin(), list.end(), flat.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
-  }
-  return from_csr(std::move(offsets), std::move(flat));
-}
-
 std::vector<edge> undirected_graph::edges() const {
   std::vector<edge> out;
-  out.reserve(num_edges_);
-  for (node_id u = 0; u < num_nodes_; ++u) {
+  out.reserve(num_edges());
+  for (node_id u = 0; u < num_nodes(); ++u) {
     for (node_id v : neighbors(u)) {
       if (u < v) out.push_back({u, v});
     }

@@ -2,25 +2,22 @@
 //
 // Topologies produced by CBTC and its optimizations are undirected
 // graphs (symmetric closures / symmetric cores of the neighbor
-// relation N_alpha). Adjacency lists are kept sorted so neighbor scans
-// and set operations are deterministic.
+// relation N_alpha). A graph is immutable flat CSR: one `offsets`
+// array (n + 1 entries) plus one `neighbors` array holding every
+// node's sorted adjacency list back to back, so neighbor scans and set
+// operations are deterministic and cache-dense. Each graph has exactly
+// one representation (a default-constructed graph is
+// undirected_graph(0)), so equality is member-wise.
 //
-// Two physical representations behind one logical interface:
+// Graphs are derived, never edited. There are two ways in:
 //
-//   * nested  — std::vector per node; mutable (add_edge / remove_edge
-//     do sorted insertion). This is the representation incremental
-//     code (dynamic runs, small gadgets) works against.
-//   * flat CSR — one `offsets` array (n + 1 entries) plus one
-//     `neighbors` array holding every adjacency list back to back.
-//     Immutable and cache-dense; this is what the parallel
-//     constructions (symmetric closure / core, pairwise removal,
-//     max-power graph) assemble via counting pass + exclusive
-//     prefix sum, and what the metric / verification loops iterate
-//     at scale.
-//
-// neighbors(u) returns a span either way, so consumers never care.
-// Mutating a CSR graph transparently converts it back to nested lists
-// first (O(E) once, amortized against the edit session that follows).
+//   * from_edges — a serial build from an edge list in any order, with
+//     duplicates, reversed pairs and self-loops dropped (baselines,
+//     reference constructions, tests);
+//   * assemble — the pooled per-node build both graph types share: a
+//     per-node degree pass, the offsets' prefix sum, then a per-node
+//     fill (closure / core merges, optimization passes, relabeling,
+//     snapshots of the incrementally maintained dynamic state).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "graph/types.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -42,72 +40,69 @@ struct edge {
 
 class undirected_graph {
  public:
-  undirected_graph() = default;
-  explicit undirected_graph(std::size_t num_nodes) : adj_(num_nodes), num_nodes_(num_nodes) {}
+  undirected_graph() : undirected_graph(0) {}
+  /// `num_nodes` isolated nodes.
+  explicit undirected_graph(std::size_t num_nodes) : offsets_(num_nodes + 1, 0) {}
 
-  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
-  [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
-
-  /// Adds the undirected edge {u, v}; ignores duplicates and self-loops.
-  /// Returns true if the edge was newly inserted. Converts a CSR graph
-  /// back to nested lists first.
-  bool add_edge(node_id u, node_id v);
-
-  /// Removes the edge {u, v} if present; returns true if removed.
-  bool remove_edge(node_id u, node_id v);
+  [[nodiscard]] std::size_t num_nodes() const { return offsets_.size() - 1; }
+  [[nodiscard]] std::size_t num_edges() const { return flat_.size() / 2; }
 
   [[nodiscard]] bool has_edge(node_id u, node_id v) const;
   [[nodiscard]] std::span<const node_id> neighbors(node_id u) const {
-    if (is_flat()) {
-      return {flat_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-    }
-    return adj_[u];
+    return {flat_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
-  [[nodiscard]] std::size_t degree(node_id u) const { return neighbors(u).size(); }
+  [[nodiscard]] std::size_t degree(node_id u) const { return offsets_[u + 1] - offsets_[u]; }
 
   /// All edges with u < v, sorted lexicographically.
   [[nodiscard]] std::vector<edge> edges() const;
 
-  /// Logical equality: same node count and same sorted adjacency,
-  /// regardless of which representation either side uses.
-  friend bool operator==(const undirected_graph& a, const undirected_graph& b);
+  [[nodiscard]] friend bool operator==(const undirected_graph&,
+                                       const undirected_graph&) = default;
 
   /// Subgraph induced by the nodes with mask[u] == true (same node-id
   /// space; masked-out nodes become isolated). Used for survivor
   /// topologies after crash failures.
   [[nodiscard]] undirected_graph induced(const std::vector<bool>& mask) const;
 
-  /// Adopts pre-built adjacency lists wholesale — O(1), no per-edge
-  /// insertion. Contract (asserted in debug builds): every list sorted
-  /// ascending, no self-loops or duplicates, and the relation is
-  /// symmetric (v in adj[u] iff u in adj[v]). This is how per-node
-  /// constructions (STC growth, closure_mirror snapshots) assemble
-  /// their results.
-  [[nodiscard]] static undirected_graph from_adjacency(std::vector<std::vector<node_id>> adj);
+  /// The graph on nodes [0, num_nodes) with the given edges, in any
+  /// order: each pair is canonicalized, duplicates and reversed
+  /// duplicates collapse, and self-loops are dropped.
+  [[nodiscard]] static undirected_graph from_edges(std::size_t num_nodes,
+                                                   std::vector<edge> edges);
 
   /// Adopts a flat CSR adjacency wholesale: `offsets` has num_nodes + 1
   /// entries with offsets[0] == 0 and offsets.back() == neighbors.size();
-  /// node u's sorted neighbor list is neighbors[offsets[u]..offsets[u+1]).
-  /// Same contract as from_adjacency (asserted in debug builds).
+  /// node u's neighbor list is neighbors[offsets[u]..offsets[u+1]).
+  /// Contract (asserted in debug builds): every list sorted ascending,
+  /// no self-loops or duplicates, and the relation is symmetric (v in
+  /// u's list iff u in v's).
   [[nodiscard]] static undirected_graph from_csr(std::vector<std::size_t> offsets,
                                                  std::vector<node_id> neighbors);
 
-  /// True when the graph currently holds the flat CSR representation.
-  [[nodiscard]] bool is_flat() const { return !offsets_.empty(); }
-
-  /// A copy of this graph in CSR form (the copy is flat even if this
-  /// graph is nested). Round-trip helper for tests and bulk consumers.
-  [[nodiscard]] undirected_graph flattened() const;
-
  private:
-  /// Converts CSR back to nested lists in place (no-op when nested).
-  void materialize();
-
-  std::vector<std::vector<node_id>> adj_;  // nested rep: each list sorted ascending
-  std::vector<std::size_t> offsets_;       // CSR rep: num_nodes + 1 entries (empty when nested)
-  std::vector<node_id> flat_;              // CSR rep: concatenated sorted lists
-  std::size_t num_nodes_{0};
-  std::size_t num_edges_{0};
+  std::vector<std::size_t> offsets_;  // num_nodes + 1 entries
+  std::vector<node_id> flat_;         // concatenated sorted lists
 };
+
+/// The per-node CSR build behind every derived graph of either type:
+/// node u's list has degree(u) entries, and fill(u, out) writes them,
+/// sorted ascending, into `out` (a span of exactly that length). Both
+/// passes run per node on `pool` with one slot per node, and the
+/// offsets' exclusive prefix sum runs between them, so the result is
+/// identical for any pool width. The lists must meet Graph::from_csr's
+/// contract.
+template <class Graph, class Degree, class Fill>
+[[nodiscard]] Graph assemble(std::size_t n, const Degree& degree, const Fill& fill,
+                             const util::thread_pool& pool = util::thread_pool(1)) {
+  std::vector<std::size_t> offsets(n + 1, 0);
+  pool.parallel_for(n, [&](std::size_t u) { offsets[u + 1] = degree(static_cast<node_id>(u)); });
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<node_id> flat(offsets[n]);
+  pool.parallel_for(n, [&](std::size_t u) {
+    fill(static_cast<node_id>(u),
+         std::span<node_id>(flat.data() + offsets[u], offsets[u + 1] - offsets[u]));
+  });
+  return Graph::from_csr(std::move(offsets), std::move(flat));
+}
 
 }  // namespace cbtc::graph

@@ -201,13 +201,11 @@ void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
 }
 
 undirected_graph live_neighbor_index::graph() const {
-  undirected_graph g(adj_.size());
-  for (node_id u = 0; u < adj_.size(); ++u) {
-    for (const node_id v : adj_[u]) {
-      if (u < v) g.add_edge(u, v);
-    }
-  }
-  return g;
+  return assemble<undirected_graph>(
+      adj_.size(), [&](node_id u) { return adj_[u].size(); },
+      [&](node_id u, std::span<node_id> out) {
+        std::copy(adj_[u].begin(), adj_[u].end(), out.begin());
+      });
 }
 
 closure_mirror::closure_mirror(std::size_t n) : adj_(n), live_(n, true) {}
@@ -242,16 +240,17 @@ void closure_mirror::remove_arc(node_id u, node_id v) {
 void closure_mirror::set_live(node_id u, bool up) { live_[u] = up; }
 
 undirected_graph closure_mirror::live_graph() const {
-  const std::size_t n = adj_.size();
-  std::vector<std::vector<node_id>> out(n);
-  for (node_id u = 0; u < n; ++u) {
-    if (!live_[u]) continue;
-    out[u].reserve(adj_[u].size());
-    for (const entry& e : adj_[u]) {
-      if (live_[e.v]) out[u].push_back(e.v);
-    }
-  }
-  return undirected_graph::from_adjacency(std::move(out));
+  return assemble<undirected_graph>(
+      adj_.size(),
+      [&](node_id u) {
+        std::size_t count = 0;
+        for_each_live_neighbor(u, [&](node_id) { ++count; });
+        return count;
+      },
+      [&](node_id u, std::span<node_id> out) {
+        std::size_t w = 0;
+        for_each_live_neighbor(u, [&](node_id v) { out[w++] = v; });
+      });
 }
 
 bool same_connectivity(const closure_mirror& topology, const live_neighbor_index& max_power,

@@ -76,8 +76,9 @@ class live_neighbor_index {
   /// Sorted live neighbors of `u` (empty when down).
   [[nodiscard]] std::span<const node_id> neighbors(node_id u) const { return adj_[u]; }
 
-  /// Snapshot as an undirected_graph (down nodes isolated); edge-set
-  /// identical to build_max_power_graph(positions, R).induced(up).
+  /// Snapshot as an undirected_graph (down nodes isolated), assembled
+  /// per node from the maintained lists; identical to
+  /// build_max_power_graph(positions, R).induced(up).
   [[nodiscard]] undirected_graph graph() const;
 
   /// Installs the (single) edge observer. Pass {} to detach.
@@ -180,11 +181,11 @@ class live_neighbor_index {
 /// n agent tables, O(n + m) map walks plus per-edge sorted inserts —
 /// at every connectivity evaluation. closure_mirror instead keeps a
 /// per-pair arc count (0..2) updated from the agents' table hooks, so
-/// each table delta costs O(degree) and a closure snapshot is a plain
-/// filtered copy of sorted adjacency (adopted wholesale, no per-edge
-/// insertion). Snapshots are edge-identical to the full re-read by
-/// construction (asserted against a re-read of the agents' tables in
-/// tests/proto_reconfig_test.cpp).
+/// each table delta costs O(degree) and a closure snapshot is a
+/// per-node filtered copy of sorted adjacency, assembled straight into
+/// CSR (graph::assemble). Snapshots are edge-identical to the full
+/// re-read by construction (asserted against a re-read of the agents'
+/// tables in tests/proto_reconfig_test.cpp).
 class closure_mirror {
  public:
   /// All nodes initially up, no arcs.

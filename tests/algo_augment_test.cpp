@@ -8,6 +8,7 @@
 #include "graph/metrics.h"
 #include "graph/robustness.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 #include "radio/power_model.h"
 
 namespace cbtc::algo {
@@ -22,10 +23,7 @@ TEST(Augment, FixesASimpleAvoidableBridge) {
   // 0-1-2-3, G_R contains the closing edge 3-0 (and 0-2, 1-3 are too
   // long). Every path edge is an avoidable bridge.
   const std::vector<vec2> pts{{0, 0}, {400, 0}, {400, 400}, {0, 400}};
-  graph::undirected_graph path(4);
-  path.add_edge(0, 1);
-  path.add_edge(1, 2);
-  path.add_edge(2, 3);
+  const graph::undirected_graph path = graph::make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   const augment_result res = augment_bridge_resilience(path, pts, 500.0);
   EXPECT_TRUE(res.topology.has_edge(0, 3));
   EXPECT_TRUE(graph::bridges(res.topology).empty());
@@ -38,17 +36,12 @@ TEST(Augment, LeavesUnavoidableBridges) {
   // bypass. The bridge must survive and be reported.
   const std::vector<vec2> pts{{0, 0},    {100, 0},   {50, 80},     // left triangle
                               {1000, 0}, {1100, 0},  {1050, 80}};  // right triangle
-  graph::undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(3, 5);
-  // The long bridge: d(1,3) = 900 — pretend an out-of-band relay made
-  // it possible by testing with a larger range for this single link.
-  // Instead keep it in-range: use max_range 1000 for this test.
-  g.add_edge(1, 3);
+  // The long bridge {1, 3}: d(1,3) = 900 — pretend an out-of-band
+  // relay made it possible by testing with a larger range for this
+  // single link. Instead keep it in-range: use max_range 1000 for this
+  // test.
+  const graph::undirected_graph g =
+      graph::make_graph(6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {1, 3}});
   const augment_result res = augment_bridge_resilience(g, pts, 1000.0);
   EXPECT_TRUE(res.topology.has_edge(1, 3));
   // G_R at range 1000 contains more cross edges (e.g. 2-5 at ~953)…
@@ -64,10 +57,7 @@ TEST(Augment, LeavesUnavoidableBridges) {
 
 TEST(Augment, NoBridgesIsNoOp) {
   const std::vector<vec2> pts{{0, 0}, {100, 0}, {50, 80}};
-  graph::undirected_graph tri(3);
-  tri.add_edge(0, 1);
-  tri.add_edge(1, 2);
-  tri.add_edge(0, 2);
+  const graph::undirected_graph tri = graph::make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
   const augment_result res = augment_bridge_resilience(tri, pts, 500.0);
   EXPECT_EQ(res.edges_added, 0u);
   EXPECT_EQ(res.topology, tri);
@@ -100,9 +90,7 @@ TEST(Augment, EveryRemainingBridgeIsUnavoidable) {
     for (const graph::edge& b : graph::bridges(res.topology)) {
       // Removing the bridge must split G_R's corresponding region too:
       // no G_R edge (other than b itself) crosses the topology cut.
-      graph::undirected_graph cut = res.topology;
-      cut.remove_edge(b.u, b.v);
-      const auto sides = graph::connected_components(cut);
+      const auto sides = graph::connected_components(graph::without_edge(res.topology, b));
       for (const graph::edge& ge : gr.edges()) {
         if (ge == b || res.topology.has_edge(ge.u, ge.v)) continue;
         EXPECT_TRUE(sides.same_component(ge.u, ge.v))

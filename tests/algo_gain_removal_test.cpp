@@ -18,6 +18,7 @@
 #include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 #include "radio/power_model.h"
 #include "util/parallel.h"
 
@@ -183,12 +184,7 @@ TEST(GainRemoval, PowerStretchStaysBounded) {
 TEST(GainRemoval, CoincidentNodesNeverDropZeroPowerEdges) {
   const std::vector<vec2> pts{{0, 0}, {0, 0}, {10, 0}, {5, 1}};
   const radio::link_model link(pm);
-  graph::undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(0, 3);
-  g.add_edge(2, 3);
+  const graph::undirected_graph g = graph::make_graph(4, {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {2, 3}});
   const graph::undirected_graph c = graph::build_max_power_graph(pts, link);
   const gain_removal_result res = apply_gain_aware_removal(g, c, pts, link, {.remove_all = true});
   EXPECT_TRUE(res.topology.has_edge(0, 1));

@@ -9,6 +9,7 @@
 #include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 #include "radio/power_model.h"
 
 namespace cbtc::algo {
@@ -45,10 +46,7 @@ TEST(Redundant, TriangleLongestEdgeIsRedundant) {
   // Near-equilateral triangle with angles < pi/3 at the witness: make
   // a thin triangle where the apex angle is small.
   const std::vector<vec2> pts{{0, 0}, {100, 0}, {95, 30}};
-  graph::undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
+  const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {0, 2}, {1, 2}});
   // angle(1,0,2) = atan2(30, 95) ~ 17.5 deg < 60 deg: the longer of
   // (0,1), (0,2) is redundant.
   EXPECT_TRUE(is_redundant_edge(g, pts, 0, 1) || is_redundant_edge(g, pts, 0, 2));
@@ -59,9 +57,7 @@ TEST(Redundant, TriangleLongestEdgeIsRedundant) {
 TEST(Redundant, WideAngleNotRedundant) {
   // 90-degree separation at u: neither edge redundant via u.
   const std::vector<vec2> pts{{0, 0}, {100, 0}, {0, 100}};
-  graph::undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_FALSE(is_redundant_edge(g, pts, 0, 1));
   EXPECT_FALSE(is_redundant_edge(g, pts, 0, 2));
 }
@@ -69,16 +65,13 @@ TEST(Redundant, WideAngleNotRedundant) {
 TEST(Redundant, WitnessAtEitherEndpointCounts) {
   // w is a neighbor of v (not of u); edge (u,v) is still redundant.
   const std::vector<vec2> pts{{0, 0}, {100, 0}, {95, 10}};
-  graph::undirected_graph g(3);
-  g.add_edge(0, 1);  // u=0, v=1: the long edge
-  g.add_edge(1, 2);  // witness w=2 attached to v=1
+  // u=0, v=1: the long edge; witness w=2 attached to v=1.
+  const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {1, 2}});
   // angle(0,1,2) at node 1 between directions to 0 and 2 is small?
   // dir(1->0) = pi; dir(1->2) = atan2(10,-5) ~ 116.6 deg. Angle ~ 63 deg
   // — too wide. Move the witness nearer the line.
   const std::vector<vec2> pts2{{0, 0}, {100, 0}, {60, 10}};
-  graph::undirected_graph g2(3);
-  g2.add_edge(0, 1);
-  g2.add_edge(1, 2);
+  const graph::undirected_graph g2 = graph::make_graph(3, {{0, 1}, {1, 2}});
   // dir(1->0)=pi, dir(1->2)=atan2(10,-40) ~ 166 deg; angle ~ 14 deg < 60.
   // d(1,2) ~ 41.2 < d(0,1) = 100: witness wins.
   EXPECT_TRUE(is_redundant_edge(g2, pts2, 0, 1));
@@ -90,9 +83,7 @@ TEST(Redundant, WitnessAtEitherEndpointCounts) {
 TEST(Redundant, ExactlyPiOverThreeIsNotRedundant) {
   // Definition 3.5 requires angle *strictly* less than pi/3.
   const std::vector<vec2> pts{{0, 0}, {100, 0}, geom::polar({0, 0}, 50.0, pi / 3.0)};
-  graph::undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_FALSE(is_redundant_edge(g, pts, 0, 1));
 }
 

@@ -5,10 +5,14 @@
 // batches reduce to bitwise-identical aggregates for any thread count.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "api/api.h"
+#include "api/wire.h"
 #include "baselines/baselines.h"
+#include "digest.h"
 #include "graph/euclidean.h"
 #include "report_equal.h"
 
@@ -159,6 +163,117 @@ TEST(ApiEngine, FixedDeploymentIgnoresSeed) {
   const engine eng;
   EXPECT_EQ(eng.run(spec, 0).topology, eng.run(spec, 99).topology);
   EXPECT_EQ(eng.run(spec).nodes, 4u);
+}
+
+/// Every run's topology edges, then the block partial the runs reduce
+/// to, as one byte string.
+class report_bytes {
+ public:
+  void add(const graph::undirected_graph& g) {
+    for (const graph::edge& e : g.edges()) {
+      bytes_ += std::to_string(e.u) + ' ' + std::to_string(e.v) + ';';
+    }
+    bytes_ += '\n';
+  }
+  template <class Batch>
+  std::string finish(const Batch& batch) const {
+    return bytes_ + wire::encode_block_partial(0, batch);
+  }
+
+ private:
+  std::string bytes_;
+};
+
+/// The reports of every preset, baseline, post pass, dynamic preset
+/// and lifetime policy, pinned by digest so a refactor of the layers
+/// below cannot move a byte of them unnoticed.
+TEST(ApiEngine, ReportDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"dense_sensor_field", 0x8665d4aa2cd9bf97ULL},
+      {"figure6", 0x3ca01d4605c96157ULL},
+      {"grid_mesh", 0x18a38a163e1433b3ULL},
+      {"paper_basic", 0x6d5a44ba9ea99fbbULL},
+      {"paper_protocol", 0xdde8bd13145876baULL},
+      {"paper_table1", 0xbbb46a2b4eec661bULL},
+      {"shadowed_field", 0x2dd83b4a8de2882cULL},
+      {"shadowed_field_stc", 0x5f918c356482497aULL},
+      {"sparse_adhoc", 0xad2ab7419685eb27ULL},
+      {"urban_obstacles", 0x828b798c8c6e71c2ULL},
+      {"urban_obstacles_stc", 0x42a279bba9260de2ULL},
+      {"paper_table1/mst", 0x9aa7824da9a5e08bULL},
+      {"paper_table1/rng", 0x8d9edba23e7e4970ULL},
+      {"paper_table1/gabriel", 0xe1941dc078ccbf68ULL},
+      {"paper_table1/yao", 0x67e977cc949cd084ULL},
+      {"paper_table1/knn", 0xce2abfb92a64f6b1ULL},
+      {"paper_table1/max-power", 0xfb05dcd7bd401b54ULL},
+      {"paper_table1/bridge_augmentation", 0x85402c18ced9f398ULL},
+      {"convergecast_grid", 0xf617922ecdfa47eaULL},
+      {"crash_recovery", 0x302b7bcfbd32c702ULL},
+      {"dense_mobile_field", 0x9a1128f25b117302ULL},
+      {"mobile_churn", 0x694275c69f61c4c9ULL},
+      {"shadowed_field_mobile", 0xd1d964ebac781f45ULL},
+      {"urban_obstacles_churn", 0x3991d5592205c0e6ULL},
+      {"lifetime/plain", 0xa10897fda1f7d0dfULL},
+      {"lifetime/balanced", 0xbcb0381aa461903ULL},
+      {"lifetime/cooperative", 0xaf6302dc9614314fULL},
+      {"lifetime/convergecast", 0x4d05743530c9fabULL},
+  };
+  const auto check = [&](const std::string& label, const std::string& bytes) {
+    const auto it = golden.find(label);
+    EXPECT_TRUE(it != golden.end() && digest(bytes) == it->second)
+        << "{\"" << label << "\", 0x" << std::hex << digest(bytes) << "ULL},";
+  };
+  const engine eng;
+  const auto check_static = [&](const std::string& label, const scenario_spec& spec) {
+    report_bytes bytes;
+    batch_report batch;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const run_report r = eng.run(spec, seed);
+      bytes.add(r.topology);
+      batch.accumulate(r);
+    }
+    check(label, bytes.finish(batch));
+  };
+  for (const std::string& name : scenario_names()) check_static(name, get_scenario(name));
+
+  const scenario_spec table1 = get_scenario("paper_table1");
+  for (const baseline_kind b :
+       {baseline_kind::euclidean_mst, baseline_kind::relative_neighborhood, baseline_kind::gabriel,
+        baseline_kind::yao, baseline_kind::knn, baseline_kind::max_power}) {
+    scenario_spec spec = table1;
+    spec.method = method_spec::of_baseline(b);
+    check_static("paper_table1/" + std::string(schema::name_of(schema::baseline_names, b)), spec);
+  }
+  scenario_spec bridged = table1;
+  bridged.post.bridge_augmentation = true;
+  check_static("paper_table1/bridge_augmentation", bridged);
+
+  for (const std::string& name : dynamic_scenario_names()) {
+    const dynamic_scenario dyn = get_dynamic_scenario(name);
+    report_bytes bytes;
+    dynamic_batch_report batch;
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+      const dynamic_report r = eng.run_dynamic(dyn.scenario, dyn.sim, seed);
+      bytes.add(r.final_topology);
+      batch.accumulate(r);
+    }
+    check(name, bytes.finish(batch));
+  }
+
+  const std::pair<const char*, lifetime_spec> lifetimes[] = {
+      {"plain", {.policy = lifetime_policy::plain_cbtc}},
+      {"balanced", {.policy = lifetime_policy::energy_balanced}},
+      {"cooperative", {.policy = lifetime_policy::cooperative_adaptation}},
+      {"convergecast", {.convergecast = true, .sink = 0}},
+  };
+  for (const auto& [label, life] : lifetimes) {
+    report_bytes bytes;
+    lifetime_batch_report batch;
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+      batch.accumulate(eng.run_lifetime(table1, life, seed));
+    }
+    check(std::string("lifetime/") + label, bytes.finish(batch));
+  }
 }
 
 }  // namespace

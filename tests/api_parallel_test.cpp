@@ -30,46 +30,23 @@ scenario_spec big_spec(unsigned intra_threads) {
   return spec;
 }
 
-void expect_bitwise_equal(const run_report& a, const run_report& b) {
-  ASSERT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.topology, b.topology);
-  EXPECT_EQ(a.node_powers, b.node_powers);  // element-wise bitwise doubles
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_EQ(a.avg_degree, b.avg_degree);
-  EXPECT_EQ(a.avg_radius, b.avg_radius);
-  EXPECT_EQ(a.max_radius, b.max_radius);
-  EXPECT_EQ(a.avg_power, b.avg_power);
-  EXPECT_EQ(a.boundary_nodes, b.boundary_nodes);
-  EXPECT_EQ(a.removed_edges, b.removed_edges);
-  EXPECT_EQ(a.power_stretch, b.power_stretch);
-  EXPECT_EQ(a.power_stretch_max, b.power_stretch_max);
-  EXPECT_EQ(a.hop_stretch, b.hop_stretch);
-  EXPECT_EQ(a.hop_stretch_max, b.hop_stretch_max);
-  EXPECT_EQ(a.interference_mean, b.interference_mean);
-  EXPECT_EQ(a.interference_max, b.interference_max);
-  EXPECT_EQ(a.cut_vertices, b.cut_vertices);
-  EXPECT_EQ(a.invariants.ok(), b.invariants.ok());
-  EXPECT_EQ(a.invariants.violations, b.invariants.violations);
-  ASSERT_EQ(a.has_growth, b.has_growth);
-  ASSERT_EQ(a.growth.nodes.size(), b.growth.nodes.size());
-  for (std::size_t u = 0; u < a.growth.nodes.size(); ++u) {
-    const auto& na = a.growth.nodes[u];
-    const auto& nb = b.growth.nodes[u];
-    EXPECT_EQ(na.boundary, nb.boundary) << "node " << u;
-    EXPECT_EQ(na.final_power, nb.final_power) << "node " << u;
-    ASSERT_EQ(na.neighbors.size(), nb.neighbors.size()) << "node " << u;
-    for (std::size_t i = 0; i < na.neighbors.size(); ++i) {
-      EXPECT_EQ(na.neighbors[i].id, nb.neighbors[i].id) << "node " << u;
-      EXPECT_EQ(na.neighbors[i].distance, nb.neighbors[i].distance) << "node " << u;
-    }
-  }
+/// `b` equals `a` as a whole report, bit for bit. Only growth.params
+/// is taken from `a`: it echoes the very intra-thread and relabel knobs
+/// the callers vary.
+::testing::AssertionResult same_report(const run_report& a, run_report b) {
+  b.growth.params = a.growth.params;
+  if (a == b) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "reports differ" << (a.topology == b.topology ? "" : " in topology")
+         << (a.growth == b.growth ? "" : " in growth")
+         << (a.invariants == b.invariants ? "" : " in invariants");
 }
 
 TEST(ApiParallel, StaticRunIsBitwiseIdenticalAcrossIntraThreads) {
   const engine eng;
   const run_report serial = eng.run(big_spec(1), 0);
   const run_report parallel = eng.run(big_spec(4), 0);
-  expect_bitwise_equal(serial, parallel);
+  EXPECT_TRUE(same_report(serial, parallel));
   EXPECT_TRUE(serial.invariants.ok());
 }
 
@@ -88,7 +65,7 @@ TEST(ApiParallel, MetricPhaseIsBitwiseIdenticalAcrossIntraThreads) {
   EXPECT_GT(serial.interference_mean, 0.0);
   for (const unsigned threads : {4u, 7u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    expect_bitwise_equal(serial, eng.run(metrics_on(threads), 0));
+    EXPECT_TRUE(same_report(serial, eng.run(metrics_on(threads), 0)));
   }
 }
 
@@ -98,7 +75,7 @@ TEST(ApiParallel, DiscreteGrowthAlsoThreadCountInvariant) {
   scenario_spec four = big_spec(4);
   four.cbtc.mode = algo::growth_mode::discrete;
   const engine eng;
-  expect_bitwise_equal(eng.run(one, 3), eng.run(four, 3));
+  EXPECT_TRUE(same_report(eng.run(one, 3), eng.run(four, 3)));
 }
 
 TEST(ApiParallel, DynamicRunIsBitwiseIdenticalAcrossIntraThreads) {
@@ -155,7 +132,7 @@ TEST(ApiParallel, ExplicitIsotropicPropagationIsInvisible) {
   scenario_spec with = big_spec(1);
   with.radio.propagation.kind = radio::propagation_kind::isotropic;
   const engine eng;
-  expect_bitwise_equal(eng.run(big_spec(1), 0), eng.run(with, 0));
+  EXPECT_TRUE(same_report(eng.run(big_spec(1), 0), eng.run(with, 0)));
 }
 
 scenario_spec shadowed_big_spec(unsigned intra_threads) {
@@ -172,7 +149,8 @@ scenario_spec shadowed_big_spec(unsigned intra_threads) {
 TEST(ApiParallel, ShadowedStaticRunIsBitwiseIdenticalAcrossIntraThreads) {
   const engine eng;
   for (const std::uint64_t seed : {0ull, 7ull}) {
-    expect_bitwise_equal(eng.run(shadowed_big_spec(1), seed), eng.run(shadowed_big_spec(4), seed));
+    EXPECT_TRUE(
+        same_report(eng.run(shadowed_big_spec(1), seed), eng.run(shadowed_big_spec(4), seed)));
   }
 }
 
@@ -255,7 +233,7 @@ TEST(ApiParallel, RelabelingIsInvisibleInStaticReports) {
     scenario_spec relabeled = big_spec(threads);
     relabeled.cbtc.relabel_min_nodes = 0;
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    expect_bitwise_equal(reference, eng.run(relabeled, 0));
+    EXPECT_TRUE(same_report(reference, eng.run(relabeled, 0)));
   }
 }
 
@@ -270,7 +248,7 @@ TEST(ApiParallel, ShadowedRelabelingIsInvisible) {
       scenario_spec relabeled = shadowed_big_spec(threads);
       relabeled.cbtc.relabel_min_nodes = 0;
       SCOPED_TRACE(::testing::Message() << "seed=" << seed << " threads=" << threads);
-      expect_bitwise_equal(reference, eng.run(relabeled, seed));
+      EXPECT_TRUE(same_report(reference, eng.run(relabeled, seed)));
     }
   }
 }
@@ -282,7 +260,7 @@ TEST(ApiParallel, RelabelingIsInvisibleInDiscreteGrowth) {
   scenario_spec on = off;
   on.cbtc.relabel_min_nodes = 0;
   const engine eng;
-  expect_bitwise_equal(eng.run(off, 3), eng.run(on, 3));
+  EXPECT_TRUE(same_report(eng.run(off, 3), eng.run(on, 3)));
 }
 
 /// Lifetime rebuilds the static topology every epoch; relabeling must

@@ -20,6 +20,7 @@
 #include "api/api.h"
 #include "api/json.h"
 #include "api/wire.h"
+#include "digest.h"
 
 namespace cbtc::api {
 namespace {
@@ -237,6 +238,18 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   // while nothing moves.
   EXPECT_NO_THROW((void)parse_scenario_json(R"({"scenario": {}, "sim": {
       "horizon": 1e6, "sample_every": 1, "mobility": {"tick": 1e-9}}})"));
+  // A lifetime run does max_rounds rounds of upkeep plus `flows` routed
+  // flows each: the same budget bounds max_rounds * (flows + 1), so a
+  // field where nobody ever dies cannot run (near) forever.
+  for (const char* bad : {R"({"scenario": {"deployment": {"nodes": 20}},
+                              "lifetime": {"battery_rounds": 1e300, "max_rounds": 1000000000000}})",
+                          R"({"scenario": {"deployment": {"nodes": 20}},
+                              "lifetime": {"flows": 1000000000000}})",
+                          R"({"scenario": {}, "lifetime": {"max_rounds": 31251, "flows": 31}})"}) {
+    EXPECT_THROW(parse_scenario_json(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW((void)parse_scenario_json(
+      R"({"scenario": {}, "lifetime": {"max_rounds": 31250, "flows": 31}})"));
   // Positions without kind "fixed", and any other kind-specific field
   // on a foreign kind, would silently run a different network than
   // the file describes.
@@ -660,13 +673,6 @@ TEST(ApiSerialize, EveryTableFieldRejectsValuesOutsideItsDomain) {
     }
   }
   EXPECT_GT(rejected, fields.size());
-}
-
-/// 64-bit FNV-1a: pins an exact byte string in one table line.
-std::uint64_t digest(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
-  return h;
 }
 
 /// The bytes every preset, example file and batch request serializes

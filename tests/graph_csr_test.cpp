@@ -1,11 +1,13 @@
-// CSR-vs-nested equivalence battery: the flat (offsets + neighbors)
-// representation must be logically indistinguishable from nested
-// adjacency — same edges, same neighbor spans, same iteration order —
-// across round-trips, mutation (which converts back to nested), and
-// the parallel constructions that now assemble CSR directly.
+// The CSR graph layer: from_edges against a set model, induced against
+// the filtered edge set, assemble at any pool width, and the pooled
+// constructions (closure / core, pairwise removal, G_R) identical at
+// any width and to their references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "algo/pairwise.h"
@@ -14,32 +16,22 @@
 #include "graph/digraph.h"
 #include "graph/euclidean.h"
 #include "graph/graph.h"
+#include "graph_fixtures.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
 
 namespace cbtc::graph {
 namespace {
 
-undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& rng) {
-  undirected_graph g(n);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v = u + 1; v < n; ++v) {
-      if (coin(rng) < p) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
 digraph random_digraph(std::size_t n, double p, std::mt19937_64& rng) {
-  digraph d(n);
+  std::vector<edge> arcs;
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   for (node_id u = 0; u < n; ++u) {
     for (node_id v = 0; v < n; ++v) {
-      if (u != v && coin(rng) < p) d.add_arc(u, v);
+      if (u != v && coin(rng) < p) arcs.push_back({u, v});
     }
   }
-  return d;
+  return make_digraph(n, arcs);
 }
 
 std::vector<geom::vec2> random_positions(std::size_t n, double side, std::mt19937_64& rng) {
@@ -62,50 +54,100 @@ void expect_identical(const undirected_graph& a, const undirected_graph& b) {
   EXPECT_EQ(a.edges(), b.edges());
 }
 
-TEST(CsrGraph, FlattenedRoundTripRandomGraphs) {
+/// A random edge list over n nodes, rich in duplicates, reversed
+/// pairs and self-loops.
+std::vector<edge> messy_edges(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_int_distribution<node_id> node(0, static_cast<node_id>(n - 1));
+  std::vector<edge> edges(rng() % (3 * n + 1));
+  for (edge& e : edges) e = {node(rng), node(rng)};
+  // Repeat a prefix reversed, so duplicates come in both orientations.
+  const std::size_t repeat = edges.size() / 3;
+  for (std::size_t i = 0; i < repeat; ++i) edges.push_back({edges[i].v, edges[i].u});
+  return edges;
+}
+
+/// The set model of an edge list: canonical pairs, no self-loops.
+std::set<std::pair<node_id, node_id>> edge_set(const std::vector<edge>& edges) {
+  std::set<std::pair<node_id, node_id>> out;
+  for (const edge& e : edges) {
+    if (e.u != e.v) out.insert({std::min(e.u, e.v), std::max(e.u, e.v)});
+  }
+  return out;
+}
+
+TEST(CsrGraph, FromEdgesMatchesSetModel) {
   std::mt19937_64 rng(20260808);
-  std::uniform_real_distribution<double> density(0.0, 0.2);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 60);
-    const undirected_graph g = random_graph(n, density(rng), rng);
-    const undirected_graph flat = g.flattened();
-    EXPECT_TRUE(flat.is_flat());
-    EXPECT_FALSE(g.is_flat());
-    expect_identical(g, flat);
-    // And the round trip back through from_csr of a flat copy.
-    expect_identical(flat, flat.flattened());
-  }
-}
-
-TEST(CsrGraph, HasEdgeAndInducedMatchAcrossRepresentations) {
-  std::mt19937_64 rng(7);
-  const undirected_graph g = random_graph(40, 0.15, rng);
-  const undirected_graph flat = g.flattened();
-  for (node_id u = 0; u < 40; ++u) {
-    for (node_id v = 0; v < 40; ++v) EXPECT_EQ(g.has_edge(u, v), flat.has_edge(u, v));
-  }
-  std::vector<bool> mask(40);
-  for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng() % 2 == 0;
-  expect_identical(g.induced(mask), flat.induced(mask));
-}
-
-TEST(CsrGraph, MutationConvertsBackToNested) {
-  std::mt19937_64 rng(99);
-  undirected_graph nested = random_graph(30, 0.2, rng);
-  undirected_graph flat = nested.flattened();
-  // Apply the same random edit script to both representations.
-  std::uniform_int_distribution<node_id> pick(0, 29);
-  for (int i = 0; i < 200; ++i) {
-    const node_id u = pick(rng);
-    const node_id v = pick(rng);
-    if (rng() % 2 == 0) {
-      EXPECT_EQ(nested.add_edge(u, v), flat.add_edge(u, v));
-    } else {
-      EXPECT_EQ(nested.remove_edge(u, v), flat.remove_edge(u, v));
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 40);
+    const std::vector<edge> edges = messy_edges(n, rng);
+    const std::set<std::pair<node_id, node_id>> model = edge_set(edges);
+    const undirected_graph g = undirected_graph::from_edges(n, edges);
+    ASSERT_EQ(g.num_nodes(), n);
+    EXPECT_EQ(g.num_edges(), model.size());
+    EXPECT_EQ(edge_set(g.edges()), model);
+    for (node_id u = 0; u < n; ++u) {
+      std::size_t degree = 0;
+      for (node_id v = 0; v < n; ++v) {
+        const bool in_model = model.contains({std::min(u, v), std::max(u, v)});
+        EXPECT_EQ(g.has_edge(u, v), in_model) << u << "-" << v;
+        degree += in_model ? 1 : 0;
+      }
+      EXPECT_EQ(g.degree(u), degree);
+      const auto nb = g.neighbors(u);
+      EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
     }
+    // Any order of the same list builds the same graph.
+    std::vector<edge> shuffled = edges;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    expect_identical(g, undirected_graph::from_edges(n, shuffled));
   }
-  EXPECT_FALSE(flat.is_flat());
-  expect_identical(nested, flat);
+}
+
+TEST(CsrGraph, InducedMatchesFilteredEdgeSet) {
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 50);
+    const undirected_graph g = random_graph(n, 0.15, rng);
+    std::vector<bool> mask(n);
+    for (std::size_t i = 0; i < n; ++i) mask[i] = rng() % 3 != 0;
+    std::vector<edge> kept;
+    for (const edge& e : g.edges()) {
+      if (mask[e.u] && mask[e.v]) kept.push_back(e);
+    }
+    const undirected_graph h = g.induced(mask);
+    EXPECT_EQ(h.edges(), kept);
+    expect_identical(h, make_graph(n, kept));
+  }
+}
+
+TEST(CsrGraph, AssembleIdenticalAtAnyWidth) {
+  std::mt19937_64 rng(99);
+  const undirected_graph g = random_graph(3000, 0.004, rng);
+  // Every node keeps its neighbors of the same parity: symmetric, and
+  // uneven enough that per-node work differs across slots.
+  const auto same_parity = [](node_id u) { return [u](node_id v) { return (u ^ v) % 2 == 0; }; };
+  const auto build = [&](const util::thread_pool& pool) {
+    return assemble<undirected_graph>(
+        g.num_nodes(),
+        [&](node_id u) {
+          const auto nb = g.neighbors(u);
+          return static_cast<std::size_t>(std::count_if(nb.begin(), nb.end(), same_parity(u)));
+        },
+        [&](node_id u, std::span<node_id> out) {
+          const auto nb = g.neighbors(u);
+          std::copy_if(nb.begin(), nb.end(), out.begin(), same_parity(u));
+        },
+        pool);
+  };
+  const undirected_graph one = build(util::thread_pool(1));
+  std::vector<edge> model;
+  for (const edge& e : g.edges()) {
+    if ((e.u ^ e.v) % 2 == 0) model.push_back(e);
+  }
+  EXPECT_GT(model.size(), 0u);
+  EXPECT_EQ(one.edges(), model);
+  expect_identical(one, build(util::thread_pool(3)));
+  expect_identical(one, build(util::thread_pool(4)));
 }
 
 TEST(CsrGraph, FromCsrEmptyAndIsolatedNodes) {
@@ -137,29 +179,7 @@ TEST(CsrDigraph, ClosureAndCoreIdenticalAtAnyWidth) {
   }
 }
 
-TEST(CsrDigraph, FlattenedDigraphMatchesAndMutates) {
-  std::mt19937_64 rng(31337);
-  util::thread_pool pool(3);
-  digraph d = random_digraph(50, 0.08, rng);
-  std::vector<std::size_t> off(51, 0);
-  std::vector<node_id> arcs;
-  for (node_id u = 0; u < 50; ++u) {
-    const auto nb = d.out_neighbors(u);
-    arcs.insert(arcs.end(), nb.begin(), nb.end());
-    off[u + 1] = arcs.size();
-  }
-  digraph flat = digraph::from_csr(std::move(off), std::move(arcs));
-  EXPECT_TRUE(flat.is_flat());
-  EXPECT_TRUE(flat == d);
-  expect_identical(d.symmetric_closure(pool), flat.symmetric_closure(pool));
-  expect_identical(d.symmetric_core(pool), flat.symmetric_core(pool));
-  // Mutation converts the CSR digraph back to nested lists.
-  EXPECT_EQ(d.add_arc(0, 49), flat.add_arc(0, 49));
-  EXPECT_FALSE(flat.is_flat());
-  EXPECT_TRUE(flat == d);
-}
-
-TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
+TEST(CsrGraph, PairwiseRemovalIdenticalAtAnyWidth) {
   std::mt19937_64 rng(424242);
   util::thread_pool four(4);
   for (int trial = 0; trial < 6; ++trial) {
@@ -169,11 +189,9 @@ TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
     const algo::pairwise_options opts{.remove_all = trial % 2 == 0};
     const algo::pairwise_result one = algo::apply_pairwise_removal(g, pos, opts);
     const algo::pairwise_result wide = algo::apply_pairwise_removal(g, pos, opts, four);
-    const algo::pairwise_result flat_in = algo::apply_pairwise_removal(g.flattened(), pos, opts, four);
     EXPECT_EQ(one.redundant_edges, wide.redundant_edges);
     EXPECT_EQ(one.removed_edges, wide.removed_edges);
     expect_identical(one.topology, wide.topology);
-    expect_identical(one.topology, flat_in.topology);
   }
 }
 

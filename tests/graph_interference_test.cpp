@@ -5,14 +5,14 @@
 #include "baselines/baselines.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
+#include "graph_fixtures.h"
 
 namespace cbtc::graph {
 namespace {
 
 TEST(EdgeInterference, IsolatedPairIsZero) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}};
-  undirected_graph g(2);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(2, {{0, 1}});
   EXPECT_EQ(edge_interference(g, pts, 0, 1), 0u);
 }
 
@@ -20,15 +20,13 @@ TEST(EdgeInterference, CountsCoveredNodes) {
   // Edge 0-1 of length 100; node 2 inside u's disk, node 3 inside v's
   // disk, node 4 outside both.
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {-50, 0}, {150, 0}, {300, 0}};
-  undirected_graph g(5);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(5, {{0, 1}});
   EXPECT_EQ(edge_interference(g, pts, 0, 1), 2u);
 }
 
 TEST(EdgeInterference, NodeInBothDisksCountedOnce) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {50, 10}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(3, {{0, 1}});
   EXPECT_EQ(edge_interference(g, pts, 0, 1), 1u);
 }
 
@@ -36,8 +34,7 @@ TEST(EdgeInterference, LongerEdgesInterfereMore) {
   // Same node cloud: a long edge covers at least as many nodes as a
   // short co-located one.
   const auto pts = geom::uniform_points(80, geom::bbox::rect(500, 500), 3);
-  undirected_graph g(pts.size());
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(pts.size(), {{0, 1}});
   const std::size_t direct = edge_interference(g, pts, 0, 1);
   // A much shorter edge from node 0 to its nearest neighbor.
   node_id nearest = 1;
@@ -61,9 +58,8 @@ TEST(TopologyInterference, EmptyGraph) {
 
 TEST(TopologyInterference, MeanAndMax) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {-50, 0}, {150, 0}};
-  undirected_graph g(4);
-  g.add_edge(0, 1);   // covers 2 and 3
-  g.add_edge(0, 2);   // length 50 disk: covers nobody else
+  // {0, 1} covers 2 and 3; {0, 2}'s length-50 disks cover nobody else.
+  const undirected_graph g = make_graph(4, {{0, 1}, {0, 2}});
   const interference_stats s = topology_interference(g, pts);
   EXPECT_EQ(s.edges, 2u);
   EXPECT_EQ(s.max, 2u);

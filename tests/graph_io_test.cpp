@@ -6,19 +6,15 @@
 #include <sstream>
 
 #include "graph/graph.h"
+#include "graph_fixtures.h"
 
 namespace cbtc::graph {
 namespace {
 
 struct fixture {
   std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {50, 80}};
-  undirected_graph g{3};
+  undirected_graph g = make_graph(3, {{0, 1}, {1, 2}});
   geom::bbox region = geom::bbox::rect(100.0, 100.0);
-
-  fixture() {
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-  }
 };
 
 TEST(WriteSvg, WellFormedDocument) {

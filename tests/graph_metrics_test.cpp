@@ -19,6 +19,7 @@
 #include "graph/interference.h"
 #include "graph/shortest_path.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 #include "radio/power_model.h"
 #include "util/parallel.h"
 
@@ -26,19 +27,14 @@ namespace cbtc::graph {
 namespace {
 
 TEST(AverageDegree, HandshakeLemma) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_DOUBLE_EQ(average_degree(g), 2.0 * 3.0 / 4.0);
   EXPECT_DOUBLE_EQ(average_degree(undirected_graph(0)), 0.0);
 }
 
 TEST(NodeRadius, FarthestNeighbor) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 0), 300.0);
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 1), 100.0);
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 2), 300.0);
@@ -53,25 +49,18 @@ TEST(NodeRadius, IsolatedUsesFallback) {
 
 TEST(AverageRadius, MeanOfNodeRadii) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(average_radius(g, pts), (300.0 + 100.0 + 300.0) / 3.0);
 }
 
 TEST(MaxRadius, LargestAnywhere) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(max_radius(g, pts), 300.0);
 }
 
 TEST(DegreeHistogram, CountsPerDegree) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {0, 2}, {0, 3}});
   const auto h = degree_histogram(g);
   ASSERT_EQ(h.size(), 4u);  // max degree 3
   EXPECT_EQ(h[0], 0u);
@@ -81,8 +70,7 @@ TEST(DegreeHistogram, CountsPerDegree) {
 
 TEST(AveragePower, QuadraticCost) {
   const std::vector<geom::vec2> pts{{0, 0}, {10, 0}};
-  undirected_graph g(2);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(2, {{0, 1}});
   EXPECT_DOUBLE_EQ(average_power(g, pts, 2.0), 100.0);
   EXPECT_DOUBLE_EQ(average_power(g, pts, 3.0), 1000.0);
 }
@@ -93,27 +81,20 @@ TEST(Dijkstra, PowerCostPrefersRelaying) {
   // Quadratic cost makes two 100-hops (2 * 100^2) cheaper than one
   // 200-hop (200^2) — the paper's motivation for topology control.
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
   const auto d = dijkstra(g, 0, power_cost(pts, 2.0));
   EXPECT_DOUBLE_EQ(d[2], 2.0 * 100.0 * 100.0);
 }
 
 TEST(Dijkstra, EuclideanCostPrefersDirect) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 50}, {200, 0}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
   const auto d = dijkstra(g, 0, euclidean_cost(pts));
   EXPECT_DOUBLE_EQ(d[2], 200.0);
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(3, {{0, 1}});
   const std::vector<geom::vec2> pts{{0, 0}, {1, 0}, {2, 0}};
   const auto d = dijkstra(g, 0, euclidean_cost(pts));
   EXPECT_TRUE(std::isinf(d[2]));
@@ -133,13 +114,8 @@ TEST(Stretch, IdenticalGraphsHaveUnitStretch) {
 
 TEST(Stretch, RemovingShortcutIncreasesHops) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}};
-  undirected_graph dense(3);
-  dense.add_edge(0, 1);
-  dense.add_edge(1, 2);
-  dense.add_edge(0, 2);
-  undirected_graph sparse(3);
-  sparse.add_edge(0, 1);
-  sparse.add_edge(1, 2);
+  const undirected_graph dense = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
+  const undirected_graph sparse = make_graph(3, {{0, 1}, {1, 2}});
   const auto s = hop_stretch(sparse, dense, 3);
   EXPECT_GT(s.max, 1.0);
   EXPECT_GE(s.mean, 1.0);
@@ -150,11 +126,7 @@ TEST(Stretch, PowerStretchCanBeBelowOneNever) {
   // cheaper; stretch >= 1 always.
   const std::vector<geom::vec2> pts{{0, 0}, {80, 10}, {160, -10}, {240, 0}, {120, 90}};
   const auto dense = build_max_power_graph(pts, 200.0);
-  undirected_graph sparse(5);
-  sparse.add_edge(0, 1);
-  sparse.add_edge(1, 2);
-  sparse.add_edge(2, 3);
-  sparse.add_edge(1, 4);
+  const undirected_graph sparse = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {1, 4}});
   const auto s = power_stretch(sparse, dense, pts, 2.0, 5);
   EXPECT_GE(s.mean, 1.0 - 1e-12);
   EXPECT_GE(s.max, s.mean);
@@ -303,8 +275,12 @@ std::vector<metric_case> metric_cases() {
   // unreachable and must be skipped, not counted.
   metric_case holes = cases.front();
   holes.name = "missing_pairs";
+  std::vector<edge> kept;
   const std::vector<edge> edges = holes.sparse.edges();
-  for (std::size_t i = 0; i < edges.size(); i += 3) holes.sparse.remove_edge(edges[i].u, edges[i].v);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i % 3 != 0) kept.push_back(edges[i]);
+  }
+  holes.sparse = make_graph(holes.sparse.num_nodes(), std::move(kept));
   cases.push_back(std::move(holes));
   return cases;
 }

@@ -1,6 +1,7 @@
 #include "graph/position_io.h"
 
 #include "graph/graph.h"
+#include "graph_fixtures.h"
 
 #include <gtest/gtest.h>
 
@@ -82,10 +83,7 @@ TEST(PositionIo, EmptyInput) {
 // --------------------------------------------------- induced subgraph
 
 TEST(InducedSubgraph, MasksEdges) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto sub = g.induced({true, false, true, true});
   EXPECT_EQ(sub.num_nodes(), 4u);
   EXPECT_EQ(sub.num_edges(), 1u);
@@ -94,23 +92,19 @@ TEST(InducedSubgraph, MasksEdges) {
 }
 
 TEST(InducedSubgraph, FullMaskIsIdentity) {
-  undirected_graph g(3);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(3, {{0, 2}});
   EXPECT_EQ(g.induced({true, true, true}), g);
 }
 
 TEST(InducedSubgraph, ShortMaskDropsTail) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const undirected_graph g = make_graph(3, {{0, 1}, {1, 2}});
   const auto sub = g.induced({true, true});  // node 2 implicitly masked out
   EXPECT_EQ(sub.num_edges(), 1u);
   EXPECT_TRUE(sub.has_edge(0, 1));
 }
 
 TEST(InducedSubgraph, EmptyMask) {
-  undirected_graph g(2);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(2, {{0, 1}});
   EXPECT_EQ(g.induced({}).num_edges(), 0u);
 }
 

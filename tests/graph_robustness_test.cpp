@@ -8,21 +8,10 @@
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 
 namespace cbtc::graph {
 namespace {
-
-undirected_graph path_graph(std::size_t n) {
-  undirected_graph g(n);
-  for (node_id i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
-}
-
-undirected_graph cycle_graph(std::size_t n) {
-  undirected_graph g = path_graph(n);
-  g.add_edge(0, static_cast<node_id>(n - 1));
-  return g;
-}
 
 TEST(Articulation, PathInteriorIsAllCuts) {
   const auto cuts = articulation_points(path_graph(5));
@@ -35,29 +24,18 @@ TEST(Articulation, CycleHasNone) {
 
 TEST(Articulation, BridgeNodeBetweenTriangles) {
   // Two triangles joined at node 2: node 2 is the unique cut vertex.
-  undirected_graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
+  const undirected_graph g = make_graph(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}});
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{2});
 }
 
 TEST(Articulation, StarCenter) {
-  undirected_graph g(5);
-  for (node_id i = 1; i < 5; ++i) g.add_edge(0, i);
+  const undirected_graph g = make_graph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{0});
 }
 
 TEST(Articulation, DisconnectedComponentsHandled) {
-  undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);  // path: 1 is a cut
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(3, 5);  // triangle: no cuts
+  // A path 0-1-2 (1 is a cut) and a triangle 3-4-5 (no cuts).
+  const undirected_graph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {3, 5}});
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{1});
 }
 
@@ -74,11 +52,7 @@ TEST(Bridges, CycleHasNone) {
 
 TEST(Bridges, MixedGraph) {
   // Triangle 0-1-2 with a pendant 2-3: only (2,3) is a bridge.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
   const auto b = bridges(g);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b[0], (edge{2, 3}));
@@ -88,17 +62,14 @@ TEST(Biconnected, SmallCases) {
   EXPECT_TRUE(is_biconnected(undirected_graph(0)));
   EXPECT_TRUE(is_biconnected(undirected_graph(1)));
   EXPECT_FALSE(is_biconnected(undirected_graph(2)));  // disconnected
-  undirected_graph k2(2);
-  k2.add_edge(0, 1);
+  const undirected_graph k2 = make_graph(2, {{0, 1}});
   EXPECT_TRUE(is_biconnected(k2));
   EXPECT_TRUE(is_biconnected(cycle_graph(4)));
   EXPECT_FALSE(is_biconnected(path_graph(3)));
 }
 
 TEST(Biconnected, DisconnectedNever) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {2, 3}});
   EXPECT_FALSE(is_biconnected(g));
 }
 
@@ -109,22 +80,21 @@ TEST(Articulation, RemovalProperty) {
   std::mt19937_64 rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 12;
-    undirected_graph g(n);
+    std::vector<edge> edges;
     for (int e = 0; e < 18; ++e) {
-      g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
+      edges.push_back({static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n)});
     }
+    const undirected_graph g = make_graph(n, std::move(edges));
     const auto cuts = articulation_points(g);
     std::vector<bool> is_cut(n, false);
     for (node_id c : cuts) is_cut[c] = true;
 
     const auto base = connected_components(g);
     for (node_id victim = 0; victim < n; ++victim) {
-      // Build g minus victim (victim kept as isolated vertex).
-      undirected_graph h(n);
-      for (const edge& e : g.edges()) {
-        if (e.u != victim && e.v != victim) h.add_edge(e.u, e.v);
-      }
-      const auto after = connected_components(h);
+      // g minus victim (victim kept as isolated vertex).
+      std::vector<bool> others(n, true);
+      others[victim] = false;
+      const auto after = connected_components(g.induced(others));
       // Components among the other vertices: subtract the victim's
       // singleton (it had degree >= 1 iff it was in some component).
       const std::size_t before_others = base.count;
@@ -143,15 +113,14 @@ TEST(Bridges, RemovalProperty) {
   std::mt19937_64 rng(23);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 14;
-    undirected_graph g(n);
+    std::vector<edge> edges;
     for (int e = 0; e < 16; ++e) {
-      g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
+      edges.push_back({static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n)});
     }
+    const undirected_graph g = make_graph(n, std::move(edges));
     const std::size_t base = connected_components(g).count;
     for (const edge& b : bridges(g)) {
-      undirected_graph h = g;
-      h.remove_edge(b.u, b.v);
-      EXPECT_EQ(connected_components(h).count, base + 1)
+      EXPECT_EQ(connected_components(without_edge(g, b)).count, base + 1)
           << "bridge " << b.u << "-" << b.v << " trial " << trial;
     }
     // And non-bridges do not split.
@@ -161,9 +130,7 @@ TEST(Bridges, RemovalProperty) {
     };
     for (const edge& e : g.edges()) {
       if (is_bridge(e)) continue;
-      undirected_graph h = g;
-      h.remove_edge(e.u, e.v);
-      EXPECT_EQ(connected_components(h).count, base);
+      EXPECT_EQ(connected_components(without_edge(g, e)).count, base);
     }
   }
 }

@@ -18,6 +18,7 @@
 
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
+#include "graph_fixtures.h"
 #include "util/parallel.h"
 
 namespace cbtc::graph {
@@ -28,9 +29,8 @@ using geom::vec2;
 const edge_cost_fn unit_cost = [](node_id, node_id) { return 1.0; };
 
 TEST(DijkstraTree, UnreachableSinkKeepsInfinityAndNoParent) {
-  undirected_graph g(4);  // {0,1} connected, {2,3} connected, no bridge
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  // {0,1} connected, {2,3} connected, no bridge.
+  const undirected_graph g = make_graph(4, {{0, 1}, {2, 3}});
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[0], 0.0);
   EXPECT_EQ(t.dist[1], 1.0);
@@ -47,11 +47,7 @@ TEST(DijkstraTree, ZeroWeightEdgesSettleDeterministically) {
   // the (distance, node id) heap order makes the parents reproducible
   // — each node's parent is its smallest-id zero-distance neighbor
   // settled first.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const edge_cost_fn zero = [](node_id, node_id) { return 0.0; };
   const shortest_path_tree a = dijkstra_tree(g, 0, zero);
   for (const double d : a.dist) EXPECT_EQ(d, 0.0);
@@ -62,16 +58,13 @@ TEST(DijkstraTree, ZeroWeightEdgesSettleDeterministically) {
   EXPECT_EQ(a.parent, b.parent);
 }
 
-TEST(DijkstraTree, DuplicateEdgeInsertionsDoNotSkewDistances) {
-  // add_edge ignores duplicates (and self-loops), so hammering the
-  // same edge leaves one adjacency entry and one relaxation per hop.
-  undirected_graph g(3);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(g.add_edge(0, 1), i == 0);
-    EXPECT_EQ(g.add_edge(1, 0), false);
-    EXPECT_EQ(g.add_edge(1, 2), i == 0);
-    EXPECT_FALSE(g.add_edge(1, 1));
-  }
+TEST(DijkstraTree, DuplicateEdgesDoNotSkewDistances) {
+  // from_edges collapses duplicates (and drops self-loops), so listing
+  // the same edge over and over leaves one adjacency entry and one
+  // relaxation per hop.
+  std::vector<edge> edges;
+  for (int i = 0; i < 5; ++i) edges.insert(edges.end(), {{0, 1}, {1, 0}, {1, 2}, {1, 1}});
+  const undirected_graph g = make_graph(3, std::move(edges));
   EXPECT_EQ(g.num_edges(), 2u);
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[2], 2.0);
@@ -89,11 +82,7 @@ TEST(DijkstraTree, SingleNodeGraph) {
 TEST(DijkstraTree, EqualCostTiesBreakTowardSmallerIds) {
   // Two equal-cost routes to node 3: via 1 and via 2. The heap's
   // (distance, id) order settles 1 first, so 3's parent must be 1.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[3], 2.0);
   EXPECT_EQ(t.parent[3], 1u);
@@ -163,11 +152,9 @@ TEST(DijkstraTree, MatchesLazyDeletionLoopBitwise) {
   std::mt19937_64 rng(1301);
   for (int round = 0; round < 80; ++round) {
     const std::size_t n = 2 + rng() % 150;
-    undirected_graph g(n);
-    const std::size_t arcs = rng() % (4 * n);
-    for (std::size_t i = 0; i < arcs; ++i) {
-      (void)g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
-    }
+    std::vector<edge> edges(rng() % (4 * n));
+    for (edge& e : edges) e = {static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n)};
+    const undirected_graph g = make_graph(n, std::move(edges));
     std::vector<vec2> lattice(n);
     for (vec2& p : lattice) {
       p = {100.0 * static_cast<double>(rng() % 6), 100.0 * static_cast<double>(rng() % 6)};

@@ -3,6 +3,7 @@
 #include "graph/digraph.h"
 #include "graph/graph.h"
 #include "graph/union_find.h"
+#include "graph_fixtures.h"
 
 namespace cbtc::graph {
 namespace {
@@ -17,9 +18,8 @@ TEST(UndirectedGraph, EmptyGraph) {
   EXPECT_EQ(g.degree(0), 0u);
 }
 
-TEST(UndirectedGraph, AddEdgeSymmetric) {
-  undirected_graph g(3);
-  EXPECT_TRUE(g.add_edge(0, 2));
+TEST(UndirectedGraph, FromEdgesSymmetric) {
+  const undirected_graph g = make_graph(3, {{0, 2}});
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(2, 0));
   EXPECT_EQ(g.num_edges(), 1u);
@@ -29,29 +29,13 @@ TEST(UndirectedGraph, AddEdgeSymmetric) {
 }
 
 TEST(UndirectedGraph, DuplicateAndSelfLoopIgnored) {
-  undirected_graph g(3);
-  EXPECT_TRUE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(1, 0));
-  EXPECT_FALSE(g.add_edge(2, 2));
+  const undirected_graph g = make_graph(3, {{0, 1}, {0, 1}, {1, 0}, {2, 2}});
   EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(UndirectedGraph, RemoveEdge) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  EXPECT_TRUE(g.remove_edge(1, 0));
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.remove_edge(0, 1));
-  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g, make_graph(3, {{0, 1}}));
 }
 
 TEST(UndirectedGraph, NeighborsSorted) {
-  undirected_graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+  const undirected_graph g = make_graph(5, {{2, 4}, {2, 0}, {2, 3}});
   const auto n = g.neighbors(2);
   ASSERT_EQ(n.size(), 3u);
   EXPECT_EQ(n[0], 0u);
@@ -60,9 +44,7 @@ TEST(UndirectedGraph, NeighborsSorted) {
 }
 
 TEST(UndirectedGraph, EdgesCanonical) {
-  undirected_graph g(4);
-  g.add_edge(3, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(4, {{3, 1}, {0, 2}});
   const auto es = g.edges();
   ASSERT_EQ(es.size(), 2u);
   EXPECT_EQ(es[0], (edge{0, 2}));
@@ -76,19 +58,28 @@ TEST(UndirectedGraph, HasEdgeOutOfRange) {
 }
 
 TEST(UndirectedGraph, Equality) {
-  undirected_graph a(3), b(3);
-  a.add_edge(0, 1);
-  b.add_edge(0, 1);
-  EXPECT_EQ(a, b);
-  b.add_edge(1, 2);
-  EXPECT_NE(a, b);
+  const undirected_graph a = make_graph(3, {{0, 1}});
+  EXPECT_EQ(a, make_graph(3, {{1, 0}}));
+  EXPECT_NE(a, make_graph(3, {{0, 1}, {1, 2}}));
+  EXPECT_NE(a, make_graph(4, {{0, 1}}));
+  // One representation per graph: the default graph is the empty one.
+  EXPECT_EQ(undirected_graph(), undirected_graph(0));
+  EXPECT_EQ(undirected_graph(3), make_graph(3, {}));
+}
+
+TEST(UndirectedGraph, InducedIsolatesMaskedOutNodes) {
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
+  const undirected_graph h = g.induced({true, true, false, true});
+  EXPECT_EQ(h, make_graph(4, {{0, 1}, {0, 3}}));
+  EXPECT_EQ(h.degree(2), 0u);
+  // A short mask masks out the nodes past its end.
+  EXPECT_EQ(g.induced({true, true}), make_graph(4, {{0, 1}}));
 }
 
 // ------------------------------------------------------------- digraph
 
 TEST(Digraph, ArcsAreDirected) {
-  digraph d(3);
-  EXPECT_TRUE(d.add_arc(0, 1));
+  const digraph d = make_digraph(3, {{0, 1}});
   EXPECT_TRUE(d.has_arc(0, 1));
   EXPECT_FALSE(d.has_arc(1, 0));
   EXPECT_EQ(d.num_arcs(), 1u);
@@ -96,29 +87,18 @@ TEST(Digraph, ArcsAreDirected) {
   EXPECT_EQ(d.out_degree(1), 0u);
 }
 
-TEST(Digraph, DuplicateAndSelfLoopIgnored) {
-  digraph d(2);
-  EXPECT_TRUE(d.add_arc(0, 1));
-  EXPECT_FALSE(d.add_arc(0, 1));
-  EXPECT_FALSE(d.add_arc(1, 1));
-  EXPECT_EQ(d.num_arcs(), 1u);
-}
-
-TEST(Digraph, RemoveArc) {
-  digraph d(2);
-  d.add_arc(0, 1);
-  EXPECT_TRUE(d.remove_arc(0, 1));
-  EXPECT_FALSE(d.remove_arc(0, 1));
-  EXPECT_EQ(d.num_arcs(), 0u);
+TEST(Digraph, Equality) {
+  EXPECT_EQ(make_digraph(3, {{0, 1}, {2, 1}}), make_digraph(3, {{2, 1}, {0, 1}}));
+  EXPECT_NE(make_digraph(3, {{0, 1}}), make_digraph(3, {{1, 0}}));
+  EXPECT_EQ(digraph(), digraph(0));
+  EXPECT_EQ(digraph(2), make_digraph(2, {}));
 }
 
 TEST(Digraph, SymmetricClosureKeepsAnyDirection) {
   // Example 2.1's lesson: (v,u0) in N_alpha without (u0,v) still must
-  // produce the undirected edge in E_alpha.
-  digraph d(3);
-  d.add_arc(0, 1);  // one-directional
-  d.add_arc(1, 2);
-  d.add_arc(2, 1);  // bidirectional
+  // produce the undirected edge in E_alpha. 0 -> 1 is one-directional,
+  // 1 <-> 2 bidirectional.
+  const digraph d = make_digraph(3, {{0, 1}, {1, 2}, {2, 1}});
   const undirected_graph closure = d.symmetric_closure();
   EXPECT_TRUE(closure.has_edge(0, 1));
   EXPECT_TRUE(closure.has_edge(1, 2));
@@ -127,10 +107,7 @@ TEST(Digraph, SymmetricClosureKeepsAnyDirection) {
 
 TEST(Digraph, SymmetricCoreKeepsOnlyMutual) {
   // Section 3.2: E^-_alpha keeps only mutual arcs.
-  digraph d(3);
-  d.add_arc(0, 1);
-  d.add_arc(1, 2);
-  d.add_arc(2, 1);
+  const digraph d = make_digraph(3, {{0, 1}, {1, 2}, {2, 1}});
   const undirected_graph core = d.symmetric_core();
   EXPECT_FALSE(core.has_edge(0, 1));
   EXPECT_TRUE(core.has_edge(1, 2));
@@ -138,13 +115,7 @@ TEST(Digraph, SymmetricCoreKeepsOnlyMutual) {
 }
 
 TEST(Digraph, CoreSubsetOfClosure) {
-  digraph d(6);
-  d.add_arc(0, 1);
-  d.add_arc(1, 0);
-  d.add_arc(2, 3);
-  d.add_arc(4, 5);
-  d.add_arc(5, 4);
-  d.add_arc(3, 5);
+  const digraph d = make_digraph(6, {{0, 1}, {1, 0}, {2, 3}, {4, 5}, {5, 4}, {3, 5}});
   const auto closure = d.symmetric_closure();
   const auto core = d.symmetric_core();
   for (const edge& e : core.edges()) EXPECT_TRUE(closure.has_edge(e.u, e.v));

@@ -8,16 +8,11 @@
 
 #include "graph/euclidean.h"
 #include "graph/graph.h"
+#include "graph_fixtures.h"
 #include "util/parallel.h"
 
 namespace cbtc::graph {
 namespace {
-
-undirected_graph path_graph(std::size_t n) {
-  undirected_graph g(n);
-  for (node_id i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
-}
 
 TEST(ConnectedComponents, SingletonNodes) {
   const component_labels c = connected_components(undirected_graph(4));
@@ -32,10 +27,7 @@ TEST(ConnectedComponents, PathIsOneComponent) {
 }
 
 TEST(ConnectedComponents, TwoIslands) {
-  undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
+  const undirected_graph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}});
   const component_labels c = connected_components(g);
   EXPECT_EQ(c.count, 3u);  // {0,1,2}, {3,4}, {5}
   EXPECT_TRUE(c.same_component(0, 2));
@@ -51,8 +43,7 @@ TEST(IsConnected, EmptyAndSingleton) {
 }
 
 TEST(Reachable, Basics) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(4, {{0, 1}});
   EXPECT_TRUE(reachable(g, 0, 1));
   EXPECT_TRUE(reachable(g, 1, 0));
   EXPECT_FALSE(reachable(g, 0, 2));
@@ -60,40 +51,28 @@ TEST(Reachable, Basics) {
 }
 
 TEST(SameConnectivity, IdenticalPartitions) {
-  undirected_graph a(4), b(4);
-  a.add_edge(0, 1);
-  a.add_edge(2, 3);
+  const undirected_graph a = make_graph(4, {{0, 1}, {2, 3}});
   // Different edges, same partition.
-  b.add_edge(1, 0);
-  b.add_edge(3, 2);
+  const undirected_graph b = make_graph(4, {{1, 0}, {3, 2}});
   EXPECT_TRUE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, DifferentPartitionsSameCount) {
   // Both have 2 components but group nodes differently.
-  undirected_graph a(4), b(4);
-  a.add_edge(0, 1);
-  a.add_edge(2, 3);
-  b.add_edge(0, 2);
-  b.add_edge(1, 3);
+  const undirected_graph a = make_graph(4, {{0, 1}, {2, 3}});
+  const undirected_graph b = make_graph(4, {{0, 2}, {1, 3}});
   EXPECT_FALSE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, ExtraEdgeInsideComponentIsFine) {
-  undirected_graph a(3), b(3);
-  a.add_edge(0, 1);
-  a.add_edge(1, 2);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(0, 2);  // chord
+  const undirected_graph a = make_graph(3, {{0, 1}, {1, 2}});
+  const undirected_graph b = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});  // chord
   EXPECT_TRUE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, SplitDetected) {
-  undirected_graph a(3), b(3);
-  a.add_edge(0, 1);
-  a.add_edge(1, 2);
-  b.add_edge(0, 1);
+  const undirected_graph a = make_graph(3, {{0, 1}, {1, 2}});
+  const undirected_graph b = make_graph(3, {{0, 1}});
   EXPECT_FALSE(same_connectivity(a, b));
 }
 
@@ -118,17 +97,6 @@ bool same_connectivity_bfs(const undirected_graph& a, const undirected_graph& b)
     if (a_to_b[la] != lb || b_to_a[lb] != la) return false;
   }
   return true;
-}
-
-undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& rng) {
-  undirected_graph g(n);
-  std::bernoulli_distribution edge(p);
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v = u + 1; v < n; ++v) {
-      if (edge(rng)) g.add_edge(u, v);
-    }
-  }
-  return g;
 }
 
 /// Adjacency view of a graph for same_connectivity_views.
@@ -156,7 +124,7 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
       std::uniform_int_distribution<node_id> node(0, static_cast<node_id>(n - 1));
       const node_id u = node(rng);
       const node_id v = node(rng);
-      if (u != v && !b.remove_edge(u, v)) b.add_edge(u, v);
+      if (u != v) b = b.has_edge(u, v) ? without_edge(b, {u, v}) : with_edge(b, {u, v});
     }
     const bool expected = same_connectivity_bfs(a, b);
     EXPECT_EQ(expected, same_connectivity(a, b)) << "trial " << trial;
@@ -177,8 +145,7 @@ TEST(SameConnectivity, ScratchIsReusableAcrossDifferentSizes) {
   EXPECT_TRUE(same_connectivity_views(50, view_of(big), view_of(big), scratch));
   const undirected_graph small = path_graph(3);
   EXPECT_TRUE(same_connectivity_views(3, view_of(small), view_of(small), scratch));
-  undirected_graph split = path_graph(3);
-  split.remove_edge(1, 2);
+  const undirected_graph split = without_edge(path_graph(3), {1, 2});
   EXPECT_FALSE(same_connectivity_views(3, view_of(small), view_of(split), scratch));
 }
 
@@ -188,19 +155,14 @@ TEST(BfsDistances, PathGraph) {
 }
 
 TEST(BfsDistances, UnreachableIsMax) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(BfsPath, FindsShortestPath) {
   // 0-1-2-3 plus shortcut 0-2.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(0, 2);
+  const undirected_graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}, {0, 2}});
   const auto p = bfs_path(g, 0, 3);
   ASSERT_EQ(p.size(), 3u);
   EXPECT_EQ(p.front(), 0u);
@@ -209,8 +171,7 @@ TEST(BfsPath, FindsShortestPath) {
 }
 
 TEST(BfsPath, NoPathReturnsEmpty) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = make_graph(3, {{0, 1}});
   EXPECT_TRUE(bfs_path(g, 0, 2).empty());
 }
 
@@ -222,10 +183,11 @@ TEST(BfsPath, TrivialSelfPath) {
 
 TEST(BfsPath, EdgesExistAlongPath) {
   std::mt19937_64 rng(13);
-  undirected_graph g(50);
+  std::vector<edge> edges;
   for (int i = 0; i < 120; ++i) {
-    g.add_edge(static_cast<node_id>(rng() % 50), static_cast<node_id>(rng() % 50));
+    edges.push_back({static_cast<node_id>(rng() % 50), static_cast<node_id>(rng() % 50)});
   }
+  const undirected_graph g = make_graph(50, std::move(edges));
   const auto p = bfs_path(g, 0, 42);
   for (std::size_t i = 0; i + 1 < p.size(); ++i) {
     EXPECT_TRUE(g.has_edge(p[i], p[i + 1]));

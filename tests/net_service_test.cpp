@@ -178,8 +178,10 @@ TEST(ShardDispatchTest, DynamicAndLifetimeBatchesMatchInProcess) {
 }
 
 // A request the shard's parser rejects (a 0-node lifetime batch, which
-// would divide by zero in run_lifetime) comes back as an error frame;
-// the shard keeps serving and the next batch matches in-process.
+// would divide by zero in run_lifetime, or one over the work budget,
+// which would run for ever on a field where nobody dies) comes back as
+// an error frame; the shard keeps serving and the next batch matches
+// in-process.
 TEST(ShardDispatchTest, RejectedRequestLeavesTheShardServing) {
   shard_fleet fleet{std::vector<net::serve_config>(1)};
   dispatch_config cfg = config_for(fleet);
@@ -189,16 +191,26 @@ TEST(ShardDispatchTest, RejectedRequestLeavesTheShardServing) {
   life.battery_rounds = 20.0;
   life.max_rounds = 2000;
   const api::seed_range seeds{0, 20};
+  const auto expect_rejected = [&](const api::scenario_spec& spec,
+                                   const api::lifetime_spec& bad_life, const std::string& field) {
+    try {
+      (void)dispatcher.run_batch(spec, bad_life, seeds);
+      ADD_FAILURE() << "a batch with a bad " << field << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
 
   api::scenario_spec empty = test_spec();
   empty.deploy.nodes = 0;
-  try {
-    (void)dispatcher.run_batch(empty, life, seeds);
-    ADD_FAILURE() << "a 0-node lifetime batch was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("scenario.deployment.nodes"), std::string::npos)
-        << e.what();
-  }
+  expect_rejected(empty, life, "scenario.deployment.nodes");
+  api::lifetime_spec endless = life;
+  endless.battery_rounds = 1e300;
+  endless.max_rounds = 1'000'000'000'000;
+  expect_rejected(test_spec(), endless, "lifetime.max_rounds");
+  api::lifetime_spec flooded = life;
+  flooded.flows = 1'000'000'000'000;
+  expect_rejected(test_spec(), flooded, "lifetime.flows");
 
   const lifetime_batch_report reference = engine().run_batch(test_spec(), life, seeds, 2);
   EXPECT_TRUE(api::reports_equal(reference, dispatcher.run_batch(test_spec(), life, seeds)));

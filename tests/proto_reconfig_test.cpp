@@ -57,14 +57,14 @@ struct reconfig_net {
   /// Topology = symmetric closure of live agents' neighbor tables,
   /// restricted to live nodes.
   [[nodiscard]] graph::undirected_graph live_topology() const {
-    graph::undirected_graph g(agents.size());
+    std::vector<graph::edge> edges;
     for (node_id u = 0; u < agents.size(); ++u) {
       if (!medium.is_up(u)) continue;
       for (const auto& [v, info] : agents[u]->cbtc().neighbors()) {
-        if (medium.is_up(v)) g.add_edge(u, v);
+        if (medium.is_up(v)) edges.push_back({u, v});
       }
     }
-    return g;
+    return graph::undirected_graph::from_edges(agents.size(), std::move(edges));
   }
 
   /// G_R over live nodes only (dead nodes isolated).
