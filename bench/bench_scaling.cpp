@@ -30,6 +30,7 @@
 #include "graph/digraph.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
+#include "graph/metrics.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
 
@@ -308,6 +309,44 @@ void BM_EngineMetricsOff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineMetricsOff)->Arg(12000)->Unit(benchmark::kMillisecond);
+
+/// The BM_EngineMetricsOn instance at `nodes` nodes: its deployment,
+/// its topology and its G_R, built once and shared across runs so the
+/// timed region is the stretch pass alone.
+struct stretch_fixture {
+  api::scenario_spec spec;
+  std::vector<geom::vec2> positions;
+  graph::undirected_graph topology;
+  graph::undirected_graph gr;
+};
+
+const stretch_fixture& stretch_instance(std::int64_t nodes) {
+  static std::map<std::int64_t, stretch_fixture> cache;
+  const auto [it, fresh] = cache.try_emplace(nodes);
+  if (fresh) {
+    stretch_fixture& f = it->second;
+    f.spec = table1_spec_at(nodes, true);
+    f.positions = f.spec.make_positions(0);
+    f.topology = eng.run(f.spec).topology;
+    util::thread_pool pool(f.spec.cbtc.intra_threads);
+    f.gr = graph::build_max_power_graph(f.positions, f.spec.link(0), pool);
+  }
+  return it->second;
+}
+
+/// graph::power_stretch of that run's topology against its G_R, from
+/// the run's 8 samples on its 4-wide pool: the stretch share of
+/// BM_EngineMetricsOn.
+void BM_PowerStretch(benchmark::State& state) {
+  const stretch_fixture& f = stretch_instance(state.range(0));
+  const double exponent = f.spec.link(0).power().exponent();
+  util::thread_pool pool(f.spec.cbtc.intra_threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::power_stretch(f.topology, f.gr, f.positions, exponent,
+                                                  f.spec.metrics.stretch_samples, pool));
+  }
+}
+BENCHMARK(BM_PowerStretch)->Arg(12000)->Unit(benchmark::kMillisecond);
 
 // -- million-node static pipeline -------------------------------------
 

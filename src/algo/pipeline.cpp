@@ -20,7 +20,7 @@ topology_result apply_optimizations_impl(cbtc_result grown, std::span<const geom
   // symmetric core/closure construction and the op3 classification
   // run on the same process-wide executor as the growth loop did.
   util::thread_pool pool(params.intra_threads);
-  out.growth = opts.shrink_back ? apply_shrink_back(grown) : std::move(grown);
+  out.growth = opts.shrink_back ? apply_shrink_back(std::move(grown)) : std::move(grown);
 
   out.asymmetric_applied = opts.asymmetric_removal && asymmetric_removal_applicable(params.alpha);
   out.topology = out.asymmetric_applied ? out.growth.symmetric_core(pool)

@@ -1,6 +1,6 @@
 #include "algo/shrink_back.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "geom/arc_set.h"
 
@@ -8,18 +8,20 @@ namespace cbtc::algo {
 
 namespace {
 
-node_result shrink_node(const node_result& in, double alpha, const shrink_back_options& opts) {
-  if (in.neighbors.empty() || in.level_powers.size() <= 1) return in;
+/// Shrinks `node` in place; a node whose kept level is already its
+/// last is left untouched.
+void shrink_node(node_result& node, double alpha, const shrink_back_options& opts) {
+  if (node.neighbors.empty() || node.level_powers.size() <= 1) return;
 
-  const std::vector<double> all_dirs = in.directions();
+  const std::vector<double> all_dirs = node.directions();
   const geom::arc_set full_cover = geom::arc_set::cover(all_dirs, alpha);
 
   // dir_i = directions discovered at level <= i; find the minimum i with
   // cover_alpha(dir_i) == cover_alpha(dir_k). Neighbors are not sorted
   // by level (they are sorted by distance), so accumulate per level.
-  const std::size_t num_levels = in.level_powers.size();
+  const std::size_t num_levels = node.level_powers.size();
   std::vector<std::vector<double>> dirs_at_level(num_levels);
-  for (const neighbor_record& r : in.neighbors) {
+  for (const neighbor_record& r : node.neighbors) {
     if (r.distance > 0.0) dirs_at_level[r.level].push_back(r.direction);  // coincident: no bearing
   }
 
@@ -33,34 +35,21 @@ node_result shrink_node(const node_result& in, double alpha, const shrink_back_o
       break;
     }
   }
-  if (keep_level == num_levels - 1) return in;
+  if (keep_level == num_levels - 1) return;
 
-  node_result out;
-  out.boundary = in.boundary;
-  out.level_powers.assign(in.level_powers.begin(),
-                          in.level_powers.begin() + static_cast<std::ptrdiff_t>(keep_level) + 1);
-  out.final_power = out.level_powers.back();
-  out.neighbors.reserve(in.neighbors.size());
-  for (const neighbor_record& r : in.neighbors) {
-    if (r.level <= keep_level) out.neighbors.push_back(r);
-  }
-  return out;
+  node.level_powers.resize(keep_level + 1);
+  node.final_power = node.level_powers.back();
+  std::erase_if(node.neighbors,
+                [keep_level](const neighbor_record& r) { return r.level > keep_level; });
 }
 
 }  // namespace
 
-cbtc_result apply_shrink_back(const cbtc_result& in, const shrink_back_options& opts) {
-  cbtc_result out;
-  out.params = in.params;
-  out.nodes.reserve(in.nodes.size());
-  for (const node_result& n : in.nodes) {
-    if (opts.boundary_only && !n.boundary) {
-      out.nodes.push_back(n);
-    } else {
-      out.nodes.push_back(shrink_node(n, in.params.alpha, opts));
-    }
+cbtc_result apply_shrink_back(cbtc_result in, const shrink_back_options& opts) {
+  for (node_result& n : in.nodes) {
+    if (!opts.boundary_only || n.boundary) shrink_node(n, in.params.alpha, opts);
   }
-  return out;
+  return in;
 }
 
 }  // namespace cbtc::algo

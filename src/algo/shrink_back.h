@@ -21,10 +21,11 @@ struct shrink_back_options {
   double cover_epsilon{1e-9};
 };
 
-/// Returns a copy of `in` with shrink-back applied per node: neighbors
-/// tagged with a removed level disappear and final_power becomes the
-/// power tag of the highest kept level.
-[[nodiscard]] cbtc_result apply_shrink_back(const cbtc_result& in,
-                                            const shrink_back_options& opts = {});
+/// Returns `in` with shrink-back applied per node: neighbors tagged
+/// with a removed level disappear and final_power becomes the power tag
+/// of the highest kept level. Trimmed nodes are edited in place and
+/// every other node is left as it was, so a growth outcome moved in
+/// comes back out without any node record being copied.
+[[nodiscard]] cbtc_result apply_shrink_back(cbtc_result in, const shrink_back_options& opts = {});
 
 }  // namespace cbtc::algo

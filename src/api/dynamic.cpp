@@ -140,6 +140,12 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
                                   std::to_string(positions.size()));
     }
   }
+  if (sim_cfg.traffic.enabled() && sim_cfg.traffic.sink >= positions.size()) {
+    throw std::invalid_argument("run_dynamic: traffic sink " +
+                                std::to_string(sim_cfg.traffic.sink) +
+                                " is not below the node count " +
+                                std::to_string(positions.size()));
+  }
   const radio::link_model link = spec.link(seed);
   const radio::power_model& pm = link.power();
   const std::uint64_t instance_seed = spec.base_seed + seed;
@@ -359,7 +365,7 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   // engine's lookahead.
   if (sim_cfg.traffic.enabled() && positions.size() > 1) {
     sim::convergecast_config tc;
-    tc.sink = sim_cfg.traffic.sink < positions.size() ? sim_cfg.traffic.sink : 0;
+    tc.sink = sim_cfg.traffic.sink;
     const double lead = std::max(0.0, spec.protocol.channel.base_delay);
     tc.period = std::max(sim_cfg.traffic.period, lead);
     tc.start = std::min(sim_cfg.traffic.start > 0.0 ? sim_cfg.traffic.start
@@ -526,6 +532,10 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
   const std::size_t n = positions.size();
   // Every round draws flow endpoints modulo n.
   if (n == 0) throw std::invalid_argument("run_lifetime: the deployment has no nodes");
+  if (life.convergecast && life.sink >= n) {
+    throw std::invalid_argument("run_lifetime: convergecast sink " + std::to_string(life.sink) +
+                                " is not below the node count " + std::to_string(n));
+  }
   const double battery = life.battery_rounds * pm.max_power();
   std::vector<double> charge(n, battery);
   std::vector<bool> alive(n, true);
@@ -577,7 +587,7 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
   // more transmit power on longer links to bypass depleted relays.
   // Transmitters always *pay* the real link power; the weighting only
   // biases path choice.
-  const graph::node_id sink = life.sink < n ? life.sink : 0;
+  const graph::node_id sink = life.sink;
   graph::undirected_graph live_gr =
       life.policy == lifetime_policy::cooperative_adaptation ? gr : graph::undirected_graph(0);
   const auto residual = [&](graph::node_id u) { return std::max(charge[u] / battery, 1e-3); };

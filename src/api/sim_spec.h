@@ -115,7 +115,7 @@ struct partition_spec {
 /// lookahead always holds.
 struct traffic_spec {
   double period{0.0};          ///< reading period per node; 0 = traffic off
-  graph::node_id sink{0};      ///< collection point (clamped into [0, n))
+  graph::node_id sink{0};      ///< collection point; below n (run_dynamic throws otherwise)
   double start{0.0};           ///< 0 = settle
   double until{0.0};           ///< 0 = horizon (generation stop time)
   double service_time{0.05};   ///< one transmission per node per interval
@@ -185,6 +185,8 @@ struct lifetime_spec {
   /// node sends one reading to `sink` along the policy's routing tree.
   /// The sink is mains-powered (pays neither beacons nor relaying).
   bool convergecast{false};
+  /// Convergecast collection point; with convergecast on it must be
+  /// below the node count (run_lifetime throws otherwise).
   graph::node_id sink{0};
 
   [[nodiscard]] bool operator==(const lifetime_spec&) const = default;

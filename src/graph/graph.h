@@ -52,6 +52,10 @@ class undirected_graph {
     return {flat_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
   [[nodiscard]] std::size_t degree(node_id u) const { return offsets_[u + 1] - offsets_[u]; }
+  /// Position of u's list in the concatenated neighbor array: arc
+  /// first_arc(u) + k is u -> neighbors(u)[k]. Per-arc data (such as
+  /// graph::arc_costs) aligns with this numbering.
+  [[nodiscard]] std::size_t first_arc(node_id u) const { return offsets_[u]; }
 
   /// All edges with u < v, sorted lexicographically.
   [[nodiscard]] std::vector<edge> edges() const;

@@ -68,14 +68,15 @@ double average_power(const undirected_graph& g, std::span<const geom::vec2> posi
 
 namespace {
 
-/// Distances from one source, +infinity where unreachable.
-using sssp_fn = std::function<std::vector<double>(const undirected_graph&, node_id)>;
+/// Distances in one graph from one source, +infinity where unreachable.
+using sssp_fn = std::function<std::vector<double>(node_id)>;
 
-stretch_stats stretch_impl(const undirected_graph& sparse, const undirected_graph& dense,
-                           std::size_t sample_sources, const util::thread_pool& pool,
-                           const sssp_fn& sssp) {
+/// Stretch over the sampled sources of an n-node pair of graphs, whose
+/// single-source searches are `sparse_from` and `dense_from`.
+stretch_stats stretch_impl(std::size_t n, std::size_t sample_sources,
+                           const util::thread_pool& pool, const sssp_fn& sparse_from,
+                           const sssp_fn& dense_from) {
   stretch_stats stats;
-  const std::size_t n = dense.num_nodes();
   if (n == 0 || sample_sources == 0) return stats;
   // Deterministic sampling: evenly spaced source ids.
   const std::size_t step = n / std::min(sample_sources, n);
@@ -87,8 +88,8 @@ stretch_stats stretch_impl(const undirected_graph& sparse, const undirected_grap
   pool.parallel_for_chunks(sources, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const auto s = static_cast<node_id>(i * step);
-      const std::vector<double> dd = sssp(dense, s);
-      std::vector<double> ratio = sssp(sparse, s);
+      const std::vector<double> dd = dense_from(s);
+      std::vector<double> ratio = sparse_from(s);
       for (std::size_t t = 0; t < n; ++t) {
         // Skipped: the source itself, pairs unreachable in the dense
         // graph, and connectivity violations (unreachable in sparse).
@@ -137,14 +138,23 @@ std::vector<double> bfs_as_double(const undirected_graph& g, node_id s) {
 stretch_stats power_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                             const std::vector<geom::vec2>& positions, double exponent,
                             std::size_t sample_sources, const util::thread_pool& pool) {
+  const std::size_t n = dense.num_nodes();
+  if (n == 0 || sample_sources == 0) return {};
+  // Every source searches the same two graphs under the same cost, so
+  // each arc's d^exponent is evaluated once here, not per relaxation.
   const edge_cost_fn cost = power_cost(positions, exponent);
-  return stretch_impl(sparse, dense, sample_sources, pool,
-                      [&cost](const undirected_graph& g, node_id s) { return dijkstra(g, s, cost); });
+  const std::vector<double> sparse_cost = arc_costs(sparse, cost, pool);
+  const std::vector<double> dense_cost = arc_costs(dense, cost, pool);
+  return stretch_impl(
+      n, sample_sources, pool, [&](node_id s) { return dijkstra(sparse, s, sparse_cost); },
+      [&](node_id s) { return dijkstra(dense, s, dense_cost); });
 }
 
 stretch_stats hop_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                           std::size_t sample_sources, const util::thread_pool& pool) {
-  return stretch_impl(sparse, dense, sample_sources, pool, bfs_as_double);
+  return stretch_impl(
+      dense.num_nodes(), sample_sources, pool, [&](node_id s) { return bfs_as_double(sparse, s); },
+      [&](node_id s) { return bfs_as_double(dense, s); });
 }
 
 }  // namespace cbtc::graph

@@ -57,9 +57,11 @@ struct stretch_stats {
 /// running one Dijkstra per graph. Pass the node count (or more) for
 /// the exact all-pairs statistic; 0 sources gives the default stats.
 ///
-/// Each source's Dijkstra runs take one pool slot; the per-pair ratios
-/// then fold serially in (source, target) order, so the result is
-/// bitwise identical at every pool width.
+/// Each graph's arc costs d^exponent are evaluated once, on `pool`
+/// (graph::arc_costs), and every source's Dijkstra reads them. Each
+/// source's two searches take one pool slot; the per-pair ratios then
+/// fold serially in (source, target) order, so the result is bitwise
+/// identical at every pool width.
 [[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
                                           const undirected_graph& dense,
                                           const std::vector<geom::vec2>& positions, double exponent,

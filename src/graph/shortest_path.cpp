@@ -1,8 +1,11 @@
 #include "graph/shortest_path.h"
 
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace cbtc::graph {
 
@@ -70,9 +73,11 @@ class frontier {
 };
 
 /// The one Dijkstra loop behind dijkstra and dijkstra_tree: strict `<`
-/// relaxation, nodes settled in (distance, id) order. `parent` may be
-/// null when only distances are wanted.
-void dijkstra_kernel(const undirected_graph& g, node_id from, const edge_cost_fn& cost,
+/// relaxation, nodes settled in (distance, id) order. `arc_cost(u, v,
+/// a)` is the cost of arc a, u -> v (a indexes g's CSR neighbor
+/// array). `parent` may be null when only distances are wanted.
+template <class ArcCost>
+void dijkstra_kernel(const undirected_graph& g, node_id from, const ArcCost& arc_cost,
                      std::vector<double>& dist, std::vector<node_id>* parent) {
   dist.assign(g.num_nodes(), std::numeric_limits<double>::infinity());
   if (parent) parent->assign(g.num_nodes(), invalid_node);
@@ -82,14 +87,17 @@ void dijkstra_kernel(const undirected_graph& g, node_id from, const edge_cost_fn
   while (!open.empty()) {
     const node_id u = open.pop();
     const double d = dist[u];
-    for (node_id v : g.neighbors(u)) {
+    const std::span<const node_id> nbrs = g.neighbors(u);
+    const std::size_t first = g.first_arc(u);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const node_id v = nbrs[k];
       // Settled skip: costs are non-negative and rounding is monotone,
       // so d + cost(u, v) >= d, and an arc into a node already at
       // distance <= d (every settled node) can never pass the strict
       // test below. Skipping it saves the cost call and changes no bit
       // of dist or parent.
       if (dist[v] <= d) continue;
-      const double nd = d + cost(u, v);
+      const double nd = d + arc_cost(u, v, first + k);
       if (nd < dist[v]) {
         dist[v] = nd;
         if (parent) (*parent)[v] = u;
@@ -101,23 +109,35 @@ void dijkstra_kernel(const undirected_graph& g, node_id from, const edge_cost_fn
 
 }  // namespace
 
-std::vector<double> dijkstra(const undirected_graph& g, node_id from, const edge_cost_fn& cost) {
+std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cost,
+                              const util::thread_pool& pool) {
+  std::vector<double> out(2 * g.num_edges());
+  pool.parallel_for(g.num_nodes(), [&](std::size_t i) {
+    const auto u = static_cast<node_id>(i);
+    const std::span<const node_id> nbrs = g.neighbors(u);
+    double* const costs = out.data() + g.first_arc(u);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) costs[k] = cost(u, nbrs[k]);
+  });
+  return out;
+}
+
+std::vector<double> dijkstra(const undirected_graph& g, node_id from,
+                             std::span<const double> arc_cost) {
+  assert(arc_cost.size() == 2 * g.num_edges());
   std::vector<double> dist;
-  dijkstra_kernel(g, from, cost, dist, nullptr);
+  dijkstra_kernel(
+      g, from, [arc_cost](node_id, node_id, std::size_t a) { return arc_cost[a]; }, dist,
+      nullptr);
   return dist;
 }
 
 shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                  const edge_cost_fn& cost) {
   shortest_path_tree tree;
-  dijkstra_kernel(g, from, cost, tree.dist, &tree.parent);
+  dijkstra_kernel(
+      g, from, [&cost](node_id u, node_id v, std::size_t) { return cost(u, v); }, tree.dist,
+      &tree.parent);
   return tree;
-}
-
-edge_cost_fn euclidean_cost(const std::vector<geom::vec2>& positions) {
-  return [&positions](node_id u, node_id v) {
-    return geom::distance(positions[u], positions[v]);
-  };
 }
 
 edge_cost_fn power_cost(const std::vector<geom::vec2>& positions, double exponent) {

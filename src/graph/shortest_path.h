@@ -3,14 +3,29 @@
 // Used to measure *power stretch*: the paper's competitiveness
 // discussion compares the power of the most power-efficient route in
 // G_alpha against the one in G_R, with per-hop cost p(d) = d^n.
+//
+// Two ways to give the costs. A search that runs many times over one
+// fixed cost (the stretch pass: every sampled source, on the same two
+// graphs) evaluates each arc's cost once with arc_costs and hands the
+// resulting array to dijkstra. A search whose costs change between
+// calls (run_lifetime's residual-energy route weights) passes a cost
+// callback to dijkstra_tree. Both run the same kernel, so the same
+// costs give the same distances bit for bit.
+//
+// Arc-cost layout: an arc-cost array of g has one entry per arc,
+// aligned with g's CSR neighbor array. Entry g.first_arc(u) + k is the
+// cost of the arc u -> g.neighbors(u)[k]; each undirected edge {u, v}
+// has two entries, one per direction, so costs may be asymmetric.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -19,9 +34,18 @@ namespace cbtc::graph {
 /// of calls is not part of the contract).
 using edge_cost_fn = std::function<double(node_id, node_id)>;
 
-/// Dijkstra from `from`. Unreachable nodes get +infinity.
+/// g's arc-cost array (see the layout above): entry g.first_arc(u) + k
+/// is cost(u, g.neighbors(u)[k]). Filled per node on `pool`, one slot
+/// per node, so the array is identical at every pool width.
+[[nodiscard]] std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cost,
+                                            const util::thread_pool& pool = util::thread_pool(1));
+
+/// Dijkstra from `from` over g's arc-cost array `arc_cost` (one
+/// non-negative entry per arc, as arc_costs lays it out). Unreachable
+/// nodes get +infinity. Equal, bit for bit, to dijkstra_tree(g, from,
+/// cost).dist when arc_cost = arc_costs(g, cost).
 [[nodiscard]] std::vector<double> dijkstra(const undirected_graph& g, node_id from,
-                                           const edge_cost_fn& cost);
+                                           std::span<const double> arc_cost);
 
 /// Shortest-path tree rooted at the Dijkstra source: `parent[u]` is the
 /// next hop from `u` toward the root (invalid_node for the root itself
@@ -38,9 +62,6 @@ struct shortest_path_tree {
 /// neighbor already settled.
 [[nodiscard]] shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                                const edge_cost_fn& cost);
-
-/// Edge cost equal to Euclidean length (hop-length metric).
-[[nodiscard]] edge_cost_fn euclidean_cost(const std::vector<geom::vec2>& positions);
 
 /// Edge cost equal to transmission power d^exponent (energy metric).
 [[nodiscard]] edge_cost_fn power_cost(const std::vector<geom::vec2>& positions, double exponent);

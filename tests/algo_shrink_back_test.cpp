@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "geom/arc_set.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
@@ -121,6 +126,82 @@ TEST(ShrinkBack, ReducesAverageRadiusOnPaperWorkload) {
       graph::average_radius(before.symmetric_closure(), positions, pm.max_range());
   const double r_after = graph::average_radius(after.symmetric_closure(), positions, pm.max_range());
   EXPECT_LT(r_after, r_before);
+}
+
+/// Shrink-back by copying: every node copied into a fresh result, the
+/// trimmed ones rebuilt from their kept levels. The oracle for the
+/// library's in-place pass.
+node_result reference_shrink_node(const node_result& in, double alpha,
+                                  const shrink_back_options& opts) {
+  if (in.neighbors.empty() || in.level_powers.size() <= 1) return in;
+  const geom::arc_set full_cover = geom::arc_set::cover(in.directions(), alpha);
+  for (std::size_t keep = 0; keep + 1 < in.level_powers.size(); ++keep) {
+    std::vector<double> dirs;
+    for (const neighbor_record& r : in.neighbors) {
+      if (r.level <= keep && r.distance > 0.0) dirs.push_back(r.direction);
+    }
+    if (!geom::arc_set::cover(dirs, alpha).approx_equals(full_cover, opts.cover_epsilon)) continue;
+    node_result out;
+    out.boundary = in.boundary;
+    out.level_powers.assign(in.level_powers.begin(),
+                            in.level_powers.begin() + static_cast<std::ptrdiff_t>(keep) + 1);
+    out.final_power = out.level_powers.back();
+    for (const neighbor_record& r : in.neighbors) {
+      if (r.level <= keep) out.neighbors.push_back(r);
+    }
+    return out;
+  }
+  return in;
+}
+
+cbtc_result reference_shrink_back(const cbtc_result& in, const shrink_back_options& opts) {
+  cbtc_result out;
+  out.params = in.params;
+  for (const node_result& n : in.nodes) {
+    out.nodes.push_back(opts.boundary_only && !n.boundary
+                            ? n
+                            : reference_shrink_node(n, in.params.alpha, opts));
+  }
+  return out;
+}
+
+TEST(ShrinkBack, MatchesCopyBasedReference) {
+  for (const std::uint64_t seed : {20u, 21u, 22u, 23u}) {
+    for (const growth_mode mode : {growth_mode::discrete, growth_mode::continuous}) {
+      for (const bool boundary_only : {true, false}) {
+        const cbtc_result grown = paper_instance(seed, mode);
+        const shrink_back_options opts{.boundary_only = boundary_only};
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " mode "
+                                          << static_cast<int>(mode) << " boundary_only "
+                                          << boundary_only);
+        const cbtc_result want = reference_shrink_back(grown, opts);
+        ASSERT_NE(want, grown);  // someone was trimmed
+        EXPECT_EQ(apply_shrink_back(grown, opts), want);
+      }
+    }
+  }
+}
+
+TEST(ShrinkBack, MovedInGrowthKeepsUntrimmedNodeBuffers) {
+  // A growth moved in is edited in place: no node it leaves alone is
+  // copied, so each keeps the very neighbor buffer it came in with.
+  for (const bool boundary_only : {true, false}) {
+    cbtc_result grown = paper_instance(8);
+    const cbtc_result before = grown;
+    std::vector<const neighbor_record*> buffers;
+    for (const node_result& n : grown.nodes) buffers.push_back(n.neighbors.data());
+    const cbtc_result after =
+        apply_shrink_back(std::move(grown), {.boundary_only = boundary_only});
+    ASSERT_EQ(after, reference_shrink_back(before, {.boundary_only = boundary_only}));
+    std::size_t untrimmed = 0;
+    for (std::size_t u = 0; u < after.num_nodes(); ++u) {
+      if (after.nodes[u] != before.nodes[u]) continue;
+      ++untrimmed;
+      EXPECT_EQ(after.nodes[u].neighbors.data(), buffers[u]) << "node " << u;
+    }
+    EXPECT_GT(untrimmed, 0u);
+    EXPECT_LT(untrimmed, after.num_nodes());
+  }
 }
 
 TEST(ShrinkBack, EmptyAndTrivialNodesUntouched) {

@@ -72,12 +72,58 @@ TEST(ApiSim, RunDynamicRejectsFailureEventBeyondNodeCount) {
   EXPECT_FALSE(eng.run_dynamic(spec, dyn, 0).up[23]);  // the last node is a valid target
 }
 
+// A traffic sink must name a node: one at or above the node count is
+// refused, not silently replaced by node 0.
+TEST(ApiSim, RunDynamicRejectsTrafficSinkBeyondNodeCount) {
+  const scenario_spec spec = churn_scenario();
+  sim_spec dyn = churn_sim();
+  dyn.failures = {};
+  const engine eng;
+  dyn.traffic = {.period = 2.0, .sink = 24, .start = 10.0};
+  try {
+    (void)eng.run_dynamic(spec, dyn, 0);
+    ADD_FAILURE() << "sink 24 of 24 nodes was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_dynamic: traffic sink 24 is not below the node count 24");
+  }
+  dyn.traffic.sink = 4000000000u;
+  EXPECT_THROW((void)eng.run_dynamic(spec, dyn, 0), std::invalid_argument);
+  // The last node is a valid sink, and with traffic off the sink is
+  // not used, so it is not checked.
+  dyn.traffic.sink = 23;
+  EXPECT_GT(eng.run_dynamic(spec, dyn, 0).traffic.generated, 0u);
+  dyn.traffic = {.period = 0.0, .sink = 24};
+  EXPECT_NO_THROW((void)eng.run_dynamic(spec, dyn, 0));
+}
+
 // Every lifetime round draws flow endpoints modulo the node count, so
 // an empty deployment must be refused before the first round.
 TEST(ApiSim, RunLifetimeRejectsEmptyDeployment) {
   scenario_spec spec;
   spec.deploy.nodes = 0;
   EXPECT_THROW((void)engine().run_lifetime(spec, lifetime_spec{}, 0), std::invalid_argument);
+}
+
+// A convergecast sink at or above the node count is refused, not run
+// as node 0; without convergecast rounds the sink is not used.
+TEST(ApiSim, RunLifetimeRejectsConvergecastSinkBeyondNodeCount) {
+  scenario_spec spec;
+  spec.deploy.nodes = 30;
+  const engine eng;
+  lifetime_spec life{.battery_rounds = 5.0, .max_rounds = 50, .convergecast = true, .sink = 30};
+  try {
+    (void)eng.run_lifetime(spec, life, 0);
+    ADD_FAILURE() << "sink 30 of 30 nodes was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_lifetime: convergecast sink 30 is not below the node count 30");
+  }
+  life.sink = 500;
+  EXPECT_THROW((void)eng.run_lifetime(spec, life, 0), std::invalid_argument);
+  life.sink = 29;
+  EXPECT_NO_THROW((void)eng.run_lifetime(spec, life, 0));
+  life.convergecast = false;
+  life.sink = 500;
+  EXPECT_NO_THROW((void)eng.run_lifetime(spec, life, 0));
 }
 
 // Crash a quarter of the nodes after the topology settles: the NDP

@@ -77,26 +77,33 @@ TEST(AveragePower, QuadraticCost) {
 
 // ----------------------------------------------------------- dijkstra
 
+/// Edge cost equal to Euclidean length (hop-length metric).
+edge_cost_fn euclidean_cost(const std::vector<geom::vec2>& positions) {
+  return [&positions](node_id u, node_id v) {
+    return geom::distance(positions[u], positions[v]);
+  };
+}
+
 TEST(Dijkstra, PowerCostPrefersRelaying) {
   // Quadratic cost makes two 100-hops (2 * 100^2) cheaper than one
   // 200-hop (200^2) — the paper's motivation for topology control.
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}};
   const undirected_graph g = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
-  const auto d = dijkstra(g, 0, power_cost(pts, 2.0));
+  const auto d = dijkstra(g, 0, arc_costs(g, power_cost(pts, 2.0)));
   EXPECT_DOUBLE_EQ(d[2], 2.0 * 100.0 * 100.0);
 }
 
 TEST(Dijkstra, EuclideanCostPrefersDirect) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 50}, {200, 0}};
   const undirected_graph g = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
-  const auto d = dijkstra(g, 0, euclidean_cost(pts));
+  const auto d = dijkstra(g, 0, arc_costs(g, euclidean_cost(pts)));
   EXPECT_DOUBLE_EQ(d[2], 200.0);
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
   const undirected_graph g = make_graph(3, {{0, 1}});
   const std::vector<geom::vec2> pts{{0, 0}, {1, 0}, {2, 0}};
-  const auto d = dijkstra(g, 0, euclidean_cost(pts));
+  const auto d = dijkstra(g, 0, arc_costs(g, euclidean_cost(pts)));
   EXPECT_TRUE(std::isinf(d[2]));
   EXPECT_DOUBLE_EQ(d[0], 0.0);
 }
@@ -282,6 +289,12 @@ std::vector<metric_case> metric_cases() {
   }
   holes.sparse = make_graph(holes.sparse.num_nodes(), std::move(kept));
   cases.push_back(std::move(holes));
+  // Every fifth node stacked on its predecessor: each coincident pair
+  // is a zero-cost arc (0^2), so zero-distance targets must be skipped
+  // and zero-cost hops sit inside longer routes.
+  std::vector<geom::vec2> stacked = geom::uniform_points(400, region, 5);
+  for (std::size_t i = 5; i < stacked.size(); i += 5) stacked[i] = stacked[i - 1];
+  cases.push_back(cbtc_case("coincident", std::move(stacked)));
   return cases;
 }
 

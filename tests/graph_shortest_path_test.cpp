@@ -1,8 +1,10 @@
 // Edge cases of graph::dijkstra_tree left untested by the metrics
 // suite: unreachable sinks, zero-weight and duplicate edges, trivial
 // graphs, and tie-break determinism (including graphs assembled at
-// different pool widths). Plus bitwise equality of the kernel with a
-// plain lazy-deletion loop on random graphs full of ties.
+// different pool widths). Plus bitwise equality of the kernel, through
+// both dijkstra_tree's cost callback and dijkstra's arc-cost array,
+// with a plain lazy-deletion loop on random graphs full of ties, and
+// the arc-cost array's layout and pool-width invariance.
 #include "graph/shortest_path.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <limits>
 #include <queue>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -164,6 +167,7 @@ TEST(DijkstraTree, MatchesLazyDeletionLoopBitwise) {
       return 0.1 * static_cast<double>(mix(salt ^ (std::uint64_t{u} << 32 | v)) % 4);
     };
     for (const edge_cost_fn& cost : {quantized, power_cost(lattice, 2.0), unit_cost}) {
+      const std::vector<double> costs = arc_costs(g, cost);
       for (int pick = 0; pick < 3; ++pick) {
         const auto from = static_cast<node_id>(rng() % n);
         const shortest_path_tree want = reference_tree(g, from, cost);
@@ -171,10 +175,61 @@ TEST(DijkstraTree, MatchesLazyDeletionLoopBitwise) {
         SCOPED_TRACE(::testing::Message() << "round " << round << " from " << from);
         ASSERT_EQ(got.dist, want.dist);  // element-wise bitwise doubles
         ASSERT_EQ(got.parent, want.parent);
-        ASSERT_EQ(dijkstra(g, from, cost), want.dist);
+        ASSERT_EQ(dijkstra(g, from, costs), want.dist);
       }
     }
   }
+}
+
+/// A cost that differs per direction: cost(u, v) != cost(v, u).
+const edge_cost_fn asymmetric_cost = [](node_id u, node_id v) {
+  return 1000.0 * static_cast<double>(u) + static_cast<double>(v);
+};
+
+TEST(ArcCosts, EntryFollowsTheCsrNeighborOrder) {
+  // Entry first_arc(u) + k is the arc u -> neighbors(u)[k], in that
+  // direction: the asymmetric cost tells u -> v from v -> u.
+  std::mt19937_64 rng(1907);
+  const undirected_graph g = random_graph(60, 0.1, rng);
+  const std::vector<double> costs = arc_costs(g, asymmetric_cost);
+  ASSERT_EQ(costs.size(), 2 * g.num_edges());
+  for (node_id u = 0; u < g.num_nodes(); ++u) {
+    const std::span<const node_id> nbrs = g.neighbors(u);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      EXPECT_EQ(costs[g.first_arc(u) + k], asymmetric_cost(u, nbrs[k])) << u << " " << k;
+    }
+  }
+}
+
+TEST(ArcCosts, IdenticalAtAnyPoolWidth) {
+  const std::vector<vec2> positions =
+      geom::uniform_points(300, geom::bbox::rect(2000.0, 2000.0), 17);
+  const undirected_graph g = build_max_power_graph(positions, 400.0);
+  ASSERT_GT(g.num_edges(), 0u);
+  for (const edge_cost_fn& cost : {power_cost(positions, 2.0), asymmetric_cost}) {
+    const std::vector<double> serial = arc_costs(g, cost);
+    for (const unsigned width : {3u, 4u}) {
+      util::thread_pool pool(width);
+      EXPECT_EQ(arc_costs(g, cost, pool), serial) << "width " << width;
+    }
+  }
+}
+
+TEST(ArcCosts, EmptyGraphAndIsolatedNodes) {
+  EXPECT_TRUE(arc_costs(undirected_graph(0), unit_cost).empty());
+  // Nodes 0 and 3 are isolated: they own no arcs, and a search from
+  // either reaches only itself.
+  const undirected_graph g = make_graph(4, {{1, 2}});
+  const std::vector<double> costs = arc_costs(g, asymmetric_cost);
+  EXPECT_EQ(costs, (std::vector<double>{1002.0, 2001.0}));
+  const std::vector<double> from_isolated = dijkstra(g, 0, costs);
+  EXPECT_EQ(from_isolated[0], 0.0);
+  for (node_id v = 1; v < 4; ++v) EXPECT_TRUE(std::isinf(from_isolated[v])) << v;
+  const std::vector<double> from_pair = dijkstra(g, 2, costs);
+  EXPECT_EQ(from_pair[1], 2001.0);
+  EXPECT_TRUE(std::isinf(from_pair[3]));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(dijkstra(undirected_graph(3), 1, {}), (std::vector<double>{inf, 0.0, inf}));
 }
 
 }  // namespace

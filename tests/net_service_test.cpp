@@ -211,6 +211,10 @@ TEST(ShardDispatchTest, RejectedRequestLeavesTheShardServing) {
   api::lifetime_spec flooded = life;
   flooded.flows = 1'000'000'000'000;
   expect_rejected(test_spec(), flooded, "lifetime.flows");
+  api::lifetime_spec off_field = life;
+  off_field.convergecast = true;
+  off_field.sink = 40;  // test_spec() deploys 40 nodes
+  expect_rejected(test_spec(), off_field, "run_lifetime: convergecast sink 40");
 
   const lifetime_batch_report reference = engine().run_batch(test_spec(), life, seeds, 2);
   EXPECT_TRUE(api::reports_equal(reference, dispatcher.run_batch(test_spec(), life, seeds)));
