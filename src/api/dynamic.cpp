@@ -9,10 +9,12 @@
 // The live max-power graph G_R is never rebuilt from scratch during a
 // run: a graph::live_neighbor_index mirrors the medium through move /
 // liveness hooks (each mobility tick or crash/restart costs
-// O(neighborhood) instead of O(n * k)), and an event-driven union-find
-// connectivity monitor on top of it yields exact disruption windows —
-// connectivity is re-evaluated at every event timestamp that changed
-// the index or an agent's neighbor table, not at sample cadence.
+// O(neighborhood) instead of O(n * k)). At every event timestamp that
+// changed the index or an agent's neighbor table, and at every sample,
+// graph::evaluate_connectivity reads it beside the closure mirror and
+// yields both verdicts of the instant (preservation and field
+// connectivity) from one union-find forest per graph, so disruption
+// windows are exact, not sample-cadence approximations.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -42,7 +44,6 @@ namespace {
 /// Liveness-restricted view of the network at one instant.
 struct live_state {
   graph::undirected_graph topology;  ///< live agents' symmetric neighbor closure
-  graph::undirected_graph gr;        ///< live G_R (snapshot of the incremental index)
   std::vector<bool> up;
   std::size_t live{0};
 };
@@ -53,12 +54,12 @@ struct live_state {
 live_state capture_live_state(const graph::live_neighbor_index& index,
                               const graph::closure_mirror& mirror) {
   const std::size_t n = mirror.num_nodes();
-  live_state s{mirror.live_graph(), index.graph(), std::vector<bool>(n), index.live_count()};
+  live_state s{mirror.live_graph(), std::vector<bool>(n), index.live_count()};
   for (graph::node_id u = 0; u < n; ++u) s.up[u] = index.is_live(u);
   return s;
 }
 
-dynamic_sample measure(const live_state& s, bool field_connected,
+dynamic_sample measure(const live_state& s, graph::connectivity_verdict verdict,
                        const std::vector<geom::vec2>& positions, double max_range, double t,
                        const util::thread_pool& pool) {
   dynamic_sample out;
@@ -83,26 +84,23 @@ dynamic_sample measure(const live_state& s, bool field_connected,
       },
       [](double& total, const double& part) { total += part; });
   out.avg_radius = s.live == 0 ? 0.0 : radius_sum / static_cast<double>(s.live);
-  out.connectivity_ok = graph::same_connectivity(s.topology, s.gr, pool);
-  out.field_connected = field_connected;
+  out.connectivity_ok = verdict.preserved;
+  out.field_connected = verdict.field_connected;
   return out;
 }
 
+/// The lifetime run's field question, asked like the dynamic run's:
+/// dead nodes are singletons of the alive-filtered forest of `g`.
 bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vector<bool>& alive) {
-  graph::node_id first_alive = graph::invalid_node;
-  std::size_t alive_count = 0;
-  for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
-    if (alive[u]) {
-      ++alive_count;
-      if (first_alive == graph::invalid_node) first_alive = u;
+  graph::component_forest forest;
+  forest.build(g.num_nodes(), [&](graph::node_id u, auto&& emit) {
+    if (!alive[u]) return;
+    for (const graph::node_id v : g.neighbors(u)) {
+      if (alive[v]) emit(v);
     }
-  }
-  if (alive_count <= 1) return true;
-  const auto comps = graph::connected_components(g.induced(alive));
-  for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
-    if (alive[u] && !comps.same_component(u, first_alive)) return false;
-  }
-  return true;
+  });
+  return forest.live_nodes_connected(
+      static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true)));
 }
 
 /// Region grid side (g x g regions) for a dynamic run; 0 selects the
@@ -203,11 +201,11 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   }
 
   // The incremental live G_R: mirrored from the medium through hooks,
-  // never rebuilt. The union-find monitor answers field connectivity
-  // at event granularity. Link-aware: under a non-uniform propagation
-  // model the index maintains exactly the links that close at P.
+  // never rebuilt. Link-aware: under a non-uniform propagation model
+  // the index maintains exactly the links that close at P. `scratch`
+  // holds the two union-find forests every connectivity verdict
+  // rebuilds in place.
   graph::live_neighbor_index index(positions, link);
-  graph::connectivity_monitor field_monitor(index);
   graph::connectivity_scratch scratch;
 
   // Broadcast routing through the live index: neighbors(u) is exactly
@@ -278,7 +276,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   double latency_sum = 0.0;
   double field_broken_since = -1.0;
 
-  const auto track = [&](double t, bool ok, bool field) {
+  const auto track = [&](double t, graph::connectivity_verdict verdict) {
+    const bool ok = verdict.preserved;
+    const bool field = verdict.field_connected;
     if (!ok && was_ok && broken_since < 0.0) broken_since = t;
     if (ok) {
       if (broken_since >= 0.0) {
@@ -306,10 +306,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   const auto evaluate_now = [&] {
     // In-place: read the mirror's and the index's adjacency directly —
     // no per-evaluation graph snapshots on the dense-churn path.
-    // Verdict identical to the snapshot comparison (partitions, not
-    // representations, decide); asserted in radio_propagation_test.
-    track(simulator.now(), graph::same_connectivity(mirror, index, scratch),
-          field_monitor.connected());
+    // Verdicts identical to the snapshot comparison (partitions, not
+    // representations, decide); asserted in proto_reconfig_test.
+    track(simulator.now(), graph::evaluate_connectivity(mirror, index, scratch));
   };
   // Convergecast data plane (declared before the hooks that mark its
   // routes stale; constructed after the agents exist, below).
@@ -440,10 +439,10 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   live_state state;  // last captured state (reused for the final report)
   const auto observe = [&](double t) {
     state = capture_live_state(index, mirror);
-    const dynamic_sample s = measure(state, field_monitor.connected(), medium.positions(),
-                                     pm.max_range(), t, pool);
-    track(t, s.connectivity_ok, s.field_connected);
-    r.samples.push_back(s);
+    const graph::connectivity_verdict verdict =
+        graph::evaluate_connectivity(mirror, index, scratch);
+    r.samples.push_back(measure(state, verdict, medium.positions(), pm.max_range(), t, pool));
+    track(t, verdict);
   };
 
   const double settle = std::min(sim_cfg.settle, sim_cfg.horizon);

@@ -260,9 +260,9 @@ struct dynamic_report {
   double repair_latency_max{0.0};
 
   // -- field (G_R) disruption windows -------------------------------
-  // From the event-driven union-find connectivity monitor on the
-  // live-neighbor index: exact times the survivors' max-power graph
-  // split and healed.
+  // From the field verdict of the same per-instant evaluation (the
+  // live-neighbor index's G_R forest): exact times the survivors'
+  // max-power graph split and healed.
   std::size_t field_disruptions{0};  ///< G_R split episodes that healed
   double field_downtime{0.0};        ///< total time the live field was split
 

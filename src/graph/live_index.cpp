@@ -1,6 +1,7 @@
 #include "graph/live_index.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cbtc::graph {
 
@@ -118,7 +119,6 @@ void live_neighbor_index::link(node_id u, node_id v) {
   av.insert(std::lower_bound(av.begin(), av.end(), u), u);
   ++num_edges_;
   ++version_;
-  if (observer_) observer_(std::min(u, v), std::max(u, v), true);
 }
 
 void live_neighbor_index::unlink(node_id u, node_id v) {
@@ -128,7 +128,6 @@ void live_neighbor_index::unlink(node_id u, node_id v) {
   av.erase(std::lower_bound(av.begin(), av.end(), u));
   --num_edges_;
   ++version_;
-  if (observer_) observer_(std::min(u, v), std::max(u, v), false);
 }
 
 void live_neighbor_index::move(node_id u, const geom::vec2& p) {
@@ -177,7 +176,6 @@ void live_neighbor_index::erase(node_id u) {
   live_[u] = false;
   --live_count_;
   ++version_;
-  if (node_observer_) node_observer_(u, false);
 }
 
 void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
@@ -192,7 +190,6 @@ void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
   live_[u] = true;
   ++live_count_;
   ++version_;
-  if (node_observer_) node_observer_(u, true);
   scratch_.clear();
   grid_.query_radius_into(p, max_range_, u, scratch_);
   filter_reachable(u, scratch_);
@@ -253,62 +250,20 @@ undirected_graph closure_mirror::live_graph() const {
       });
 }
 
-bool same_connectivity(const closure_mirror& topology, const live_neighbor_index& max_power,
-                       connectivity_scratch& scratch) {
-  const std::size_t n = topology.num_nodes();
-  if (n != max_power.num_nodes()) return false;
-  // Both views isolate down nodes: the mirror filters by liveness, the
-  // index drops a node's adjacency on erase. Partitions therefore
-  // match the snapshot comparison's exactly.
-  return same_connectivity_views(
-      n,
-      [&](node_id u, auto&& emit) { topology.for_each_live_neighbor(u, emit); },
-      [&](node_id u, auto&& emit) {
-        for (const node_id v : max_power.neighbors(u)) emit(v);
-      },
-      scratch);
-}
-
-connectivity_monitor::connectivity_monitor(live_neighbor_index& index)
-    : index_(index), uf_(index.num_nodes()) {
-  index_.set_observer([this](node_id u, node_id v, bool added) {
-    if (added) {
-      if (!stale_) uf_.unite(u, v);
-    } else {
-      stale_ = true;  // union-find cannot un-merge; rebuild lazily
-    }
-  });
-  index_.set_node_observer([this](node_id, bool) {
-    // A crash orphans its old unions; a restart revives a node whose
-    // stale root may predate its crash. Both invalidate the forest.
-    stale_ = true;
-  });
-}
-
-void connectivity_monitor::rebuild() {
-  uf_ = union_find(index_.num_nodes());
-  for (node_id u = 0; u < index_.num_nodes(); ++u) {
-    if (!index_.is_live(u)) continue;
-    for (const node_id v : index_.neighbors(u)) {
-      if (u < v) uf_.unite(u, v);
-    }
+connectivity_verdict evaluate_connectivity(const closure_mirror& topology,
+                                           const live_neighbor_index& max_power,
+                                           connectivity_scratch& scratch) {
+  const std::size_t n = max_power.num_nodes();
+  if (topology.num_nodes() != n) {
+    throw std::invalid_argument("evaluate_connectivity: the topology and G_R node counts differ");
   }
-  stale_ = false;
-}
-
-bool connectivity_monitor::connected() {
-  if (index_.live_count() <= 1) return true;
-  if (stale_) rebuild();
-  node_id first = invalid_node;
-  for (node_id u = 0; u < index_.num_nodes(); ++u) {
-    if (!index_.is_live(u)) continue;
-    if (first == invalid_node) {
-      first = u;
-    } else if (!uf_.same(u, first)) {
-      return false;
-    }
-  }
-  return true;
+  const auto closure = [&](node_id u, auto&& emit) { topology.for_each_live_neighbor(u, emit); };
+  scratch.topology.build(n, closure);
+  scratch.max_power.build(n, [&](node_id u, auto&& emit) {
+    for (const node_id v : max_power.neighbors(u)) emit(v);
+  });
+  return {.preserved = same_partition(scratch.topology, closure, scratch.max_power),
+          .field_connected = scratch.max_power.live_nodes_connected(max_power.live_count())};
 }
 
 }  // namespace cbtc::graph

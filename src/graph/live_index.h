@@ -10,18 +10,15 @@
 // same inclusive <= comparison (tests assert edge identity after
 // arbitrary event sequences).
 //
-// connectivity_monitor sits on top and answers "is the live field one
-// component?" at event granularity: edge additions are united into a
-// union-find immediately; removals (and liveness changes) mark it
-// stale and the next query rebuilds from the maintained adjacency —
-// O(n + m) without any geometry, far cheaper than a graph rebuild.
-// This is what turns sample-granularity partition detection into
-// exact disruption windows.
+// evaluate_connectivity reads it in place beside the closure_mirror of
+// the agents' topology and answers both questions of an instant from
+// one union-find forest per graph: does the topology preserve G_R's
+// connectivity, and is the live field one component? The G_R forest
+// serves both, so the field verdict costs a component count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -31,17 +28,12 @@
 #include "graph/graph.h"
 #include "graph/traversal.h"
 #include "graph/types.h"
-#include "graph/union_find.h"
 #include "radio/propagation.h"
 
 namespace cbtc::graph {
 
 class live_neighbor_index {
  public:
-  /// Called for every edge delta: (u, v, true) when {u, v} appears,
-  /// (u, v, false) when it disappears. u < v always.
-  using edge_observer = std::function<void(node_id, node_id, bool)>;
-
   /// Builds the index over `positions`, all nodes initially up.
   live_neighbor_index(std::span<const geom::vec2> positions, double max_range);
 
@@ -69,7 +61,7 @@ class live_neighbor_index {
 
   /// Bumped by every edge delta and liveness flip. A move that left
   /// the version unchanged provably changed neither the live G_R nor
-  /// the live set, so observers can skip re-evaluating connectivity.
+  /// the live set, so callers can skip re-evaluating connectivity.
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] const geom::vec2& position(node_id u) const { return positions_[u]; }
 
@@ -80,14 +72,6 @@ class live_neighbor_index {
   /// per node from the maintained lists; identical to
   /// build_max_power_graph(positions, R).induced(up).
   [[nodiscard]] undirected_graph graph() const;
-
-  /// Installs the (single) edge observer. Pass {} to detach.
-  void set_observer(edge_observer obs) { observer_ = std::move(obs); }
-
-  /// Called after a liveness flip: (u, true) on insert, (u, false) on
-  /// erase. Edge deltas for the flip arrive through the edge observer.
-  using node_observer = std::function<void(node_id, bool)>;
-  void set_node_observer(node_observer obs) { node_observer_ = std::move(obs); }
 
   /// Gain-cache telemetry (always zero for distance indexes): every
   /// per-link filter is one lookup; misses are the lookups that had to
@@ -160,8 +144,6 @@ class live_neighbor_index {
   std::size_t live_count_{0};
   std::size_t num_edges_{0};
   std::vector<std::vector<node_id>> adj_;  // sorted, live endpoints only
-  edge_observer observer_;
-  node_observer node_observer_;
   void note_churn(node_id u) {
     if (u < region_map_.size()) ++region_churn_[region_map_[u]];
   }
@@ -227,35 +209,29 @@ class closure_mirror {
   std::vector<bool> live_;
 };
 
-/// In-place connectivity-preservation check: compares the partition of
-/// the mirrored closure topology against the live G_R index without
-/// materializing either graph — the allocation-free path the dynamic
-/// engine runs at every topology-changing event (dense-churn runs used
-/// to copy both graphs per evaluation). Verdict identical to
-/// same_connectivity(mirror.live_graph(), index.graph(), ...).
-[[nodiscard]] bool same_connectivity(const closure_mirror& topology,
-                                     const live_neighbor_index& max_power,
-                                     connectivity_scratch& scratch);
-
-/// Event-driven union-find connectivity monitor over a
-/// live_neighbor_index (see header comment). Installs itself as the
-/// index's edge observer; the index must outlive the monitor.
-class connectivity_monitor {
- public:
-  explicit connectivity_monitor(live_neighbor_index& index);
-
-  /// True when every live node lies in one component of the live G_R
-  /// (trivially true for fewer than two live nodes). Amortized O(1)
-  /// while edges only appear; O(n + m) rebuild after a removal.
-  [[nodiscard]] bool connected();
-
- private:
-  void rebuild();
-
-  live_neighbor_index& index_;
-  union_find uf_;
-  std::size_t live_at_build_{0};
-  bool stale_{true};
+/// Both connectivity verdicts of one instant.
+struct connectivity_verdict {
+  bool preserved{false};        ///< the topology's partition equals the live G_R's
+  bool field_connected{false};  ///< the live G_R is one component
 };
+
+/// Reusable forests for evaluate_connectivity; allocation-free after
+/// the first use.
+struct connectivity_scratch {
+  component_forest topology;
+  component_forest max_power;
+};
+
+/// Compares the partition of the mirrored closure topology against the
+/// live G_R index in place, without materializing either graph, and
+/// reads field connectivity off the same G_R forest: down nodes are
+/// singletons there (the index drops a node's adjacency on erase), so
+/// the live nodes are one component iff the forest has at most
+/// (n - live) + 1 sets. One union-find pass per graph; `preserved`
+/// equals same_connectivity(topology.live_graph(), max_power.graph()).
+/// Throws std::invalid_argument when the node counts differ.
+[[nodiscard]] connectivity_verdict evaluate_connectivity(const closure_mirror& topology,
+                                                         const live_neighbor_index& max_power,
+                                                         connectivity_scratch& scratch);
 
 }  // namespace cbtc::graph

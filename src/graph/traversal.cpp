@@ -41,21 +41,6 @@ bool reachable(const undirected_graph& g, node_id u, node_id v) {
   return connected_components(g).same_component(u, v);
 }
 
-namespace {
-
-/// Every edge of `a` inside one component of `b`'s flattened forest?
-bool edges_within(const undirected_graph& a, const std::vector<node_id>& root_b, std::size_t lo,
-                  std::size_t hi) {
-  for (std::size_t u = lo; u < hi; ++u) {
-    for (node_id v : a.neighbors(static_cast<node_id>(u))) {
-      if (v > u && root_b[u] != root_b[v]) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
                        const util::thread_pool& pool) {
   if (a.num_nodes() != b.num_nodes()) return false;
@@ -64,19 +49,11 @@ bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
       for (const node_id v : g.neighbors(u)) emit(v);
     };
   };
-  const std::size_t n = a.num_nodes();
-  connectivity_scratch scratch;
-  if (detail::view_uf_build(n, view(a), scratch.root_a, scratch.size_a) !=
-      detail::view_uf_build(n, view(b), scratch.root_b, scratch.size_b)) {
-    return false;
-  }
-  // Equal component counts + "a refines b" (every a-edge stays inside
-  // one b-component, hence every a-component sits inside one
-  // b-component) force the partitions to be equal.
-  return pool.reduce<bool>(
-      n, true,
-      [&](std::size_t lo, std::size_t hi) { return edges_within(a, scratch.root_b, lo, hi); },
-      [](bool& total, const bool& part) { total = total && part; });
+  component_forest fa;
+  component_forest fb;
+  fa.build(a.num_nodes(), view(a));
+  fb.build(b.num_nodes(), view(b));
+  return same_partition(fa, view(a), fb, pool);
 }
 
 std::vector<std::uint32_t> bfs_distances(const undirected_graph& g, node_id from) {

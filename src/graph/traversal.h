@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -32,99 +33,97 @@ struct component_labels {
 /// True if u and v are in the same component.
 [[nodiscard]] bool reachable(const undirected_graph& g, node_id u, node_id v);
 
-/// Reusable buffers for same_connectivity_views: two disjoint-set
-/// forests. Event-driven callers (the dynamic engine evaluates
-/// connectivity at every topology-changing event) hold one across
-/// calls so the comparison performs no allocations after the first
-/// use.
-struct connectivity_scratch {
-  std::vector<node_id> root_a;
-  std::vector<node_id> root_b;
-  std::vector<std::uint32_t> size_a;
-  std::vector<std::uint32_t> size_b;
+// ---- component forests over adjacency views -------------------------
+// A view is a callable `view(u, emit)` invoking `emit(v)` for every
+// neighbor v of u (each edge visible from both endpoints). Graphs and
+// the dynamic engine's incremental adjacencies (graph::closure_mirror,
+// live_neighbor_index) are all read through views, so one forest build
+// and one partition comparison serve both without snapshotting.
+
+/// Disjoint-set forest of an adjacency view over nodes [0, n),
+/// flattened after the build so `root[u]` is u's component
+/// representative. Event-driven callers (the dynamic engine evaluates
+/// connectivity at every changed instant) keep one across calls, so a
+/// rebuild allocates nothing after the first.
+struct component_forest {
+  std::vector<node_id> root;
+  std::vector<std::uint32_t> size;
+  std::size_t sets{0};
+
+  /// Rebuilds the forest of `view` over nodes [0, n) (union by size +
+  /// path halving, O(m alpha)); `sets` is then its component count.
+  template <class NeighborView>
+  void build(std::size_t n, NeighborView&& view) {
+    root.resize(n);
+    size.assign(n, 1);
+    for (node_id u = 0; u < n; ++u) root[u] = u;
+    sets = n;
+    for (node_id u = 0; u < n; ++u) {
+      view(u, [&](node_id v) {
+        if (v <= u) return;  // each edge once
+        node_id ra = find(u);
+        node_id rb = find(v);
+        if (ra == rb) return;
+        if (size[ra] < size[rb]) std::swap(ra, rb);
+        root[rb] = ra;
+        size[ra] += size[rb];
+        --sets;
+      });
+    }
+    for (node_id u = 0; u < n; ++u) root[u] = find(u);
+  }
+
+  /// True when the `live` nodes lie in one component, given that every
+  /// other node is a singleton (a down node has no edges): the forest
+  /// then has at most (n - live) + 1 components. Trivially true for
+  /// fewer than two live nodes.
+  [[nodiscard]] bool live_nodes_connected(std::size_t live) const {
+    return sets <= root.size() - live + 1;
+  }
+
+ private:
+  node_id find(node_id x) {
+    while (root[x] != x) {
+      root[x] = root[root[x]];  // path halving
+      x = root[x];
+    }
+    return x;
+  }
 };
+
+/// Partition equality of view `a`, whose built forest is `fa`, and the
+/// forest `fb` over the same node set. Equal component counts plus "a
+/// refines b" (every edge of `a` stays inside one b-component, hence
+/// every a-component inside one b-component) force the partitions to
+/// be equal. The edge check runs over fixed node blocks on `pool` and
+/// only reads the flattened `fb`; identical verdict for any width.
+template <class ViewA>
+[[nodiscard]] bool same_partition(const component_forest& fa, ViewA&& a,
+                                  const component_forest& fb,
+                                  const util::thread_pool& pool = util::thread_pool(1)) {
+  if (fa.sets != fb.sets || fa.root.size() != fb.root.size()) return false;
+  return pool.reduce<bool>(
+      fa.root.size(), true,
+      [&](std::size_t lo, std::size_t hi) {
+        bool within = true;
+        for (auto u = static_cast<node_id>(lo); u < hi && within; ++u) {
+          a(u, [&](node_id v) {
+            if (v > u && fb.root[u] != fb.root[v]) within = false;
+          });
+        }
+        return within;
+      },
+      [](bool& total, const bool& part) { total = total && part; });
+}
 
 /// True if `a` and `b` have identical component *partitions* — the
 /// paper's preservation property: every pair connected in one is
 /// connected in the other. Requires equal node counts.
 ///
 /// Implemented as a union-find comparison, not a BFS pair: build both
-/// forests (union by size + path halving, O(m alpha)), compare
-/// component counts, then check that every edge of `a` stays inside
-/// one `b`-component — a partition that refines another with the same
-/// block count equals it. The edge-containment check runs over fixed
-/// node blocks on `pool` (the forests are flattened first, so that
-/// phase only reads). Identical verdict for any pool width.
+/// forests, then same_partition above.
 [[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
                                      const util::thread_pool& pool = util::thread_pool(1));
-
-// ---- adjacency-view comparison --------------------------------------
-// same_connectivity without materializing graphs: callers that hold an
-// incremental adjacency (graph::closure_mirror, live_neighbor_index)
-// compare partitions in place instead of snapshotting two
-// undirected_graphs per evaluation. A view is a callable
-// `view(u, emit)` invoking `emit(v)` for every neighbor v of u (each
-// edge visible from both endpoints). The verdict is identical to the
-// graph comparison: partitions — not forest shapes — decide.
-
-namespace detail {
-
-inline node_id view_uf_find(std::vector<node_id>& parent, node_id x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
-  }
-  return x;
-}
-
-template <class NeighborView>
-std::size_t view_uf_build(std::size_t n, NeighborView&& view, std::vector<node_id>& parent,
-                          std::vector<std::uint32_t>& size) {
-  parent.resize(n);
-  size.assign(n, 1);
-  for (node_id u = 0; u < n; ++u) parent[u] = u;
-  std::size_t sets = n;
-  for (node_id u = 0; u < n; ++u) {
-    view(u, [&](node_id v) {
-      if (v <= u) return;  // each edge once
-      node_id ra = view_uf_find(parent, u);
-      node_id rb = view_uf_find(parent, v);
-      if (ra == rb) return;
-      if (size[ra] < size[rb]) {
-        const node_id t = ra;
-        ra = rb;
-        rb = t;
-      }
-      parent[rb] = ra;
-      size[ra] += size[rb];
-      --sets;
-    });
-  }
-  for (node_id u = 0; u < n; ++u) parent[u] = view_uf_find(parent, u);
-  return sets;
-}
-
-}  // namespace detail
-
-/// Partition equality of two adjacency views over the same node set
-/// (see above). Allocation-free after the first use of `scratch`.
-template <class ViewA, class ViewB>
-[[nodiscard]] bool same_connectivity_views(std::size_t n, ViewA&& a, ViewB&& b,
-                                           connectivity_scratch& scratch) {
-  if (detail::view_uf_build(n, a, scratch.root_a, scratch.size_a) !=
-      detail::view_uf_build(n, b, scratch.root_b, scratch.size_b)) {
-    return false;
-  }
-  // Equal component counts + "a refines b" force partition equality
-  // (same argument as the graph comparison).
-  bool within = true;
-  for (node_id u = 0; u < n && within; ++u) {
-    a(u, [&](node_id v) {
-      if (v > u && scratch.root_b[u] != scratch.root_b[v]) within = false;
-    });
-  }
-  return within;
-}
 
 /// Shortest path in hops from `from` to `to`; empty if unreachable.
 /// The returned path includes both endpoints.

@@ -12,6 +12,7 @@
 
 #include "graph/digraph.h"
 #include "graph/graph.h"
+#include "graph/traversal.h"
 
 namespace cbtc::graph {
 
@@ -78,6 +79,22 @@ inline undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& r
     }
   }
   return make_graph(n, std::move(edges));
+}
+
+/// BFS reference for field connectivity: every node that `up` marks
+/// lies in one component of `g` (trivially true for fewer than two).
+inline bool live_nodes_connected_bfs(const undirected_graph& g, const std::vector<bool>& up) {
+  const component_labels comps = connected_components(g);
+  node_id first = invalid_node;
+  for (node_id u = 0; u < up.size(); ++u) {
+    if (!up[u]) continue;
+    if (first == invalid_node) {
+      first = u;
+    } else if (!comps.same_component(u, first)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace cbtc::graph

@@ -1,8 +1,9 @@
 // The incremental live-neighbor index must be indistinguishable from a
 // fresh max-power graph build: after ANY sequence of moves, crashes,
 // and restarts, its edge set equals
-// build_max_power_graph(positions).induced(up), and the event-driven
-// union-find monitor agrees with component analysis of that graph.
+// build_max_power_graph(positions).induced(up), and the field verdict
+// of evaluate_connectivity agrees with component analysis of that
+// graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 
 namespace cbtc::graph {
 namespace {
@@ -29,18 +31,12 @@ undirected_graph reference_graph(const std::vector<geom::vec2>& positions,
   return build_max_power_graph(positions, kRange).induced(up);
 }
 
-bool reference_field_connected(const undirected_graph& gr, const std::vector<bool>& up) {
-  node_id first = invalid_node;
-  const component_labels comps = connected_components(gr);
-  for (node_id u = 0; u < up.size(); ++u) {
-    if (!up[u]) continue;
-    if (first == invalid_node) {
-      first = u;
-    } else if (!comps.same_component(u, first)) {
-      return false;
-    }
-  }
-  return true;
+/// The field verdict of `index`. The mirror only has to match the
+/// index's node count: the field verdict reads the G_R forest alone.
+bool field_connected(const live_neighbor_index& index) {
+  const closure_mirror no_topology(index.num_nodes());
+  connectivity_scratch scratch;
+  return evaluate_connectivity(no_topology, index, scratch).field_connected;
 }
 
 TEST(LiveIndex, InitialBuildMatchesMaxPowerGraph) {
@@ -84,14 +80,12 @@ TEST(LiveIndex, MoveAcrossTheFieldRewiresNeighborhoods) {
   }
 }
 
-/// The property test the tentpole asks for: random mobility / crash /
-/// restart sequences, with edge-identity and monitor agreement checked
-/// after every batch of events.
+/// Random mobility / crash / restart sequences, with edge identity and
+/// the field verdict checked after every batch of events.
 TEST(LiveIndex, RandomChurnStaysEdgeIdenticalToFreshBuild) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto positions = deployment(50, 100 + seed);
     live_neighbor_index index(positions, kRange);
-    connectivity_monitor monitor(index);
     std::vector<geom::vec2> current = positions;
     std::vector<bool> up(positions.size(), true);
 
@@ -121,31 +115,37 @@ TEST(LiveIndex, RandomChurnStaysEdgeIdenticalToFreshBuild) {
       if (step % 10 == 0 || step + 1 == 300) {
         const undirected_graph expected = reference_graph(current, up);
         ASSERT_EQ(index.graph(), expected) << "seed " << seed << " step " << step;
-        ASSERT_EQ(monitor.connected(), reference_field_connected(expected, up))
+        ASSERT_EQ(field_connected(index), live_nodes_connected_bfs(expected, up))
             << "seed " << seed << " step " << step;
       }
     }
   }
 }
 
-TEST(LiveIndex, MonitorIsIncrementalOnPureEdgeAdditions) {
-  // Start fully crashed, then bring nodes up one at a time: every edge
-  // arrives as an addition, so the monitor unions incrementally and
+TEST(LiveIndex, FieldVerdictFromAllDownThroughOneByOneRestarts) {
+  // Crash every node, then restart them one at a time: the verdict
+  // passes through 0 and 1 live nodes (trivially one component) and
   // must agree with the reference at each stage.
   const auto positions = deployment(40, 3);
   live_neighbor_index index(positions, kRange);
-  connectivity_monitor monitor(index);
   std::vector<bool> up(positions.size(), true);
   for (node_id u = 0; u < positions.size(); ++u) {
     index.erase(u);
     up[u] = false;
   }
+  ASSERT_EQ(index.live_count(), 0u);
+  EXPECT_TRUE(field_connected(index));
+  std::size_t split = 0;
   for (node_id u = 0; u < positions.size(); ++u) {
     index.insert(u, positions[u]);
     up[u] = true;
-    ASSERT_EQ(monitor.connected(), reference_field_connected(reference_graph(positions, up), up))
-        << "after insert " << u;
+    const bool expected = live_nodes_connected_bfs(reference_graph(positions, up), up);
+    ASSERT_EQ(field_connected(index), expected) << "after insert " << u;
+    if (!expected) ++split;
   }
+  // The restarts must pass through a split field for the case to mean
+  // anything.
+  EXPECT_GT(split, 0u);
 }
 
 TEST(DynamicGrid, QueriesMatchBruteForceUnderChurn) {

@@ -99,17 +99,27 @@ bool same_connectivity_bfs(const undirected_graph& a, const undirected_graph& b)
   return true;
 }
 
-/// Adjacency view of a graph for same_connectivity_views.
+/// Adjacency view of a graph for component_forest / same_partition.
 auto view_of(const undirected_graph& g) {
   return [&g](node_id u, auto&& emit) {
     for (const node_id v : g.neighbors(u)) emit(v);
   };
 }
 
+/// The forest-level comparison the dynamic engine runs, on forests
+/// reused across calls.
+bool same_partition_reusing(std::size_t n, const undirected_graph& a, const undirected_graph& b,
+                            component_forest& fa, component_forest& fb) {
+  fa.build(n, view_of(a));
+  fb.build(n, view_of(b));
+  return same_partition(fa, view_of(a), fb);
+}
+
 TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
   std::mt19937_64 rng(20260729);
   util::thread_pool pool(4);
-  connectivity_scratch scratch;
+  component_forest fa;
+  component_forest fb;
   std::uniform_int_distribution<std::size_t> size(1, 60);
   std::uniform_real_distribution<double> density(0.0, 0.12);
   std::size_t agreements_true = 0;
@@ -129,8 +139,8 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
     const bool expected = same_connectivity_bfs(a, b);
     EXPECT_EQ(expected, same_connectivity(a, b)) << "trial " << trial;
     EXPECT_EQ(expected, same_connectivity(a, b, pool)) << "trial " << trial;
-    EXPECT_EQ(expected, same_connectivity_views(n, view_of(a), view_of(b), scratch))
-        << "trial " << trial;
+    EXPECT_EQ(expected, same_partition_reusing(n, a, b, fa, fb)) << "trial " << trial;
+    EXPECT_EQ(fb.sets, connected_components(b).count) << "trial " << trial;
     ++(expected ? agreements_true : agreements_false);
   }
   // The trial mix must exercise both verdicts for the comparison to
@@ -139,14 +149,33 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
   EXPECT_GT(agreements_false, 0u);
 }
 
-TEST(SameConnectivity, ScratchIsReusableAcrossDifferentSizes) {
-  connectivity_scratch scratch;
+TEST(SameConnectivity, ForestsAreReusableAcrossDifferentSizes) {
+  component_forest fa;
+  component_forest fb;
   const undirected_graph big = path_graph(50);
-  EXPECT_TRUE(same_connectivity_views(50, view_of(big), view_of(big), scratch));
+  EXPECT_TRUE(same_partition_reusing(50, big, big, fa, fb));
   const undirected_graph small = path_graph(3);
-  EXPECT_TRUE(same_connectivity_views(3, view_of(small), view_of(small), scratch));
+  EXPECT_TRUE(same_partition_reusing(3, small, small, fa, fb));
   const undirected_graph split = without_edge(path_graph(3), {1, 2});
-  EXPECT_FALSE(same_connectivity_views(3, view_of(small), view_of(split), scratch));
+  EXPECT_FALSE(same_partition_reusing(3, small, split, fa, fb));
+  EXPECT_EQ(fb.sets, 2u);
+}
+
+TEST(ComponentForest, LiveNodesConnectedCountsDownNodesAsSingletons) {
+  // Nodes 3 and 4 are down (isolated); the live nodes {0, 1, 2} form one
+  // component until the edge {1, 2} goes.
+  component_forest f;
+  const undirected_graph joined = make_graph(5, {{0, 1}, {1, 2}});
+  f.build(5, view_of(joined));
+  EXPECT_TRUE(f.live_nodes_connected(3));
+  const undirected_graph split = make_graph(5, {{0, 1}});
+  f.build(5, view_of(split));
+  EXPECT_FALSE(f.live_nodes_connected(3));
+  // Zero and one live nodes are trivially connected.
+  f.build(5, view_of(undirected_graph(5)));
+  EXPECT_TRUE(f.live_nodes_connected(0));
+  EXPECT_TRUE(f.live_nodes_connected(1));
+  EXPECT_FALSE(f.live_nodes_connected(2));
 }
 
 TEST(BfsDistances, PathGraph) {

@@ -10,6 +10,7 @@
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
 #include "graph/traversal.h"
+#include "graph_fixtures.h"
 #include "proto/reconfig.h"
 #include "radio/power_model.h"
 #include "radio/propagation.h"
@@ -239,11 +240,14 @@ TEST(Reconfig, PartitionRejoinHealsViaBoundaryBeacons) {
   EXPECT_TRUE(graph::reachable(net.live_topology(), 0, 3));
 }
 
-// Direct oracle for the dynamic engine's closure mirror: a
-// graph::closure_mirror fed only by the agents' table deltas and the
-// medium's liveness hook must equal a re-read of every live agent's
-// table (live_topology) at every instant where a table or the live set
-// changed — through crashes, a restart and waypoint mobility, under
+// Direct oracle for the dynamic engine's closure mirror and its
+// connectivity verdicts. A graph::closure_mirror fed only by the agents'
+// table deltas and the medium's liveness hook must equal a re-read of
+// every live agent's table (live_topology), and evaluate_connectivity
+// over it and a live_neighbor_index fed by the medium's move and
+// liveness hooks must equal the snapshot comparison and a BFS over the
+// index's live nodes, at every instant where a table, G_R or the live
+// set changed — through crashes, a restart and waypoint mobility, under
 // isotropic and lognormal-shadowed links.
 TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
   const auto positions = geom::uniform_points(40, geom::bbox::rect(1100, 1100), 29);
@@ -255,6 +259,8 @@ TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
     reconfig_net net(positions, reconfig_net::default_config(), link);
 
     graph::closure_mirror mirror(positions.size());
+    graph::live_neighbor_index index(positions, link);
+    graph::connectivity_scratch scratch;
     for (node_id u = 0; u < positions.size(); ++u) {
       net.agents[u]->set_table_hook([&mirror, &net, u](node_id v, bool added) {
         if (added) {
@@ -265,18 +271,44 @@ TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
         net.simulator.request_instant_hook();
       });
     }
-    net.medium.set_liveness_hook([&mirror, &net](node_id u, bool up) {
+    net.medium.set_move_hook([&index, &net](node_id u, const vec2& p) {
+      const std::uint64_t before = index.version();
+      index.move(u, p);
+      if (index.version() != before) net.simulator.request_instant_hook();
+    });
+    net.medium.set_liveness_hook([&mirror, &index, &net](node_id u, bool up) {
+      if (up) {
+        index.insert(u, net.medium.position(u));
+      } else {
+        index.erase(u);
+      }
       mirror.set_live(u, up);
       net.simulator.request_instant_hook();
     });
     std::size_t checks = 0;
     std::size_t mismatches = 0;
     double first_mismatch = -1.0;
+    std::size_t verdict_mismatches = 0;
+    double first_verdict_mismatch = -1.0;
+    std::size_t broken = 0;
+    std::size_t split = 0;
     net.simulator.set_instant_hook([&] {
       ++checks;
-      if (!(mirror.live_graph() == net.live_topology())) {
+      const graph::undirected_graph topology = mirror.live_graph();
+      if (!(topology == net.live_topology())) {
         if (mismatches++ == 0) first_mismatch = net.simulator.now();
       }
+      const graph::undirected_graph gr = index.graph();
+      std::vector<bool> up(positions.size());
+      for (node_id u = 0; u < positions.size(); ++u) up[u] = index.is_live(u);
+      const graph::connectivity_verdict verdict =
+          graph::evaluate_connectivity(mirror, index, scratch);
+      if (verdict.preserved != graph::same_connectivity(topology, gr) ||
+          verdict.field_connected != graph::live_nodes_connected_bfs(gr, up)) {
+        if (verdict_mismatches++ == 0) first_verdict_mismatch = net.simulator.now();
+      }
+      if (!verdict.preserved) ++broken;
+      if (!verdict.field_connected) ++split;
     });
 
     net.start(90.0);
@@ -284,6 +316,20 @@ TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
     inj.random_crashes(5, 16.0, 20.0);
     inj.crash_at(0, 18.0);
     inj.restart_at(0, 35.0);
+    // After mobility stops, isolate the live node farthest from node 0
+    // by crashing its G_R neighbors, so the field verdict is checked on
+    // both sides.
+    net.simulator.schedule_at(70.0, [&] {
+      node_id far = 0;
+      for (node_id u = 0; u < positions.size(); ++u) {
+        if (index.is_live(u) && geom::distance(index.position(u), index.position(0)) >
+                                    geom::distance(index.position(far), index.position(0))) {
+          far = u;
+        }
+      }
+      const std::vector<node_id> around(index.neighbors(far).begin(), index.neighbors(far).end());
+      for (const node_id v : around) net.medium.crash(v);
+    });
     sim::random_waypoint rw(net.medium,
                             {.region = geom::bbox::rect(1100, 1100), .min_speed = 1.0,
                              .max_speed = 3.0, .pause = 0.0},
@@ -292,6 +338,7 @@ TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
     net.simulator.run_until(90.0);
 
     EXPECT_EQ(mismatches, 0u) << "first at t=" << first_mismatch;
+    EXPECT_EQ(verdict_mismatches, 0u) << "first at t=" << first_verdict_mismatch;
     std::uint64_t leaves = 0;
     std::uint64_t regrows = 0;
     std::uint64_t achanges = 0;
@@ -300,8 +347,13 @@ TEST(Reconfig, ClosureMirrorMatchesTableReReadAtEveryChangedInstant) {
       regrows += a->stats().regrows;
       achanges += a->stats().achanges;
     }
-    // The comparison must have run through real churn.
+    // The comparison must have run through real churn, and each verdict
+    // must have been checked on both sides.
     EXPECT_GT(checks, 100u);
+    EXPECT_GT(broken, 0u);
+    EXPECT_LT(broken, checks);
+    EXPECT_GT(split, 0u);
+    EXPECT_LT(split, checks);
     EXPECT_GT(leaves, 0u);
     EXPECT_GT(regrows, 0u);
     EXPECT_GT(achanges, 0u);

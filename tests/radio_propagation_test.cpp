@@ -25,6 +25,7 @@
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
+#include "graph_fixtures.h"
 #include "radio/propagation.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -397,9 +398,10 @@ TEST(Propagation, MediumDeliveryAndEstimateFollowLinkBudget) {
 // ---- in-place mirror connectivity (adjacency views) -----------------
 
 TEST(Propagation, InPlaceMirrorConnectivityMatchesSnapshotComparison) {
-  // Random mirrors + indexes; verdicts of the adjacency-view
-  // comparison must equal the materialized-graph comparison.
+  // Random mirrors + indexes; both in-place verdicts must equal the
+  // materialized-graph references.
   std::mt19937_64 rng(55);
+  std::size_t split_fields = 0;
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = 30;
     const auto positions = random_field(n, 900.0, 1000 + round);
@@ -414,11 +416,20 @@ TEST(Propagation, InPlaceMirrorConnectivityMatchesSnapshotComparison) {
       mirror.set_live(u, false);
       index.erase(u);
     }
+    std::vector<bool> up(n);
+    for (graph::node_id u = 0; u < n; ++u) up[u] = index.is_live(u);
     graph::connectivity_scratch scratch;
-    EXPECT_EQ(graph::same_connectivity(mirror, index, scratch),
-              graph::same_connectivity(mirror.live_graph(), index.graph()))
+    const graph::connectivity_verdict verdict =
+        graph::evaluate_connectivity(mirror, index, scratch);
+    EXPECT_EQ(verdict.preserved, graph::same_connectivity(mirror.live_graph(), index.graph()))
         << "round " << round;
+    EXPECT_EQ(verdict.field_connected, graph::live_nodes_connected_bfs(index.graph(), up))
+        << "round " << round;
+    if (!verdict.field_connected) ++split_fields;
   }
+  // Both field verdicts must occur for the comparison to mean anything.
+  EXPECT_GT(split_fields, 0u);
+  EXPECT_LT(split_fields, 50u);
 }
 
 }  // namespace

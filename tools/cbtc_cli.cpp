@@ -18,8 +18,11 @@
 //           writes the resolved scenario back out as JSON, so named
 //           scenarios can be pinned as experiment config files.
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -56,22 +59,24 @@ struct cli_args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  /// Numeric option; rejects anything that is not a full number instead
-  /// of letting std::stod throw a bare std::invalid_argument.
+  /// Numeric option; rejects anything that is not a full finite number
+  /// instead of letting std::stod throw a bare std::invalid_argument.
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
     const std::string& text = it->second;
     double value = 0.0;
     const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-      throw usage_error("option --" + key + ": expected a number, got '" + text + "'");
+    if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(value)) {
+      throw usage_error("option --" + key + ": expected a finite number, got '" + text + "'");
     }
     return value;
   }
   /// Integer option parsed directly (no double round-trip, so 64-bit
-  /// seeds survive exactly).
-  [[nodiscard]] std::size_t count(const std::string& key, std::size_t fallback) const {
+  /// seeds survive exactly) and range-checked against its destination
+  /// type `T` before the cast.
+  template <class T = std::size_t>
+  [[nodiscard]] T count(const std::string& key, std::type_identity_t<T> fallback) const {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
     const std::string& text = it->second;
@@ -81,7 +86,12 @@ struct cli_args {
       throw usage_error("option --" + key + ": expected a non-negative integer, got '" + text +
                         "'");
     }
-    return static_cast<std::size_t>(value);
+    constexpr auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (value > max) {
+      throw usage_error("option --" + key + ": " + text + " is above the maximum " +
+                        std::to_string(max));
+    }
+    return static_cast<T>(value);
   }
   [[nodiscard]] bool has_flag(const std::string& f) const {
     return std::find(flags.begin(), flags.end(), f) != flags.end();
@@ -423,16 +433,13 @@ sweep_setup resolve_sweep(const cli_args& args) {
     throw usage_error("--shadow-sigma/--shadow-clamp need shadowing propagation "
                       "(pass --propagation shadowing or a shadowed scenario)");
   }
-  if (args.options.contains("intra-threads")) {
-    spec.cbtc.intra_threads =
-        static_cast<unsigned>(args.count("intra-threads", spec.cbtc.intra_threads));
-  }
+  spec.cbtc.intra_threads = args.count<unsigned>("intra-threads", spec.cbtc.intra_threads);
   if (args.options.contains("regions")) {
     if (!sim) {
       throw usage_error("--regions applies to dynamic scenarios only "
                         "(pick a dynamic preset or a JSON file with a sim block)");
     }
-    sim->partition.regions = static_cast<std::uint32_t>(args.count("regions", 0));
+    sim->partition.regions = args.count<std::uint32_t>("regions", 0);
   }
 
   // Lifetime flags: any of them switches the sweep to the
@@ -451,18 +458,22 @@ sweep_setup resolve_sweep(const cli_args& args) {
       }
     }
     if (args.options.contains("sink")) {
-      lifetime->sink = static_cast<graph::node_id>(args.count("sink", lifetime->sink));
+      lifetime->sink = args.count<graph::node_id>("sink", lifetime->sink);
       lifetime->convergecast = true;
     }
     lifetime->battery_rounds = args.num("battery-rounds", lifetime->battery_rounds);
   }
-  return {std::move(spec), sim, lifetime};
+  // One pass through the scenario-file schema applies every domain and
+  // cross-field rule to the overrides above, as if they came from a file
+  // (api/schema.h).
+  api::scenario_file resolved = api::parse_scenario_json(
+      api::to_json(api::scenario_file{.scenario = spec, .sim = sim, .lifetime = lifetime}));
+  return {std::move(resolved.scenario), std::move(resolved.sim), std::move(resolved.lifetime)};
 }
 
 /// Seed range of a sweep/dispatch invocation (--first / --seeds).
 api::seed_range sweep_seeds(const cli_args& args) {
-  return {static_cast<std::uint64_t>(args.count("first", 0)),
-          static_cast<std::uint64_t>(args.count("seeds", 20))};
+  return {args.count<std::uint64_t>("first", 0), args.count<std::uint64_t>("seeds", 20)};
 }
 
 /// Prints a static sweep's aggregates and returns the process exit
@@ -528,7 +539,7 @@ int cmd_sweep(const cli_args& args) {
   }
 
   const api::seed_range seeds = sweep_seeds(args);
-  const auto threads = static_cast<unsigned>(args.count("threads", 0));
+  const auto threads = args.count<unsigned>("threads", 0);
 
   if (args.options.contains("methods")) {
     if (sim || lifetime) {
@@ -551,8 +562,8 @@ int cmd_sweep(const cli_args& args) {
 int cmd_serve(const cli_args& args) {
   net::serve_config cfg;
   cfg.bind_address = args.get("bind", "127.0.0.1");
-  cfg.port = static_cast<std::uint16_t>(args.count("port", 0));
-  cfg.threads = static_cast<unsigned>(args.count("threads", 0));
+  cfg.port = args.count<std::uint16_t>("port", 0);
+  cfg.threads = args.count<unsigned>("threads", 0);
   net::scenario_server server(cfg);
   // Machine-readable startup line (the smoke scripts scrape the port).
   std::cout << "cbtc_serve listening on " << cfg.bind_address << ":" << server.port()
@@ -574,12 +585,10 @@ int cmd_dispatch(const cli_args& args) {
   } catch (const std::invalid_argument& e) {
     throw usage_error(e.what());
   }
-  cfg.shard_threads = static_cast<unsigned>(args.count("threads", 0));
+  cfg.shard_threads = args.count<unsigned>("threads", 0);
   cfg.max_block_retries = args.count("retries", cfg.max_block_retries);
-  cfg.connect_timeout_ms = static_cast<int>(
-      args.count("connect-timeout-ms", static_cast<std::size_t>(cfg.connect_timeout_ms)));
-  cfg.io_timeout_ms = static_cast<int>(
-      args.count("io-timeout-ms", static_cast<std::size_t>(cfg.io_timeout_ms)));
+  cfg.connect_timeout_ms = args.count<int>("connect-timeout-ms", cfg.connect_timeout_ms);
+  cfg.io_timeout_ms = args.count<int>("io-timeout-ms", cfg.io_timeout_ms);
 
   const api::seed_range seeds = sweep_seeds(args);
   api::shard_dispatcher dispatcher(cfg);
