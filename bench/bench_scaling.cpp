@@ -557,6 +557,21 @@ void BM_ConvergecastBase(benchmark::State& state) { run_convergecast(state, fals
 BENCHMARK(BM_ConvergecastTick)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConvergecastBase)->Arg(64)->Unit(benchmark::kMillisecond);
 
+/// One instance of e2ebench's mobile_sweep: the shadowed_field_mobile
+/// preset plus a convergecast plane, on the serial simulator. Beacon
+/// and packet deliveries dominate it, and every one of them crosses a
+/// lognormal-shadowed link, so this row times the medium's delivery
+/// path (gain lookup, link budget, per-transmission records).
+void BM_ShadowedMobileRun(benchmark::State& state) {
+  api::dynamic_scenario preset = api::get_dynamic_scenario("shadowed_field_mobile");
+  preset.scenario.deploy.nodes = static_cast<std::size_t>(state.range(0));
+  preset.sim.traffic = {.period = 5.0, .sink = 0, .start = 15.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run_dynamic(preset.scenario, preset.sim, 0));
+  }
+}
+BENCHMARK(BM_ShadowedMobileRun)->Arg(40)->Unit(benchmark::kMillisecond);
+
 // -- partitioned dynamic engine: single queue vs regioned lanes -------
 
 /// The 100k-node mobile-churn acceptance row for the spatially

@@ -210,9 +210,12 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
 
   // Broadcast routing through the live index: neighbors(u) is exactly
   // the set any transmit power can reach (sorted ascending, like the
-  // full scan), so deliveries are bitwise-identical and O(degree).
-  medium.set_broadcast_directory(
-      [&index](graph::node_id u) { return index.neighbors(u); });
+  // full scan), so deliveries are bitwise-identical and O(degree). The
+  // index's cached gains ride along, so no delivery re-evaluates the
+  // propagation model.
+  medium.set_broadcast_directory([&index](graph::node_id u) {
+    return sim::medium::neighborhood{index.neighbors(u), index.neighbor_gains(u)};
+  });
   if (psim) {
     std::vector<std::uint32_t> region_map(positions.size());
     for (graph::node_id u = 0; u < positions.size(); ++u) region_map[u] = psim->region_of(u);

@@ -29,6 +29,7 @@ live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions,
         link_->propagation().kind() == radio::propagation_kind::obstacle_field;
     if (position_dependent_gain_) pos_epoch_.assign(positions_.size(), 0);
     gain_rows_.resize(positions_.size());
+    adj_gain_.resize(positions_.size());
   }
   build();
 }
@@ -36,23 +37,29 @@ live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions,
 void live_neighbor_index::build() {
   if (max_range_ <= 0.0) return;  // degenerate radio: no edges ever
   // Insert points one at a time and query before inserting, so every
-  // reachable pair links exactly once (filter_reachable is a no-op for
-  // distance indexes — the query radius already decided).
+  // reachable pair links exactly once.
   for (node_id u = 0; u < positions_.size(); ++u) {
-    scratch_.clear();
-    grid_.query_radius_into(positions_[u], max_range_, geom::spatial_grid::npos, scratch_);
-    filter_reachable(u, scratch_);
+    query_reachable(u);
     grid_.insert(u, positions_[u]);
-    for (const geom::point_index v : scratch_) link(u, v);
+    for (std::size_t j = 0; j < scratch_.size(); ++j) {
+      link(u, scratch_[j], link_ ? gain_scratch_[j] : 1.0);
+    }
   }
+}
+
+void live_neighbor_index::query_reachable(node_id u) {
+  scratch_.clear();
+  grid_.query_radius_into(positions_[u], max_range_, u, scratch_);
+  std::sort(scratch_.begin(), scratch_.end());
+  filter_reachable(u, scratch_);
 }
 
 void live_neighbor_index::filter_reachable(node_id u,
                                            std::vector<geom::point_index>& candidates) const {
   if (!link_) return;  // distance index: the query radius already decided
-  std::sort(candidates.begin(), candidates.end());
   std::vector<gain_entry>& row = gain_rows_[u];
   row_scratch_.clear();
+  gain_scratch_.clear();
   // Same one-ulp tolerance as link_model::reaches_at; the cached gain
   // is the exact double gain() returned, so verdicts are bitwise-
   // identical to the uncached filter.
@@ -101,7 +108,10 @@ void live_neighbor_index::filter_reachable(node_id u,
       const double d = geom::distance(positions_[u], positions_[v]);
       reachable = link_->power().required_power(d) / e->gain <= budget;
     }
-    if (reachable) candidates[out++] = v;
+    if (reachable) {
+      candidates[out++] = v;
+      gain_scratch_.push_back(e->gain);
+    }
   }
   candidates.resize(out);
   if (!row_scratch_.empty()) {
@@ -112,21 +122,24 @@ void live_neighbor_index::filter_reachable(node_id u,
   }
 }
 
-void live_neighbor_index::link(node_id u, node_id v) {
+void live_neighbor_index::insert_half(node_id u, node_id v, double gain) {
   auto& au = adj_[u];
-  au.insert(std::lower_bound(au.begin(), au.end(), v), v);
-  auto& av = adj_[v];
-  av.insert(std::lower_bound(av.begin(), av.end(), u), u);
-  ++num_edges_;
-  ++version_;
+  const auto at = std::lower_bound(au.begin(), au.end(), v);
+  if (link_) adj_gain_[u].insert(adj_gain_[u].begin() + (at - au.begin()), gain);
+  au.insert(at, v);
 }
 
-void live_neighbor_index::unlink(node_id u, node_id v) {
+void live_neighbor_index::erase_half(node_id u, node_id v) {
   auto& au = adj_[u];
-  au.erase(std::lower_bound(au.begin(), au.end(), v));
-  auto& av = adj_[v];
-  av.erase(std::lower_bound(av.begin(), av.end(), u));
-  --num_edges_;
+  const auto at = std::lower_bound(au.begin(), au.end(), v);
+  if (link_) adj_gain_[u].erase(adj_gain_[u].begin() + (at - au.begin()));
+  au.erase(at);
+}
+
+void live_neighbor_index::link(node_id u, node_id v, double gain) {
+  insert_half(u, v, gain);
+  insert_half(v, u, gain);
+  ++num_edges_;
   ++version_;
 }
 
@@ -143,35 +156,49 @@ void live_neighbor_index::move(node_id u, const geom::vec2& p) {
   if (!live_[u]) return;
   note_churn(u);
   grid_.move(u, p);
+  query_reachable(u);
 
-  scratch_.clear();
-  grid_.query_radius_into(p, max_range_, u, scratch_);
-  filter_reachable(u, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-
-  // Diff the sorted old and new neighbor sets.
-  const std::vector<node_id> old = adj_[u];
+  // Diff the sorted old and new neighbor sets, editing the peers'
+  // halves in place; u's own list (and gains) is then replaced whole.
+  const std::vector<node_id>& old = adj_[u];
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < old.size() || j < scratch_.size()) {
     if (j == scratch_.size() || (i < old.size() && old[i] < scratch_[j])) {
-      unlink(u, old[i]);
+      erase_half(old[i], u);
+      --num_edges_;
+      ++version_;
       ++i;
     } else if (i == old.size() || scratch_[j] < old[i]) {
-      link(u, scratch_[j]);
+      insert_half(scratch_[j], u, link_ ? gain_scratch_[j] : 1.0);
+      ++num_edges_;
+      ++version_;
       ++j;
     } else {
+      if (position_dependent_gain_) {
+        // A kept obstacle link spans a new segment: refresh v's side.
+        const auto& av = adj_[old[i]];
+        adj_gain_[old[i]][std::lower_bound(av.begin(), av.end(), u) - av.begin()] =
+            gain_scratch_[j];
+      }
       ++i;
       ++j;
     }
   }
+  adj_[u].assign(scratch_.begin(), scratch_.end());
+  if (link_) adj_gain_[u].assign(gain_scratch_.begin(), gain_scratch_.end());
 }
 
 void live_neighbor_index::erase(node_id u) {
   if (!live_[u]) return;
   note_churn(u);
-  const std::vector<node_id> nbrs = adj_[u];
-  for (const node_id v : nbrs) unlink(u, v);
+  for (const node_id v : adj_[u]) {
+    erase_half(v, u);
+    --num_edges_;
+    ++version_;
+  }
+  adj_[u].clear();
+  if (link_) adj_gain_[u].clear();
   grid_.erase(u);
   live_[u] = false;
   --live_count_;
@@ -190,11 +217,10 @@ void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
   live_[u] = true;
   ++live_count_;
   ++version_;
-  scratch_.clear();
-  grid_.query_radius_into(p, max_range_, u, scratch_);
-  filter_reachable(u, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-  for (const geom::point_index v : scratch_) link(u, v);
+  query_reachable(u);
+  for (std::size_t j = 0; j < scratch_.size(); ++j) {
+    link(u, scratch_[j], link_ ? gain_scratch_[j] : 1.0);
+  }
 }
 
 undirected_graph live_neighbor_index::graph() const {

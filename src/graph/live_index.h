@@ -10,6 +10,12 @@
 // same inclusive <= comparison (tests assert edge identity after
 // arbitrary event sequences).
 //
+// A link-aware index also keeps, beside each adjacency list, the gain
+// of every listed link — the exact double link_model::gain returns for
+// (u, v, position(u), position(v)), which is symmetric in u and v.
+// The dynamic engine hands these lists to the medium as its broadcast
+// directory, so a delivery never re-evaluates the propagation model.
+//
 // evaluate_connectivity reads it in place beside the closure_mirror of
 // the agents' topology and answers both questions of an instant from
 // one union-find forest per graph: does the topology preserve G_R's
@@ -68,6 +74,14 @@ class live_neighbor_index {
   /// Sorted live neighbors of `u` (empty when down).
   [[nodiscard]] std::span<const node_id> neighbors(node_id u) const { return adj_[u]; }
 
+  /// gain(u, v, position(u), position(v)) of each v in neighbors(u),
+  /// index for index; empty for distance and isotropic indexes (every
+  /// gain is 1). Obstacle gains are refreshed whenever either end of
+  /// the link moves or restarts.
+  [[nodiscard]] std::span<const double> neighbor_gains(node_id u) const {
+    return link_ ? std::span<const double>(adj_gain_[u]) : std::span<const double>();
+  }
+
   /// Snapshot as an undirected_graph (down nodes isolated), assembled
   /// per node from the maintained lists; identical to
   /// build_max_power_graph(positions, R).induced(up).
@@ -98,18 +112,26 @@ class live_neighbor_index {
   /// Shared constructor body: populates the grid and links every
   /// reachable pair exactly once (query before insert).
   void build();
-  void link(node_id u, node_id v);
-  void unlink(node_id u, node_id v);
-  /// Drops grid candidates whose link does not close, in place (no-op
-  /// for distance indexes — the grid query radius already decided).
-  /// Sorts `candidates` and merge-scans them against the node's gain
-  /// row, so hits cost a sequential L1 read instead of a hash probe
-  /// (point-lookup tables measured *slower* than recomputing a
-  /// shadowing gain — random probes miss CPU cache; the rows don't).
-  /// The cached gain then flows through arithmetic identical to
-  /// link_model::reaches_at, so verdicts match the uncached filter bit
-  /// for bit.
+  /// The nodes in the grid whose link with `u` closes at maximum
+  /// power, ascending, into scratch_; for link-aware indexes their
+  /// gains gain(u, v) go index for index into gain_scratch_.
+  void query_reachable(node_id u);
+  /// Drops sorted grid candidates whose link does not close, in place,
+  /// and records each survivor's gain in gain_scratch_ (no-op for
+  /// distance indexes — the grid query radius already decided). Merge-
+  /// scans the candidates against the node's gain row, so hits cost a
+  /// sequential L1 read instead of a hash probe (point-lookup tables
+  /// measured *slower* than recomputing a shadowing gain — random
+  /// probes miss CPU cache; the rows don't). The cached gain then flows
+  /// through arithmetic identical to link_model::reaches_at, so
+  /// verdicts match the uncached filter bit for bit.
   void filter_reachable(node_id u, std::vector<geom::point_index>& candidates) const;
+  /// One half of an edge: `v` (and its gain) into / out of u's sorted
+  /// list. Edge counts and the version are the callers' business.
+  void insert_half(node_id u, node_id v, double gain);
+  void erase_half(node_id u, node_id v);
+  /// Both halves of a new edge {u, v} with its (symmetric) gain.
+  void link(node_id u, node_id v, double gain);
 
   /// One cached link gain of the row's owner `u`: gain({u, v}) as
   /// computed when `v`'s position epoch was `peer_epoch` (epochs only
@@ -144,12 +166,14 @@ class live_neighbor_index {
   std::size_t live_count_{0};
   std::size_t num_edges_{0};
   std::vector<std::vector<node_id>> adj_;  // sorted, live endpoints only
+  std::vector<std::vector<double>> adj_gain_;  // gain(u, adj_[u][i]); link-aware only
   void note_churn(node_id u) {
     if (u < region_map_.size()) ++region_churn_[region_map_[u]];
   }
   std::vector<std::uint32_t> region_map_;
   std::vector<std::uint64_t> region_churn_;
   std::vector<geom::point_index> scratch_;
+  mutable std::vector<double> gain_scratch_;
 };
 
 /// Incremental mirror of a symmetric-closure topology built from

@@ -1,7 +1,6 @@
 #include "proto/ndp.h"
 
 #include <utility>
-#include <vector>
 
 #include "geom/angle.h"
 
@@ -21,7 +20,9 @@ void ndp_agent::tick(sim::time_point until) {
     // A crashed node stops beaconing; if it restarts, keep the ticks
     // going so it re-announces itself (schedule below).
   } else {
-    medium_.broadcast(self_, beacon_power_(), message{beacon_msg{self_, beacon_power_(), seq_++}});
+    // One power per beacon: beacon_power_ walks the agent's acked map.
+    const double power = beacon_power_();
+    medium_.broadcast(self_, power, message{beacon_msg{self_, power, seq_++}});
     ++beacons_sent_;
     sweep();
   }
@@ -33,13 +34,15 @@ void ndp_agent::tick(sim::time_point until) {
 void ndp_agent::sweep() {
   const sim::time_point now = medium_.sim().now();
   const double tau = cfg_.beacon_interval * cfg_.miss_limit;
-  std::vector<node_id> expired;
-  for (const auto& [v, entry] : table_) {
-    if (now - entry.last_heard > tau) expired.push_back(v);
-  }
-  for (node_id v : expired) {
-    table_.erase(v);
-    if (on_leave) on_leave(v);
+  // In place, in ascending id order: erase, then report the leave.
+  for (auto it = table_.begin(); it != table_.end();) {
+    if (now - it->second.last_heard > tau) {
+      const node_id v = it->first;
+      it = table_.erase(it);
+      if (on_leave) on_leave(v);
+    } else {
+      ++it;
+    }
   }
 }
 

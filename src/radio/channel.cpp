@@ -13,8 +13,8 @@ channel::channel(channel_params params, std::uint64_t seed) : params_(params), r
     throw std::invalid_argument("channel: delays must be non-negative");
 }
 
-std::vector<double> channel::sample_deliveries(double distance) {
-  std::vector<double> delays;
+delivery_delays channel::sample_deliveries(double distance) {
+  delivery_delays delays;
   if (params_.drop_prob > 0.0 && unit_(rng_) < params_.drop_prob) return delays;
 
   auto one_delay = [&] {

@@ -7,9 +7,11 @@
 // delivery order is deterministic, recovering the Section 2 model.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace cbtc::radio {
 
@@ -23,13 +25,34 @@ struct channel_params {
   [[nodiscard]] bool operator==(const channel_params&) const = default;
 };
 
+/// The delays of one receiver's copies: none (dropped), one, or two
+/// (duplicated). A fixed-capacity value with the read surface of a
+/// std::vector<double>, so sampling a delivery never allocates.
+class delivery_delays {
+ public:
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] double operator[](std::size_t i) const { return delays_[i]; }
+  [[nodiscard]] const double* begin() const { return delays_.data(); }
+  [[nodiscard]] const double* end() const { return delays_.data() + size_; }
+  void push_back(double delay) { delays_[size_++] = delay; }
+
+  [[nodiscard]] friend bool operator==(const delivery_delays& a, const delivery_delays& b) {
+    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  std::array<double, 2> delays_{};
+  std::size_t size_{0};
+};
+
 class channel {
  public:
   explicit channel(channel_params params = {}, std::uint64_t seed = 0);
 
   /// Delivery delays for one receiver at the given distance: empty if
   /// the message is dropped, one entry normally, two if duplicated.
-  [[nodiscard]] std::vector<double> sample_deliveries(double distance);
+  [[nodiscard]] delivery_delays sample_deliveries(double distance);
 
   [[nodiscard]] const channel_params& params() const { return params_; }
 

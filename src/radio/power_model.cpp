@@ -36,6 +36,15 @@ bool power_model::reaches(double tx_power, double distance) const {
   return required_power(distance) <= tx_power * (1.0 + 1e-12);
 }
 
+std::optional<double> power_model::receive(double tx_power, double distance,
+                                           double gain) const {
+  const double p = required_power(distance);
+  if (!(p / gain <= tx_power * (1.0 + 1e-12))) return std::nullopt;
+  // rx_power's clamp: below min_distance p(d) is not the divisor.
+  const double loss = distance < min_distance ? std::pow(min_distance, exponent_) : p;
+  return tx_power / loss * gain;
+}
+
 double power_model::estimate_required_power(double tx_power, double rx_power) const {
   if (rx_power <= 0.0) throw std::invalid_argument("estimate_required_power: rx_power must be positive");
   return tx_power / rx_power;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace cbtc::radio {
 
@@ -45,6 +46,14 @@ class power_model {
   /// True if a signal transmitted with `tx_power` is decodable at
   /// distance `d` (reception power above the unit threshold).
   [[nodiscard]] bool reaches(double tx_power, double distance) const;
+
+  /// One link's budget from a single p(d), given the link's gain:
+  /// rx_power(tx_power, distance) * gain when p(d) / gain <= tx_power
+  /// (the one-ulp tolerance of reaches), std::nullopt otherwise. With
+  /// gain == 1 this is reaches() and rx_power() bit for bit; the
+  /// medium evaluates every delivery through it.
+  [[nodiscard]] std::optional<double> receive(double tx_power, double distance,
+                                              double gain) const;
 
   /// The receiver-side estimate of p(d) from the advertised transmit
   /// power and the measured reception power (Section 2: "given the

@@ -39,6 +39,10 @@ double db_to_gain(double db) { return std::pow(10.0, db / 10.0); }
 }  // namespace
 
 bool segment_intersects_box(const geom::bbox& box, const geom::vec2& p, const geom::vec2& q) {
+  // Clip from the lexicographically smaller endpoint: the two
+  // directions round differently when a segment grazes a corner, and
+  // obstacle gains must be exactly symmetric.
+  if (q.x < p.x || (q.x == p.x && q.y < p.y)) return segment_intersects_box(box, q, p);
   // Liang-Barsky slab clipping of the parametric segment p + t (q - p),
   // t in [0, 1], against the closed box.
   double t0 = 0.0;

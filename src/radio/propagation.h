@@ -52,7 +52,8 @@ struct obstacle {
 };
 
 /// True if the closed segment [p, q] intersects `box` (shared with the
-/// obstacle model and its tests).
+/// obstacle model and its tests). Exactly symmetric in p and q, so
+/// obstacle gains are too.
 [[nodiscard]] bool segment_intersects_box(const geom::bbox& box, const geom::vec2& p,
                                           const geom::vec2& q);
 

@@ -19,12 +19,30 @@
 // delivery counters are relaxed atomics — their sums are independent
 // of event interleaving — and stats() folds per-node energy in node
 // order, so reported totals are bitwise engine-independent.
+//
+// Cost of a receiver. Each candidate costs one link gain and one
+// p(d): the gain comes from the broadcast directory when it carries
+// gains (the dynamic engine's live index caches them), otherwise from
+// link().gain (1 without evaluating anything when isotropic), and
+// power_model::receive decides decodability and the reception power
+// from the same p(d). Each transmission stores its header, its payload
+// and the reception power and bearing of every scheduled copy once, in
+// a record the medium owns; a delivery event is a {record, copy,
+// receiver} triple that std::function stores inline. Records are
+// recycled by their sender once their atomic count of pending copies
+// drops to zero. A sender's events run in one lane per instant on
+// either engine, so a record has a single writer; its readers are the
+// deliveries, which finish with the record before releasing it. A warm
+// medium therefore allocates nothing per delivery
+// (tests/sim_alloc_test.cpp). A payload lives as long as its record:
+// until the sender's next transmission reuses it.
 #pragma once
 
 #include <any>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -69,6 +87,7 @@ class medium {
   /// bitwise-identical delivery decisions).
   medium(scheduler& sim, radio::link_model lm, radio::channel ch = radio::channel{},
          radio::direction_estimator de = radio::direction_estimator{});
+  ~medium();
 
   /// Registers a node; returns its id (dense, starting at 0).
   node_id add_node(const geom::vec2& position, rx_handler handler);
@@ -93,13 +112,21 @@ class medium {
   void set_move_hook(move_hook h) { move_hook_ = std::move(h); }
   void set_liveness_hook(liveness_hook h) { liveness_hook_ = std::move(h); }
 
-  /// Optional broadcast routing directory: returns, for a sender, an
-  /// ascending-id superset of every node any transmit power can reach
-  /// (e.g. live_neighbor_index::neighbors — the live max-power
-  /// neighborhood). The per-candidate range check still applies, so
-  /// deliveries are bitwise-identical to the full O(n) scan, just
-  /// O(degree). Cleared with an empty function.
-  using broadcast_directory = std::function<std::span<const node_id>(node_id)>;
+  /// A broadcast directory's answer for one sender: an ascending-id
+  /// superset of every node any transmit power can reach, and either
+  /// no gains or, index for index, gain(sender, v, position(sender),
+  /// position(v)) exactly as link().gain returns it.
+  struct neighborhood {
+    std::span<const node_id> nodes;
+    std::span<const double> gains;
+  };
+
+  /// Optional broadcast routing directory (e.g. live_neighbor_index's
+  /// neighbors and neighbor_gains — the live max-power neighborhood).
+  /// The per-candidate range check still applies, so deliveries are
+  /// bitwise-identical to the full O(n) scan, just O(degree). Cleared
+  /// with an empty function.
+  using broadcast_directory = std::function<neighborhood(node_id)>;
   void set_broadcast_directory(broadcast_directory d) { directory_ = std::move(d); }
 
   /// bcast(u, p, m): schedules delivery to every live node in range.
@@ -138,8 +165,17 @@ class medium {
   [[nodiscard]] scheduler& sim() { return sim_; }
 
  private:
-  void deliver(node_id from, node_id to, double tx_power, std::uint64_t tx_seq, double distance,
-               const std::any& payload);
+  struct transmission;
+
+  /// A free record of `from` (one whose copies have all run), holding
+  /// this transmission's header and payload.
+  transmission& open(node_id from, double tx_power, std::any payload);
+  /// If link from -> to closes at the record's power, samples the
+  /// channel and schedules every copy; `gain` is gain(from, to).
+  void offer(transmission& tx, std::uint64_t tx_seq, node_id to, double distance, double gain);
+  /// Publishes the record's pending count; its copies run after this.
+  static void seal(transmission& tx);
+  void deliver(transmission& tx, std::uint32_t copy, node_id to);
 
   scheduler& sim_;
   radio::link_model link_;
@@ -150,6 +186,7 @@ class medium {
   std::vector<bool> up_;
   std::vector<double> node_energy_;
   std::vector<std::uint64_t> node_tx_seq_;
+  std::vector<std::vector<std::unique_ptr<transmission>>> records_;  // per sender
   std::atomic<std::uint64_t> broadcasts_{0};
   std::atomic<std::uint64_t> unicasts_{0};
   std::atomic<std::uint64_t> deliveries_{0};

@@ -194,6 +194,36 @@ TEST(Propagation, SegmentBoxIntersectionEdgeCases) {
   EXPECT_FALSE(radio::segment_intersects_box(box, {0.0, 21.0}, {9.0, 9.0}));    // near corner miss
 }
 
+TEST(Propagation, SegmentBoxVerdictIsExactlySymmetricAtGrazingCorners) {
+  // Segments aimed within ~1e-12 of a corner: clipped from opposite
+  // ends, Liang-Barsky rounds differently, so the verdict must not
+  // depend on which endpoint comes first (the first two pairs split
+  // when it did).
+  const geom::bbox box{{200.0, 200.0}, {500.0, 450.0}};
+  const vec2 p1{872.32250461335775, 162.06829726743581};
+  const vec2 q1{131.91357082033056, 734.65577823857734};
+  const vec2 p2{245.18483639679926, 719.91334882949366};
+  const vec2 q2{855.19346876768179, 73.760779061246993};
+  EXPECT_EQ(radio::segment_intersects_box(box, p1, q1), radio::segment_intersects_box(box, q1, p1));
+  EXPECT_EQ(radio::segment_intersects_box(box, p2, q2), radio::segment_intersects_box(box, q2, p2));
+
+  std::mt19937_64 rng(1);
+  std::uniform_real_distribution<double> coord(0.0, 1000.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const radio::propagation_model walls = radio::propagation_model::obstacle_field(
+      {{.box = box, .loss_db = 6.0}, {.box = {{600.0, 100.0}, {700.0, 900.0}}, .loss_db = 3.0}});
+  for (int i = 0; i < 100000; ++i) {
+    const vec2 p{coord(rng), coord(rng)};
+    const vec2 corner{(i & 1) != 0 ? 500.0 : 200.0, (i & 2) != 0 ? 450.0 : 200.0};
+    const double t = 1.0 + 2.0 * unit(rng);
+    const double eps = (unit(rng) - 0.5) * 1e-12;
+    const vec2 q{p.x + (corner.x - p.x) * t + eps, p.y + (corner.y - p.y) * t - eps};
+    ASSERT_EQ(radio::segment_intersects_box(box, p, q), radio::segment_intersects_box(box, q, p))
+        << "segment " << i;
+    ASSERT_EQ(walls.gain(0, 1, p, q), walls.gain(1, 0, q, p)) << "segment " << i;
+  }
+}
+
 TEST(Propagation, ObstacleValidationRejectsBadInput) {
   EXPECT_THROW(radio::propagation_model::obstacle_field(
                    {{.box = {{5.0, 0.0}, {1.0, 1.0}}, .loss_db = 3.0}}),
@@ -270,7 +300,9 @@ TEST(Propagation, OracleUnderShadowingIsThreadCountInvariantAndFeasible) {
 
 /// Applies a random churn script (moves, crashes, restarts) to a
 /// link-aware index and checks, after every batch, that its edge set
-/// equals a fresh gain-aware G_R over the surviving nodes.
+/// equals a fresh gain-aware G_R over the surviving nodes, and, after
+/// every event, that each cached neighbor gain is exactly the gain of
+/// its link at the current positions (the medium delivers with them).
 void churn_identity(const radio::link_model& link) {
   const std::size_t n = 120;
   const double side = 1200.0;
@@ -304,6 +336,16 @@ void churn_identity(const radio::link_model& link) {
             index.insert(u, positions[u]);
             up[u] = true;
           }
+      }
+      for (graph::node_id a = 0; a < n; ++a) {
+        const auto nbrs = index.neighbors(a);
+        const auto gains = index.neighbor_gains(a);
+        ASSERT_EQ(gains.size(), nbrs.size()) << "batch " << batch << " node " << a;
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          const graph::node_id b = nbrs[i];
+          ASSERT_EQ(gains[i], link.gain(a, b, positions[a], positions[b]))
+              << "batch " << batch << " event " << ev << " link " << a << " -> " << b;
+        }
       }
     }
     // Fresh reference: gain-aware G_R over current positions, with

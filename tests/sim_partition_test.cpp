@@ -12,13 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <any>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/api.h"
 #include "geom/vec2.h"
 #include "graph/live_index.h"
+#include "sim/medium.h"
 #include "sim/partition.h"
 #include "sim/simulator.h"
 #include "util/parallel.h"
@@ -175,6 +179,70 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
     EXPECT_EQ(fired[u], 40u) << "node " << u;  // 20 timer firings + 20 deliveries
   }
   EXPECT_EQ(retries.load(), kNodes);
+}
+
+/// The medium's transmission records under the partitioned engine. A
+/// sender in region 0 unicasts to one receiver in each other region at
+/// every lookahead step, after six busy timers of its own lane, so its
+/// previous records are usually delivered on other threads before it
+/// opens the next ones: it recycles a record at the instant its copy
+/// was read elsewhere. Every copy must carry its own transmission's
+/// payload, and under TSan the reuse must be ordered after the read
+/// (a record released before its handler ran is reported as a race).
+TEST(SimPartition, TransmissionRecordsRecycleWhilePeerLanesDeliver) {
+  constexpr double delta = 0.01;
+  constexpr graph::node_id kSender = 6;  // after the busy ids 0..5 in its lane
+  constexpr std::size_t kNodes = 10;     // receivers 7, 8, 9 in regions 1, 2, 3
+  util::thread_pool pool(4);
+  sim::partitioned_simulator psim(
+      kNodes, {.regions = 4, .lookahead = delta, .pool = &pool, .serial_batch_limit = 0});
+  sim::medium medium(psim, radio::power_model(2.0, 100.0));  // base delay == delta
+
+  struct tag {
+    graph::node_id sender;
+    std::uint64_t seq;
+    double check[2];  // too wide for std::any's inline buffer
+  };
+  std::atomic<std::uint64_t> received{0};
+  std::atomic<std::uint64_t> mismatched{0};
+  for (graph::node_id u = 0; u < kNodes; ++u) {
+    medium.add_node({10.0 * u, 0.0}, [&](const sim::rx_info& rx, const std::any& payload) {
+      const tag& t = std::any_cast<const tag&>(payload);
+      if (t.sender != rx.sender || t.check[0] != static_cast<double>(t.seq) ||
+          t.check[1] != rx.tx_power) {
+        ++mismatched;
+      }
+      ++received;
+    });
+    psim.set_region(u, u <= kSender ? 0U : u - kSender);
+  }
+
+  constexpr std::uint64_t kSteps = 60;
+  std::uint64_t seq = 0;
+  std::function<void()> send = [&] {
+    for (graph::node_id to = kSender + 1; to < kNodes; ++to) {
+      const double power = 1000.0 + static_cast<double>(seq % 7);
+      medium.unicast(kSender, to, power, tag{kSender, seq, {static_cast<double>(seq), power}});
+      ++seq;
+    }
+    if (seq < 3 * kSteps) medium.schedule_self(kSender, delta, send);
+  };
+  std::vector<double> spin(kSender, 0.0);
+  std::function<void(graph::node_id, std::uint64_t)> busy = [&](graph::node_id u,
+                                                                std::uint64_t left) {
+    for (int i = 0; i < 20000; ++i) spin[u] += std::sqrt(static_cast<double>(i + u));
+    if (left > 1) medium.schedule_self(u, delta, [&busy, u, left] { busy(u, left - 1); });
+  };
+  psim.schedule_node(delta, kSender, send);
+  for (graph::node_id u = 0; u < kSender; ++u) {
+    psim.schedule_node(delta, u, [&busy, u] { busy(u, kSteps); });
+  }
+  psim.run_until(2.0);
+
+  EXPECT_EQ(mismatched.load(), 0u);
+  EXPECT_EQ(received.load(), 3 * kSteps);
+  EXPECT_GT(psim.stats().parallel_phases, kSteps / 2);
+  EXPECT_EQ(psim.stats().violations, 0u);
 }
 
 /// The serial simulator orders same-time events by their typed keys

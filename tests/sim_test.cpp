@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "geom/angle.h"
+#include "geom/random_points.h"
+#include "graph/live_index.h"
 
 #include "radio/channel.h"
 #include "radio/power_model.h"
+#include "radio/propagation.h"
 #include "sim/failure.h"
 #include "sim/medium.h"
 #include "sim/mobility.h"
@@ -201,6 +208,176 @@ TEST(Medium, DuplicatingChannelDeliversTwice) {
   net.med.broadcast(0, net.med.power().max_power(), std::string("twice"));
   net.sim.run();
   EXPECT_EQ(net.inbox[1].size(), 2u);
+}
+
+// ------------------------------------- delivery path against an oracle
+
+/// One delivered copy as a receiver saw it.
+struct delivered {
+  node_id to;
+  rx_info info;
+  std::uint64_t payload;
+
+  [[nodiscard]] bool operator==(const delivered& o) const {
+    // Bitwise on every double: the medium must reproduce the oracle's
+    // arithmetic exactly, not approximately.
+    return to == o.to && info.sender == o.info.sender && info.tx_power == o.info.tx_power &&
+           info.rx_power == o.info.rx_power && info.direction == o.info.direction &&
+           info.time == o.info.time && payload == o.payload;
+  }
+};
+
+/// A payload std::any cannot store inline, so records must carry it.
+struct wide_payload {
+  std::uint64_t id;
+  double pad[3];
+};
+
+/// Drives a medium (optionally routed through a live index directory
+/// that carries cached gains) through random moves, crashes, restarts,
+/// broadcasts and unicasts, and checks every delivered copy against
+/// the per-receiver reference arithmetic: link_model::reaches_at, then
+/// link_model::rx_power_at and one direction draw per copy, with a
+/// twin channel and direction estimator drawing in the same order.
+void check_deliveries_against_oracle(const radio::link_model& link, bool directory,
+                                     const radio::channel_params& ch, double noise) {
+  const std::size_t n = 50;
+  const double side = 900.0;
+  simulator sim;
+  medium med(sim, link, radio::channel(ch, 21), radio::direction_estimator(noise, 22));
+  radio::channel twin_channel(ch, 21);
+  radio::direction_estimator twin_direction(noise, 22);
+
+  std::vector<delivered> got;
+  const std::vector<geom::vec2> start =
+      geom::uniform_points(n, geom::bbox::rect(side, side), 5);
+  for (node_id u = 0; u < n; ++u) {
+    med.add_node(start[u], [&got, u](const rx_info& rx, const std::any& payload) {
+      got.push_back({u, rx, std::any_cast<const wide_payload&>(payload).id});
+    });
+  }
+  graph::live_neighbor_index index(start, link);
+  if (directory) {
+    med.set_move_hook([&](node_id u, const geom::vec2& p) { index.move(u, p); });
+    med.set_liveness_hook([&](node_id u, bool up) {
+      if (up) {
+        index.insert(u, med.position(u));
+      } else {
+        index.erase(u);
+      }
+    });
+    med.set_broadcast_directory([&index](node_id u) {
+      return medium::neighborhood{index.neighbors(u), index.neighbor_gains(u)};
+    });
+  }
+
+  std::vector<delivered> expected;
+  const auto expect_link = [&](node_id from, node_id to, double p, std::uint64_t id) {
+    const geom::vec2 a = med.position(from);
+    const geom::vec2 b = med.position(to);
+    const double d = geom::distance(a, b);
+    if (!link.reaches_at(p, d, from, to, a, b)) return;
+    const radio::delivery_delays delays = twin_channel.sample_deliveries(d);
+    for (const double delay : delays) {
+      rx_info info;
+      info.sender = from;
+      info.tx_power = p;
+      info.rx_power = link.rx_power_at(p, d, from, to, a, b);
+      info.direction = twin_direction.measure(b, a);
+      info.time = sim.now() + delay;
+      expected.push_back({to, info, id});
+    }
+  };
+
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> coord(0.0, side);
+  std::uniform_real_distribution<double> share(0.1, 1.0);
+  std::uniform_int_distribution<node_id> pick(0, n - 1);
+  std::uint64_t next_id = 0;
+  std::size_t crashed_in_flight = 0;
+  std::size_t copies = 0;
+  for (int step = 0; step < 400; ++step) {
+    const node_id u = pick(rng);
+    switch (rng() % 6) {
+      case 0:  // moves, crashed nodes included (they move like the medium's)
+        med.set_position(u, {coord(rng), coord(rng)});
+        break;
+      case 1:
+        if (med.is_up(u)) {
+          med.crash(u);
+        } else {
+          med.restart(u);
+        }
+        break;
+      case 2: {  // unicast to a random node
+        const node_id v = pick(rng);
+        const double p = share(rng) * med.power().max_power();
+        const std::uint64_t id = next_id++;
+        if (med.is_up(u) && med.is_up(v)) expect_link(u, v, p, id);
+        med.unicast(u, v, p, wide_payload{id, {}});
+        break;
+      }
+      default: {
+        const double p = share(rng) * med.power().max_power();
+        const std::uint64_t id = next_id++;
+        if (med.is_up(u)) {
+          for (node_id v = 0; v < n; ++v) {
+            if (v != u && med.is_up(v)) expect_link(u, v, p, id);
+          }
+        }
+        med.broadcast(u, p, wide_payload{id, {}});
+        if (!expected.empty() && rng() % 4 == 0) {
+          // Crash one receiver while its copies are still in flight.
+          const node_id victim = expected[rng() % expected.size()].to;
+          med.crash(victim);
+          crashed_in_flight += static_cast<std::size_t>(std::erase_if(
+              expected, [victim](const delivered& e) { return e.to == victim; }));
+        }
+      }
+    }
+    sim.run();
+    // The scheduler's canonical order: time, then receiver, then copy.
+    std::stable_sort(expected.begin(), expected.end(), [](const delivered& a, const delivered& b) {
+      return std::tie(a.info.time, a.to) < std::tie(b.info.time, b.to);
+    });
+    ASSERT_EQ(got, expected) << "step " << step;
+    copies += got.size();
+    got.clear();
+    expected.clear();
+  }
+  EXPECT_GT(next_id, 200u);
+  EXPECT_GT(copies, 400u);
+  EXPECT_GT(crashed_in_flight, 0u);
+}
+
+radio::propagation_model test_shadowing() {
+  return radio::propagation_model::lognormal_shadowing(4.0, 8.0, 13);
+}
+
+radio::propagation_model test_obstacles() {
+  return radio::propagation_model::obstacle_field({
+      {.box = {{150.0, 150.0}, {450.0, 400.0}}, .loss_db = 9.0},
+      {.box = {{500.0, 450.0}, {800.0, 750.0}}, .loss_db = 6.0},
+  });
+}
+
+void check_every_model(bool directory) {
+  const radio::power_model pm(2.0, 400.0);
+  const radio::channel_params twice{.dup_prob = 1.0, .jitter_max = 0.005};
+  const radio::channel_params lossy{.drop_prob = 0.3, .dup_prob = 0.5, .delay_per_unit = 1e-4,
+                                    .jitter_max = 0.02};
+  for (const radio::channel_params& ch : {twice, lossy}) {
+    SCOPED_TRACE(ch.drop_prob > 0.0 ? "lossy channel" : "duplicating channel");
+    check_deliveries_against_oracle(radio::link_model(pm), directory, ch, 0.0);
+    check_deliveries_against_oracle(radio::link_model(pm, test_shadowing()), directory, ch, 0.1);
+    check_deliveries_against_oracle(radio::link_model(pm, test_obstacles()), directory, ch, 0.1);
+  }
+}
+
+TEST(Medium, DeliveriesMatchReferenceArithmeticFullScan) { check_every_model(false); }
+
+TEST(Medium, DeliveriesMatchReferenceArithmeticThroughIndexDirectory) {
+  check_every_model(true);
 }
 
 // ------------------------------------------------------------ mobility
