@@ -217,6 +217,9 @@ TEST(ApiEngine, ReportDigestsArePinned) {
       {"lifetime/balanced", 0xbcb0381aa461903ULL},
       {"lifetime/cooperative", 0xaf6302dc9614314fULL},
       {"lifetime/convergecast", 0x4d05743530c9fabULL},
+      {"mobile_churn/lossy", 0x8adb0e0396bcfb58ULL},
+      {"mobile_churn/zero_delay", 0x2718e3fd60f4f386ULL},
+      {"paper_protocol/lossy", 0xb54d80f8ab029704ULL},
   };
   const auto check = [&](const std::string& label, const std::string& bytes) {
     const auto it = golden.find(label);
@@ -248,8 +251,7 @@ TEST(ApiEngine, ReportDigestsArePinned) {
   bridged.post.bridge_augmentation = true;
   check_static("paper_table1/bridge_augmentation", bridged);
 
-  for (const std::string& name : dynamic_scenario_names()) {
-    const dynamic_scenario dyn = get_dynamic_scenario(name);
+  const auto check_dynamic = [&](const std::string& label, const dynamic_scenario& dyn) {
     report_bytes bytes;
     dynamic_batch_report batch;
     for (std::uint64_t seed = 0; seed < 2; ++seed) {
@@ -257,8 +259,28 @@ TEST(ApiEngine, ReportDigestsArePinned) {
       bytes.add(r.final_topology);
       batch.accumulate(r);
     }
-    check(name, bytes.finish(batch));
+    check(label, bytes.finish(batch));
+  };
+  for (const std::string& name : dynamic_scenario_names()) {
+    check_dynamic(name, get_dynamic_scenario(name));
   }
+
+  // A channel that draws randomness per delivery, and one without a
+  // base delay, run on the one-region engine whatever the region count.
+  const auto lossy = [](scenario_spec spec) {
+    spec.protocol.channel.drop_prob = 0.1;
+    spec.protocol.channel.dup_prob = 0.1;
+    spec.protocol.channel.jitter_max = 0.05;
+    spec.protocol.direction_noise = 0.02;
+    return spec;
+  };
+  dynamic_scenario churn = get_dynamic_scenario("mobile_churn");
+  churn.scenario = lossy(churn.scenario);
+  check_dynamic("mobile_churn/lossy", churn);
+  churn = get_dynamic_scenario("mobile_churn");
+  churn.scenario.protocol.channel.base_delay = 0.0;
+  check_dynamic("mobile_churn/zero_delay", churn);
+  check_static("paper_protocol/lossy", lossy(get_scenario("paper_protocol")));
 
   const std::pair<const char*, lifetime_spec> lifetimes[] = {
       {"plain", {.policy = lifetime_policy::plain_cbtc}},
