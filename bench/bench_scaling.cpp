@@ -558,7 +558,7 @@ BENCHMARK(BM_ConvergecastTick)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConvergecastBase)->Arg(64)->Unit(benchmark::kMillisecond);
 
 /// One instance of e2ebench's mobile_sweep: the shadowed_field_mobile
-/// preset plus a convergecast plane, on the serial simulator. Beacon
+/// preset plus a convergecast plane, on the one-region engine. Beacon
 /// and packet deliveries dominate it, and every one of them crosses a
 /// lognormal-shadowed link, so this row times the medium's delivery
 /// path (gain lookup, link budget, per-transmission records).
@@ -572,11 +572,11 @@ void BM_ShadowedMobileRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ShadowedMobileRun)->Arg(40)->Unit(benchmark::kMillisecond);
 
-// -- partitioned dynamic engine: single queue vs regioned lanes -------
+// -- event engine: one region vs regioned lanes ------------------------
 
 /// The 100k-node mobile-churn acceptance row for the spatially
 /// partitioned event engine: a full dynamic run (protocol build-out,
-/// NDP beaconing, waypoint mobility, crashes) on one queue versus 16
+/// NDP beaconing, waypoint mobility, crashes) on one region versus 16
 /// regions x 4 intra threads. Reports are bitwise identical (tests
 /// assert it); the machine-independent gate is the partitioned/serial
 /// *ratio*, which must show a real speedup, not parity. One iteration

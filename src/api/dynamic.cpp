@@ -33,7 +33,6 @@
 #include "sim/failure.h"
 #include "sim/medium.h"
 #include "sim/mobility.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
 #include "util/parallel.h"
@@ -103,27 +102,28 @@ bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vecto
       static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true)));
 }
 
-/// Region grid side (g x g regions) for a dynamic run; 0 selects the
-/// serial single-queue reference. The partitioned engine requires a
-/// positive lookahead (the channel's fixed base delay) and a draw-free
-/// delivery path — per-delivery channel randomness (drop / dup /
-/// jitter) or direction noise would be consumed in engine-dependent
-/// order, so such runs stay on the reference path. All registry
-/// presets are draw-free.
+/// Region grid side (g x g regions) for a dynamic run; 1 selects the
+/// one-region engine. Lanes need a positive lookahead (the channel's
+/// fixed base delay) and a draw-free delivery path — per-delivery
+/// channel randomness (drop / dup / jitter) or direction noise would be
+/// consumed in an order that depends on the region count, so such runs
+/// keep one region. All registry presets are draw-free. The side is at
+/// most floor(sqrt(nodes)), so there are never more regions than nodes.
 std::uint32_t region_grid_side(const scenario_spec& spec, const sim_spec& sim_cfg,
                                std::size_t nodes) {
   const radio::channel_params& ch = spec.protocol.channel;
   if (ch.base_delay <= 0.0 || ch.drop_prob > 0.0 || ch.dup_prob > 0.0 || ch.jitter_max > 0.0 ||
       spec.protocol.direction_noise > 0.0) {
-    return 0;
+    return 1;
   }
   std::uint32_t regions = sim_cfg.partition.regions;
   if (regions == 0) {
-    if (nodes < sim_cfg.partition.min_nodes) return 0;
+    if (nodes < sim_cfg.partition.min_nodes) return 1;
     regions = std::clamp<std::uint32_t>(static_cast<std::uint32_t>(nodes / 4096), 4U, 64U);
   }
-  const auto side = static_cast<std::uint32_t>(std::sqrt(static_cast<double>(regions)));
-  return side >= 2 ? side : 0;
+  const auto side = std::min(static_cast<std::uint32_t>(std::sqrt(static_cast<double>(regions))),
+                             static_cast<std::uint32_t>(std::sqrt(static_cast<double>(nodes))));
+  return std::max(side, 1U);
 }
 
 }  // namespace
@@ -152,9 +152,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   r.seed = seed;
   r.nodes = positions.size();
 
-  // Engine selection: both engines execute the same canonical event
-  // order (sim/scheduler.h), so the serial simulator is the bitwise
-  // reference for the partitioned engine at any region/thread count
+  // Region count: the engine executes the same canonical event order
+  // (sim/simulator.h) at any region count, so the one-region engine is
+  // the bitwise reference for the lanes at any region/thread count
   // (asserted in sim_partition_test).
   util::thread_pool pool(spec.cbtc.intra_threads);
   const std::uint32_t grid_side = region_grid_side(spec, sim_cfg, positions.size());
@@ -168,19 +168,15 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
         grid_side - 1, static_cast<std::uint32_t>(std::max(0.0, fy * grid_side)));
     return cy * grid_side + cx;
   };
-  sim::simulator serial_sim;
-  std::unique_ptr<sim::partitioned_simulator> psim;
-  if (grid_side >= 2) {
-    psim = std::make_unique<sim::partitioned_simulator>(
-        positions.size(),
-        sim::partitioned_simulator::config{.regions = grid_side * grid_side,
-                                           .lookahead = spec.protocol.channel.base_delay,
-                                           .pool = &pool});
+  sim::simulator simulator(positions.size(), {.regions = grid_side * grid_side,
+                                               .lookahead = spec.protocol.channel.base_delay,
+                                               .pool = &pool});
+  const bool lanes = simulator.regions() > 1;
+  if (lanes) {
     for (graph::node_id u = 0; u < positions.size(); ++u) {
-      psim->set_region(u, region_at(positions[u]));
+      simulator.set_region(u, region_at(positions[u]));
     }
   }
-  sim::scheduler& simulator = psim ? static_cast<sim::scheduler&>(*psim) : serial_sim;
   sim::medium medium(simulator, link, radio::channel(spec.protocol.channel, instance_seed),
                      radio::direction_estimator(spec.protocol.direction_noise, instance_seed + 1));
 
@@ -216,15 +212,15 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   medium.set_broadcast_directory([&index](graph::node_id u) {
     return sim::medium::neighborhood{index.neighbors(u), index.neighbor_gains(u)};
   });
-  if (psim) {
+  if (lanes) {
     std::vector<std::uint32_t> region_map(positions.size());
-    for (graph::node_id u = 0; u < positions.size(); ++u) region_map[u] = psim->region_of(u);
-    index.set_region_map(std::move(region_map), psim->regions());
+    for (graph::node_id u = 0; u < positions.size(); ++u) region_map[u] = simulator.region_of(u);
+    index.set_region_map(std::move(region_map), simulator.regions());
   }
 
   // The agents' closure topology, mirrored from per-agent table deltas
   // so a connectivity evaluation never re-reads n neighbor tables.
-  // Under the partitioned engine, deltas produced inside a parallel
+  // With two or more regions, deltas produced inside a parallel
   // region phase are buffered per region and applied at the barrier:
   // the mirror's net state is delta-order-invariant (sorted entry
   // vectors with per-pair arc counts), so the flush order does not
@@ -235,7 +231,7 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     bool added;
   };
   graph::closure_mirror mirror(positions.size());
-  std::vector<std::vector<arc_delta>> mirror_deltas(psim ? psim->regions() : 0);
+  std::vector<std::vector<arc_delta>> mirror_deltas(simulator.regions());
   const auto apply_delta = [&mirror](const arc_delta& d) {
     if (d.added) {
       mirror.add_arc(d.u, d.v);
@@ -247,28 +243,26 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     agents[u]->set_table_hook([u, &mirror_deltas, &apply_delta](graph::node_id v, bool added) {
       // Evaluations are scheduled by the coarser change hook below;
       // the delta stream only keeps the mirror current.
-      if (sim::partitioned_simulator::in_event_phase()) {
-        mirror_deltas[sim::partitioned_simulator::current_region()].push_back({u, v, added});
+      if (sim::simulator::in_event_phase()) {
+        mirror_deltas[sim::simulator::current_region()].push_back({u, v, added});
       } else {
         apply_delta({u, v, added});
       }
     });
   }
-  if (psim) {
-    psim->set_barrier_hook([&mirror_deltas, &apply_delta] {
-      for (std::vector<arc_delta>& deltas : mirror_deltas) {
-        for (const arc_delta& d : deltas) apply_delta(d);
-        deltas.clear();
-      }
-    });
-  }
+  simulator.set_barrier_hook([&mirror_deltas, &apply_delta] {
+    for (std::vector<arc_delta>& deltas : mirror_deltas) {
+      for (const arc_delta& d : deltas) apply_delta(d);
+      deltas.clear();
+    }
+  });
 
   // -- event-driven connectivity tracking ---------------------------
   // Armed after the settle sample. Every event that changes the index
-  // or an agent's neighbor table requests the scheduler's end-of-
+  // or an agent's neighbor table requests the engine's end-of-
   // instant hook; the evaluation runs exactly once per changed
-  // instant, after all of that instant's events (and, under the
-  // partitioned engine, after the barrier applied the buffered mirror
+  // instant, after all of that instant's events (and, with two or
+  // more regions, after the barrier applied the buffered mirror
   // deltas). Disruption windows therefore carry exact event times
   // instead of sample-cadence times.
   bool tracking = false;
@@ -339,10 +333,10 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
     const std::uint64_t before = index.version();
     index.move(u, p);
     if (index.version() != before) note_change();
-    if (psim) {
+    if (lanes) {
       const std::uint32_t reg = region_at(p);
-      if (reg != psim->region_of(u)) {
-        psim->set_region(u, reg);
+      if (reg != simulator.region_of(u)) {
+        simulator.set_region(u, reg);
         index.set_node_region(u, reg);
       }
     }
@@ -359,12 +353,12 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   for (auto& a : agents) a->set_change_hook(note_change);
 
   // Convergecast data plane: wraps the agents' handlers (foreign
-  // payloads pass through), draws no randomness (the engine-selection
+  // payloads pass through), draws no randomness (the region-count
   // gate above is unaffected), and reads the closure topology only
   // from class-0 refresh events, enumerating the mirror's live
   // neighbors in place. Periods are clamped up to the channel base
-  // delay so every self-scheduled timer respects the partitioned
-  // engine's lookahead.
+  // delay so every self-scheduled timer respects the lanes'
+  // lookahead.
   if (sim_cfg.traffic.enabled() && positions.size() > 1) {
     sim::convergecast_config tc;
     tc.sink = sim_cfg.traffic.sink;
@@ -488,33 +482,7 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   }
   r.channel = medium.stats();
 
-  if (traffic) {
-    traffic->finish();
-    const sim::convergecast_stats& ts = traffic->stats();
-    traffic_report& tr = r.traffic;
-    tr.enabled = true;
-    tr.generated = ts.generated;
-    tr.delivered = ts.delivered;
-    tr.forwards = ts.forwards;
-    tr.queue_drops = ts.queue_drops;
-    tr.no_route_drops = ts.no_route_drops;
-    tr.dead_drops = ts.dead_drops;
-    tr.lost_in_air = ts.lost_in_air;
-    tr.queued_at_end = ts.queued_at_end;
-    tr.route_refreshes = ts.route_refreshes;
-    tr.queue_peak = ts.queue_peak;
-    tr.delivery_ratio =
-        ts.generated == 0 ? 0.0
-                          : static_cast<double>(ts.delivered) / static_cast<double>(ts.generated);
-    const double window = sim_cfg.horizon - traffic->config().start;
-    tr.throughput = window > 0.0 ? static_cast<double>(ts.delivered) / window : 0.0;
-    tr.avg_delay =
-        ts.delivered == 0 ? 0.0 : ts.delay_sum / static_cast<double>(ts.delivered);
-    tr.forwarding_energy = ts.forwarding_energy;
-    tr.energy_mean = ts.energy_mean;
-    tr.energy_max = ts.energy_max;
-    tr.energy_stddev = ts.energy_stddev;
-  }
+  if (traffic) r.traffic = traffic->finish();
   return r;
 }
 

@@ -35,6 +35,7 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "sim/medium.h"
+#include "sim/traffic.h"
 
 namespace cbtc::api {
 
@@ -194,34 +195,6 @@ struct dynamic_sample {
   [[nodiscard]] bool operator==(const dynamic_sample&) const = default;
 };
 
-/// Convergecast data-plane outcome of one dynamic run (sim/traffic.h):
-/// raw conservation counters plus the derived throughput / delivery /
-/// energy-spread metrics. For a channel that never duplicates,
-/// generated = delivered + queue_drops + no_route_drops + dead_drops +
-/// lost_in_air + queued_at_end (asserted in tests).
-struct traffic_report {
-  bool enabled{false};
-  std::uint64_t generated{0};
-  std::uint64_t delivered{0};
-  std::uint64_t forwards{0};        ///< transmissions, origin sends included
-  std::uint64_t queue_drops{0};
-  std::uint64_t no_route_drops{0};
-  std::uint64_t dead_drops{0};
-  std::uint64_t lost_in_air{0};
-  std::uint64_t queued_at_end{0};
-  std::uint64_t route_refreshes{0};
-  std::uint64_t queue_peak{0};      ///< deepest queue seen at any node
-  double delivery_ratio{0.0};       ///< delivered / generated
-  double throughput{0.0};           ///< delivered per sim-time unit
-  double avg_delay{0.0};            ///< mean source-to-sink latency
-  double forwarding_energy{0.0};    ///< traffic-only energy, summed
-  double energy_mean{0.0};          ///< per non-sink node
-  double energy_max{0.0};
-  double energy_stddev{0.0};        ///< the forwarding-balance metric
-
-  [[nodiscard]] bool operator==(const traffic_report&) const = default;
-};
-
 /// Outcome of one dynamic (churn / mobility) simulation instance.
 struct dynamic_report {
   std::uint64_t seed{0};
@@ -273,7 +246,7 @@ struct dynamic_report {
   bool partitioned{false};
 
   /// Convergecast data-plane outcome (all-zero unless enabled).
-  traffic_report traffic{};
+  sim::traffic_report traffic{};
 
   std::vector<dynamic_sample> samples;
 

@@ -273,7 +273,7 @@ void for_each_field(auto&& f, spec_of<failure_spec> auto& s) {
 }
 
 void for_each_field(auto&& f, spec_of<partition_spec> auto& p) {
-  f("regions", p.regions, u32);  // 0: auto, 1: serial
+  f("regions", p.regions, u32);  // 0: auto, 1: one region
   f("min_nodes", p.min_nodes, non_negative);
 }
 

@@ -87,17 +87,18 @@ struct beacon_spec {
 };
 
 /// Spatial partitioning of the dynamic event engine (conservative
-/// PDES, sim/partition.h). `regions` requests a region count (rounded
-/// down to a g x g grid over the deployment field); 0 picks
-/// automatically — serial below `min_nodes`, then one region per
-/// ~4096 nodes (clamped to [4, 64]). Reports are bitwise-identical at
-/// every region count and thread count; runs whose channel or
-/// direction estimator draws randomness per delivery (drop/dup/jitter
-/// or direction noise, none of the registry presets) fall back to the
-/// single-queue reference, as does a channel without a positive base
-/// delay (the lookahead).
+/// PDES, sim/simulator.h). `regions` requests a region count, rounded
+/// down to a g x g grid over the deployment field and clamped to
+/// g <= floor(sqrt(nodes)), so a run never has more regions than
+/// nodes; 0 picks automatically — one region below `min_nodes`, then
+/// one region per ~4096 nodes (clamped to [4, 64]). Reports are
+/// bitwise-identical at every region count and thread count; runs
+/// whose channel or direction estimator draws randomness per delivery
+/// (drop/dup/jitter or direction noise, none of the registry presets)
+/// keep one region, as does a channel without a positive base delay
+/// (the lookahead).
 struct partition_spec {
-  std::uint32_t regions{0};     ///< 0 = auto, 1 = force serial reference
+  std::uint32_t regions{0};     ///< 0 = auto, 1 = one region
   std::size_t min_nodes{4096};  ///< auto mode engages at this node count
 
   [[nodiscard]] bool operator==(const partition_spec&) const = default;
@@ -111,8 +112,8 @@ struct partition_spec {
 /// default — old scenarios are unaffected). Times are absolute sim
 /// times; 0 means "resolve from the sim_spec" (start defaults to
 /// `settle`, until to `horizon`). Periods and service times are
-/// clamped up to the channel base delay so the partitioned engine's
-/// lookahead always holds.
+/// clamped up to the channel base delay so the lanes' lookahead always
+/// holds.
 struct traffic_spec {
   double period{0.0};          ///< reading period per node; 0 = traffic off
   graph::node_id sink{0};      ///< collection point; below n (run_dynamic throws otherwise)

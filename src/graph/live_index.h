@@ -93,7 +93,7 @@ class live_neighbor_index {
   [[nodiscard]] std::uint64_t gain_lookups() const { return gain_lookups_; }
   [[nodiscard]] std::uint64_t gain_misses() const { return gain_misses_; }
 
-  /// Per-region churn telemetry for the partitioned dynamic engine:
+  /// Per-region churn telemetry for a dynamic run on two or more regions:
   /// once a region map is installed (one region id per node; the
   /// engine keeps it in sync as nodes migrate), every index mutation —
   /// live move, erase, insert — is counted against the node's current

@@ -23,7 +23,7 @@ struct medium::transmission {
   std::vector<copy> copies;
 };
 
-medium::medium(scheduler& sim, radio::link_model lm, radio::channel ch,
+medium::medium(simulator& sim, radio::link_model lm, radio::channel ch,
                radio::direction_estimator de)
     : sim_(sim), link_(std::move(lm)), channel_(std::move(ch)), direction_(std::move(de)) {}
 
@@ -84,7 +84,7 @@ void medium::offer(transmission& tx, std::uint64_t tx_seq, node_id to, double di
 }
 
 void medium::seal(transmission& tx) {
-  // No scheduler runs an event while its creator is still running, so
+  // The engine never runs an event while its creator is still running, so
   // publishing the count after scheduling is early enough.
   tx.pending.store(static_cast<std::uint32_t>(tx.copies.size()), std::memory_order_relaxed);
 }

@@ -12,13 +12,13 @@
 // latency come from the radio::channel. Positions may change between
 // events (mobility); range membership is evaluated at transmit time.
 //
-// The medium schedules through the sim::scheduler interface with typed
-// events (timers via schedule_self, deliveries via schedule_delivery
-// with per-sender transmission counters), so the same protocol stack
-// runs on the serial simulator and the partitioned engine. Transmit /
-// delivery counters are relaxed atomics — their sums are independent
-// of event interleaving — and stats() folds per-node energy in node
-// order, so reported totals are bitwise engine-independent.
+// The medium schedules through sim::simulator with typed events
+// (timers via schedule_self, deliveries via schedule_delivery with
+// per-sender transmission counters), so the same protocol stack runs
+// at any region count. Transmit / delivery counters are relaxed
+// atomics — their sums are independent of how lanes interleave — and
+// stats() folds per-node energy in node order, so reported totals are
+// bitwise-identical at any region and thread count.
 //
 // Cost of a receiver. Each candidate costs one link gain and one
 // p(d): the gain comes from the broadcast directory when it carries
@@ -30,8 +30,8 @@
 // a record the medium owns; a delivery event is a {record, copy,
 // receiver} triple that std::function stores inline. Records are
 // recycled by their sender once their atomic count of pending copies
-// drops to zero. A sender's events run in one lane per instant on
-// either engine, so a record has a single writer; its readers are the
+// drops to zero. A sender's events run in one lane per instant at any
+// region count, so a record has a single writer; its readers are the
 // deliveries, which finish with the record before releasing it. A warm
 // medium therefore allocates nothing per delivery
 // (tests/sim_alloc_test.cpp). A payload lives as long as its record:
@@ -52,7 +52,7 @@
 #include "radio/direction.h"
 #include "radio/power_model.h"
 #include "radio/propagation.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace cbtc::sim {
 
@@ -85,7 +85,7 @@ class medium {
   /// `lm` carries the power model plus the per-link propagation; a
   /// bare radio::power_model converts implicitly (isotropic gains,
   /// bitwise-identical delivery decisions).
-  medium(scheduler& sim, radio::link_model lm, radio::channel ch = radio::channel{},
+  medium(simulator& sim, radio::link_model lm, radio::channel ch = radio::channel{},
          radio::direction_estimator de = radio::direction_estimator{});
   ~medium();
 
@@ -137,8 +137,8 @@ class medium {
   void unicast(node_id from, node_id to, double tx_power, std::any payload);
 
   /// Schedules a class-1 timer event owned by `owner` — the one safe
-  /// way for protocol code to self-schedule on either engine.
-  void schedule_self(node_id owner, time_point delay, scheduler::action fn) {
+  /// way for protocol code to self-schedule at any region count.
+  void schedule_self(node_id owner, time_point delay, simulator::action fn) {
     sim_.schedule_node(sim_.now() + delay, owner, std::move(fn));
   }
 
@@ -162,7 +162,7 @@ class medium {
   [[nodiscard]] medium_stats stats() const;
   /// Cumulative transmit energy spent by one node (sum of tx powers).
   [[nodiscard]] double tx_energy(node_id u) const { return node_energy_[u]; }
-  [[nodiscard]] scheduler& sim() { return sim_; }
+  [[nodiscard]] simulator& sim() { return sim_; }
 
  private:
   struct transmission;
@@ -177,7 +177,7 @@ class medium {
   static void seal(transmission& tx);
   void deliver(transmission& tx, std::uint32_t copy, node_id to);
 
-  scheduler& sim_;
+  simulator& sim_;
   radio::link_model link_;
   radio::channel channel_;
   radio::direction_estimator direction_;

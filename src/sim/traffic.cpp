@@ -140,41 +140,46 @@ void convergecast::on_receive(node_id u, const packet& p) {
   ensure_service(u);
 }
 
-void convergecast::finish() {
-  stats_ = convergecast_stats{};
+traffic_report convergecast::finish() const {
+  traffic_report r{.enabled = true};
   std::uint64_t sent_sum = 0;
   std::uint64_t arrived_sum = 0;
   double energy_sum = 0.0;
   double energy_sq = 0.0;
   for (node_id u = 0; u < n_; ++u) {
-    stats_.generated += generated_[u];
-    stats_.forwards += forwards_[u];
-    stats_.queue_drops += queue_drops_[u];
-    stats_.no_route_drops += no_route_drops_[u];
-    stats_.dead_drops += dead_drops_[u];
-    stats_.queued_at_end += queue_[u].size();
-    stats_.queue_peak = std::max(stats_.queue_peak, queue_peak_[u]);
+    r.generated += generated_[u];
+    r.forwards += forwards_[u];
+    r.queue_drops += queue_drops_[u];
+    r.no_route_drops += no_route_drops_[u];
+    r.dead_drops += dead_drops_[u];
+    r.queued_at_end += queue_[u].size();
+    r.queue_peak = std::max(r.queue_peak, queue_peak_[u]);
     sent_sum += sent_[u];
     arrived_sum += arrived_[u];
-    stats_.forwarding_energy += energy_[u];
+    r.forwarding_energy += energy_[u];
     if (u != cfg_.sink) {
       energy_sum += energy_[u];
       energy_sq += energy_[u] * energy_[u];
-      stats_.energy_max = std::max(stats_.energy_max, energy_[u]);
+      r.energy_max = std::max(r.energy_max, energy_[u]);
     }
   }
-  stats_.delivered = delivered_;
-  stats_.delay_sum = delay_sum_;
-  stats_.route_refreshes = route_refreshes_;
+  r.delivered = delivered_;
+  r.route_refreshes = route_refreshes_;
   // Never negative for non-duplicating channels; a duplicating channel
   // can deliver more copies than transmissions, so clamp at zero.
-  stats_.lost_in_air = sent_sum >= arrived_sum ? sent_sum - arrived_sum : 0;
+  r.lost_in_air = sent_sum >= arrived_sum ? sent_sum - arrived_sum : 0;
   if (n_ > 1) {
     const double m = energy_sum / static_cast<double>(n_ - 1);
-    stats_.energy_mean = m;
-    stats_.energy_stddev =
-        std::sqrt(std::max(0.0, energy_sq / static_cast<double>(n_ - 1) - m * m));
+    r.energy_mean = m;
+    r.energy_stddev = std::sqrt(std::max(0.0, energy_sq / static_cast<double>(n_ - 1) - m * m));
   }
+  r.delivery_ratio = r.generated == 0 ? 0.0
+                                      : static_cast<double>(r.delivered) /
+                                            static_cast<double>(r.generated);
+  const double window = cfg_.horizon - cfg_.start;
+  r.throughput = window > 0.0 ? static_cast<double>(r.delivered) / window : 0.0;
+  r.avg_delay = r.delivered == 0 ? 0.0 : delay_sum_ / static_cast<double>(r.delivered);
+  return r;
 }
 
 }  // namespace cbtc::sim

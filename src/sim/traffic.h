@@ -21,11 +21,12 @@
 // class-1 events of the owning node; packet receptions are class-2
 // events of the receiver; route refreshes are class-0 (serial). All
 // per-node counters, queues, and energy ledgers are therefore touched
-// only by their owner's events, which both engines execute in the one
-// canonical key order — so every statistic, including the
-// floating-point delay and energy folds, is bitwise-identical at any
-// region count x thread count. The driver draws no randomness, so it
-// never perturbs the engine-selection gate or the channel RNG.
+// only by their owner's events, which the engine executes in the one
+// canonical key order at any region count — so every statistic,
+// including the floating-point delay and energy folds, is
+// bitwise-identical at any region count x thread count. The data
+// plane draws no randomness, so it never perturbs the region-count
+// gate or the channel RNG.
 #pragma once
 
 #include <any>
@@ -37,7 +38,7 @@
 
 #include "graph/types.h"
 #include "sim/medium.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace cbtc::sim {
 
@@ -52,24 +53,32 @@ struct convergecast_config {
   std::size_t queue_capacity{8};
 };
 
-/// Raw counters folded in node order by finish(); derived metrics
-/// (delivery ratio, throughput, average delay) live in api::traffic_report.
-struct convergecast_stats {
+/// Convergecast data-plane outcome of one dynamic run: raw
+/// conservation counters plus the derived throughput / delivery /
+/// energy-spread metrics. For a channel that never duplicates,
+/// generated = delivered + queue_drops + no_route_drops + dead_drops +
+/// lost_in_air + queued_at_end (asserted in tests).
+struct traffic_report {
+  bool enabled{false};
   std::uint64_t generated{0};
   std::uint64_t delivered{0};
-  std::uint64_t forwards{0};        // transmissions, origin sends included
-  std::uint64_t queue_drops{0};     // bounded-FIFO overflow
-  std::uint64_t no_route_drops{0};  // no path to the sink at service time
-  std::uint64_t dead_drops{0};      // queue flushed because the node crashed
-  std::uint64_t lost_in_air{0};     // sent but never received (range, channel, in flight)
+  std::uint64_t forwards{0};        ///< transmissions, origin sends included
+  std::uint64_t queue_drops{0};     ///< bounded-FIFO overflow
+  std::uint64_t no_route_drops{0};  ///< no path to the sink at service time
+  std::uint64_t dead_drops{0};      ///< queue flushed because the node crashed
+  std::uint64_t lost_in_air{0};     ///< sent but never received (range, channel, in flight)
   std::uint64_t queued_at_end{0};
   std::uint64_t route_refreshes{0};
-  std::uint64_t queue_peak{0};      // max queue depth seen at any node
-  double delay_sum{0.0};            // over delivered packets
-  double forwarding_energy{0.0};    // traffic-only energy, all nodes
-  double energy_mean{0.0};          // over non-sink nodes
+  std::uint64_t queue_peak{0};      ///< deepest queue seen at any node
+  double delivery_ratio{0.0};       ///< delivered / generated
+  double throughput{0.0};           ///< delivered per sim-time unit after `start`
+  double avg_delay{0.0};            ///< mean source-to-sink latency
+  double forwarding_energy{0.0};    ///< traffic-only energy, summed over all nodes
+  double energy_mean{0.0};          ///< per non-sink node
   double energy_max{0.0};
-  double energy_stddev{0.0};
+  double energy_stddev{0.0};        ///< the forwarding-balance metric
+
+  [[nodiscard]] bool operator==(const traffic_report&) const = default;
 };
 
 class convergecast {
@@ -87,20 +96,19 @@ class convergecast {
   convergecast(medium& m, convergecast_config cfg, neighbor_fn neighbors, cost_fn cost);
 
   /// Wraps handlers and schedules the generation timers and the first
-  /// route refresh. Call before scheduler::run_until.
+  /// route refresh. Call before simulator::run_until.
   void start();
 
   /// Thread-safe: marks the next-hop tables stale. Chain this into
   /// topology / liveness / move hooks.
   void mark_routes_stale() { dirty_.store(true, std::memory_order_relaxed); }
 
-  /// Folds the per-node ledgers into stats() in node order. Call once
-  /// after the run completes.
-  void finish();
+  /// Folds the per-node ledgers into the run's report in node order;
+  /// throughput is over [start, horizon]. Call once after the run
+  /// completes.
+  [[nodiscard]] traffic_report finish() const;
 
-  [[nodiscard]] const convergecast_stats& stats() const { return stats_; }
   [[nodiscard]] double energy(node_id u) const { return energy_[u]; }
-  [[nodiscard]] const convergecast_config& config() const { return cfg_; }
 
   /// The payload carried through medium::unicast.
   struct packet {
@@ -145,8 +153,6 @@ class convergecast {
   std::uint64_t delivered_{0};
   double delay_sum_{0.0};
   std::uint64_t route_refreshes_{0};
-
-  convergecast_stats stats_;
 };
 
 }  // namespace cbtc::sim

@@ -3,10 +3,10 @@
 // This binary replaces the global operator new / delete with counting
 // wrappers that forward to malloc / free (so ASan and TSan still see
 // and check every allocation). Once a medium is warm — its per-sender
-// transmission records, the scheduler's queues and the executor's
+// transmission records, the engine's queues and the executor's
 // workers have reached their working size — a broadcast must allocate
-// nothing per delivered copy, on the serial simulator and on a
-// 4-region partitioned_simulator whose lanes drain on a thread pool.
+// nothing per delivered copy, on the one-region engine and on a
+// 4-region engine whose lanes drain on a thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include "graph/live_index.h"
 #include "radio/propagation.h"
 #include "sim/medium.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "util/parallel.h"
 
@@ -104,7 +103,7 @@ struct wide_payload {
 struct field {
   static constexpr std::size_t nodes = 48;
 
-  explicit field(scheduler& s)
+  explicit field(simulator& s)
       : link(radio::power_model(2.0, 400.0),
              radio::propagation_model::lognormal_shadowing(4.0, 8.0, 3)),
         positions(geom::uniform_points(nodes, geom::bbox::rect(700.0, 700.0), 11)),
@@ -128,10 +127,10 @@ struct field {
 };
 
 /// Every node broadcasts once from its own timer event at time `t`
-/// (inside the partitioned engine's lanes), then the run drains past
+/// (inside the lanes, when there are several), then the run drains past
 /// the deliveries. A {field*, node} timer closure is stored inline.
 template <class Payload>
-void broadcast_round(field& f, scheduler& s, double t) {
+void broadcast_round(field& f, simulator& s, double t) {
   for (node_id u = 0; u < field::nodes; ++u) {
     s.schedule_node(t, u, [fp = &f, u] {
       fp->med.broadcast(u, fp->med.power().max_power(), Payload{u, {}});
@@ -143,7 +142,7 @@ void broadcast_round(field& f, scheduler& s, double t) {
 /// Warms `f` up, then checks that rounds of broadcasts allocate
 /// nothing with an inline payload and exactly one block per
 /// transmission with a heap-stored one.
-void expect_no_allocation_per_delivery(field& f, scheduler& s) {
+void expect_no_allocation_per_delivery(field& f, simulator& s) {
   double t = 1.0;
   for (int warm = 0; warm < 3; ++warm, t += 2.0) {
     broadcast_round<small_payload>(f, s, t);
@@ -171,10 +170,8 @@ TEST(SimAlloc, WarmSerialBroadcastsAllocateNothingPerDelivery) {
 
 TEST(SimAlloc, WarmPartitionedBroadcastsAllocateNothingPerDelivery) {
   const util::thread_pool pool(4);
-  partitioned_simulator s(field::nodes, {.regions = 4,
-                                         .lookahead = 0.01,
-                                         .pool = &pool,
-                                         .serial_batch_limit = 0});
+  simulator s(field::nodes,
+              {.regions = 4, .lookahead = 0.01, .pool = &pool, .serial_batch_limit = 0});
   field f(s);
   for (node_id u = 0; u < field::nodes; ++u) {
     const geom::vec2& p = f.positions[u];

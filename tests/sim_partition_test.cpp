@@ -1,14 +1,22 @@
-// The partitioned dynamic engine's determinism contract: a dynamic
-// run's report is bitwise-identical at every region count and every
-// thread count — the single-queue canonical-tie simulator is the
-// reference oracle, and regions {4, 16} x threads {1, 4} must
-// reproduce it field for field, under uniform and lognormal-shadowed
-// propagation, with boundary crossings (waypoint mobility across the
-// region grid) and mid-run crashes/restarts in flight. Plus direct
-// unit coverage of the conservative synchronizer itself: lookahead
-// safety (no event created inside a phase below now + lookahead),
-// parallel-phase telemetry, migration counting, and the per-region
-// churn counters on the live index.
+// The event engine's determinism contract: a dynamic run's report is
+// bitwise-identical at every region count and every thread count —
+// the one-region engine is the reference oracle, and regions {4, 16}
+// x threads {1, 4} must reproduce it field for field, under uniform
+// and lognormal-shadowed propagation, with boundary crossings
+// (waypoint mobility across the region grid) and mid-run
+// crashes/restarts in flight. Plus direct unit coverage of the
+// conservative synchronizer itself: lookahead safety (no event created
+// inside a phase below now + lookahead), parallel-phase telemetry,
+// migration counting, and the per-region churn counters on the live
+// index; and of the one-region engine's key order at zero lookahead.
+//
+// No assertion here depends on how threads are scheduled: lane
+// telemetry is a function of the event structure and the pool's
+// configured width (not the machine's core count), per-node counters
+// are touched only from their owner's lane, and cross-lane counters
+// are atomics whose totals do not depend on interleaving. Timing
+// decides only how often the recycle test hits its race window, which
+// TSan then checks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +31,6 @@
 #include "geom/vec2.h"
 #include "graph/live_index.h"
 #include "sim/medium.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "util/parallel.h"
 
@@ -73,12 +80,14 @@ TEST(SimPartition, ReportBitwiseIdenticalAcrossRegionAndThreadCounts) {
                                     .clamp_db = 6.0}
                  : propagation_spec{};
 
-    // regions = 1 forces the single-queue reference engine.
+    // regions = 1 forces the one-region engine.
     spec.cbtc.intra_threads = 1;
     dyn.partition.regions = 1;
     const dynamic_report reference = eng.run_dynamic(spec, dyn, 5);
 
-    for (const std::uint32_t regions : {4u, 16u}) {
+    // The largest request is clamped to a g x g grid with g <=
+    // floor(sqrt(28)) = 5, so no lane is allocated per requested region.
+    for (const std::uint32_t regions : {4u, 16u, 4294967295u}) {
       for (const unsigned threads : {1u, 4u}) {
         spec.cbtc.intra_threads = threads;
         dyn.partition.regions = regions;
@@ -91,39 +100,40 @@ TEST(SimPartition, ReportBitwiseIdenticalAcrossRegionAndThreadCounts) {
   }
 }
 
-/// Every registered dynamic preset must reproduce its serial report
-/// bitwise when forced onto the partitioned engine (the presets cover
+/// Every registered dynamic preset must reproduce its one-region report
+/// bitwise when forced onto 16 regions (the presets cover
 /// crash-recovery, attrition, shadowing, and obstacle fields; the
-/// draw-free gate may route some to the reference path — identity must
-/// hold either way).
+/// draw-free gate may keep some at one region — identity must hold
+/// either way).
 TEST(SimPartition, EveryDynamicPresetBitwiseIdenticalPartitioned) {
   const engine eng;
   for (const std::string& name : dynamic_scenario_names()) {
     dynamic_scenario preset = get_dynamic_scenario(name);
     preset.scenario.cbtc.intra_threads = 1;
     preset.sim.partition.regions = 1;
-    const dynamic_report serial = eng.run_dynamic(preset.scenario, preset.sim, 0);
+    const dynamic_report one_region = eng.run_dynamic(preset.scenario, preset.sim, 0);
     preset.scenario.cbtc.intra_threads = 4;
     preset.sim.partition.regions = 16;
     const dynamic_report partitioned = eng.run_dynamic(preset.scenario, preset.sim, 0);
     SCOPED_TRACE(::testing::Message() << "preset " << name);
-    EXPECT_TRUE(serial == partitioned);
+    EXPECT_TRUE(one_region == partitioned);
   }
 }
 
 /// Auto mode (regions = 0) below the node threshold must run the
-/// serial reference — same report as an explicit regions = 1 run.
+/// one-region engine — same report as an explicit regions = 1 run.
 TEST(SimPartition, AutoModeBelowThresholdMatchesSerialReference) {
   scenario_spec spec = partition_scenario();
   sim_spec dyn = partition_sim();
   const engine eng;
 
   dyn.partition.regions = 1;
-  const dynamic_report serial = eng.run_dynamic(spec, dyn, 9);
-  dyn.partition.regions = 0;  // auto; 28 nodes < min_nodes => serial
+  const dynamic_report one_region = eng.run_dynamic(spec, dyn, 9);
+  dyn.partition.regions = 0;  // auto; 28 nodes < min_nodes => one region
   const dynamic_report automatic = eng.run_dynamic(spec, dyn, 9);
-  EXPECT_TRUE(serial == automatic);
+  EXPECT_TRUE(one_region == automatic);
 }
+
 
 /// Direct conservative-sync coverage: handlers fan across regions on a
 /// real pool, self-schedule same-instant retries, and send deliveries
@@ -135,7 +145,7 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
   constexpr std::uint32_t kRegions = 4;
   constexpr std::size_t kNodes = 8;  // two per region
   util::thread_pool pool(4);
-  sim::partitioned_simulator psim(
+  sim::simulator psim(
       kNodes, {.regions = kRegions, .lookahead = delta, .pool = &pool, .serial_batch_limit = 0});
   for (graph::node_id u = 0; u < kNodes; ++u) {
     psim.set_region(u, static_cast<std::uint32_t>(u % kRegions));
@@ -181,7 +191,7 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
   EXPECT_EQ(retries.load(), kNodes);
 }
 
-/// The medium's transmission records under the partitioned engine. A
+/// The medium's transmission records on four lanes. A
 /// sender in region 0 unicasts to one receiver in each other region at
 /// every lookahead step, after six busy timers of its own lane, so its
 /// previous records are usually delivered on other threads before it
@@ -194,7 +204,7 @@ TEST(SimPartition, TransmissionRecordsRecycleWhilePeerLanesDeliver) {
   constexpr graph::node_id kSender = 6;  // after the busy ids 0..5 in its lane
   constexpr std::size_t kNodes = 10;     // receivers 7, 8, 9 in regions 1, 2, 3
   util::thread_pool pool(4);
-  sim::partitioned_simulator psim(
+  sim::simulator psim(
       kNodes, {.regions = 4, .lookahead = delta, .pool = &pool, .serial_batch_limit = 0});
   sim::medium medium(psim, radio::power_model(2.0, 100.0));  // base delay == delta
 
@@ -245,9 +255,9 @@ TEST(SimPartition, TransmissionRecordsRecycleWhilePeerLanesDeliver) {
   EXPECT_EQ(psim.stats().violations, 0u);
 }
 
-/// The serial simulator orders same-time events by their typed keys
+/// The one-region engine orders same-time events by their typed keys
 /// (class, then owner), independent of insertion order.
-TEST(SimPartition, SerialSimulatorCanonicalTies) {
+TEST(SimPartition, OneRegionEngineCanonicalTies) {
   std::vector<int> order;
   sim::simulator s;
   s.schedule_delivery(1.0, /*to=*/5, /*from=*/0, 0, 0, [&] { order.push_back(2); });
@@ -255,6 +265,41 @@ TEST(SimPartition, SerialSimulatorCanonicalTies) {
   s.schedule_at(1.0, [&] { order.push_back(0); });
   s.run_until(2.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));  // class 0 < class 1 < class 2
+}
+
+/// With zero lookahead, a one-region handler may schedule deliveries
+/// at its own instant. They run within that instant in key order
+/// (receiver, sender, transmission, copy), after a same-instant timer,
+/// whatever order they were scheduled in; the instant hook runs once,
+/// after all of them.
+TEST(SimPartition, OneRegionZeroLookaheadRunsSameInstantDeliveriesInKeyOrder) {
+  sim::simulator s(4, {.regions = 1, .lookahead = 0.0});
+  std::vector<std::string> order;
+  std::vector<std::size_t> hook_runs;
+  s.set_instant_hook([&] { hook_runs.push_back(order.size()); });
+  const auto deliver = [&](graph::node_id to, graph::node_id from, std::uint64_t seq,
+                           std::uint32_t copy) {
+    s.schedule_delivery(s.now(), to, from, seq, copy, [&order, to, from, seq, copy] {
+      order.push_back(std::to_string(to) + "<" + std::to_string(from) + "#" +
+                      std::to_string(seq) + "." + std::to_string(copy));
+    });
+  };
+  s.schedule_node(1.0, 0, [&] {
+    order.push_back("timer 0");
+    s.request_instant_hook();
+    deliver(3, 0, 7, 1);
+    deliver(2, 1, 0, 0);
+    deliver(3, 0, 7, 0);
+    deliver(2, 0, 5, 0);
+    s.schedule_node(s.now(), 1, [&] { order.push_back("timer 1"); });
+  });
+  EXPECT_EQ(s.run_until(1.0), 6u);
+  EXPECT_EQ(order, (std::vector<std::string>{"timer 0", "timer 1", "2<0#5.0", "2<1#0.0",
+                                             "3<0#7.0", "3<0#7.1"}));
+  EXPECT_EQ(hook_runs, (std::vector<std::size_t>{6}));
+  EXPECT_DOUBLE_EQ(s.now(), 1.0);
+  EXPECT_TRUE(s.idle());
+  EXPECT_FALSE(sim::simulator::in_event_phase());
 }
 
 /// Per-region churn telemetry on the live index: every move / erase /

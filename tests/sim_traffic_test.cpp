@@ -4,7 +4,7 @@
 // (delivered + dropped + lost in flight + still queued). Determinism:
 // a traffic-enabled dynamic run's report — traffic counters included —
 // is bitwise identical across region counts and thread counts, with
-// the single-queue canonical-tie simulator as the reference oracle.
+// the one-region engine as the reference oracle.
 // Policies: energy-balanced routing delays the first battery death
 // relative to plain CBTC routing under the same convergecast workload.
 // Plus invariants of the structured (seed-free) deployment generators
@@ -91,15 +91,14 @@ TEST(SimTraffic, PacketConservation) {
 }
 
 /// A convergecast run's report — traffic counters included — must be
-/// bitwise identical on the partitioned engine at every region x
-/// thread combination.
+/// bitwise identical at every region x thread combination.
 TEST(SimTraffic, ConvergecastBitwiseIdenticalAcrossRegionAndThreadCounts) {
   scenario_spec spec = traffic_scenario();
   sim_spec dyn = traffic_sim();
   const engine eng;
 
   spec.cbtc.intra_threads = 1;
-  dyn.partition.regions = 1;  // the single-queue reference engine
+  dyn.partition.regions = 1;  // the one-region engine
   const dynamic_report reference = eng.run_dynamic(spec, dyn, 5);
   ASSERT_TRUE(reference.traffic.enabled);
   ASSERT_GT(reference.traffic.delivered, 0u);
