@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <map>
+#include <string>
 
+#include "digest.h"
 #include "geom/angle.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/traversal.h"
 #include "radio/power_model.h"
+#include "radio/propagation.h"
 
 namespace cbtc::algo {
 namespace {
@@ -229,6 +235,95 @@ TEST(Oracle, KnowsLookup) {
   EXPECT_TRUE(r.nodes[0].knows(1));
   EXPECT_FALSE(r.nodes[0].knows(0));
   EXPECT_FALSE(r.nodes[0].knows(99));
+}
+
+/// Every field of every node_result as one byte string; doubles are
+/// written as hex floats, so the digest pins them bit for bit.
+std::string growth_bytes(const cbtc_result& r) {
+  std::string bytes;
+  const auto num = [&](double x) {
+    char buf[64];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x, std::chars_format::hex);
+    bytes.append(buf, end);
+    bytes += ' ';
+  };
+  for (const node_result& n : r.nodes) {
+    for (const neighbor_record& rec : n.neighbors) {
+      bytes += std::to_string(rec.id) + ' ';
+      num(rec.distance);
+      num(rec.direction);
+      bytes += std::to_string(rec.level) + ' ';
+      num(rec.discovery_power);
+    }
+    bytes += '|';
+    for (const double p : n.level_powers) num(p);
+    bytes += '|';
+    num(n.final_power);
+    bytes += n.boundary ? "boundary\n" : "covered\n";
+  }
+  return bytes;
+}
+
+/// The growth records of both kernels under every propagation model,
+/// pinned by digest: the discrete kernels and the per-neighbor levels
+/// and tags that shrink-back reads appear in no report digest.
+TEST(AlgoOracle, GrowthRecordDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"isotropic_n2/discrete", 0x70da38c8e83fecc5ULL},
+      {"isotropic_n2/continuous", 0xd19783eb475eade4ULL},
+      {"isotropic_n3/discrete", 0x39683626dcf5d714ULL},
+      {"isotropic_n3/continuous", 0xefecb5bcdab963b2ULL},
+      {"shadowing/discrete", 0xbe71a16a8a6580f4ULL},
+      {"shadowing/continuous", 0x63c1b7da47b16604ULL},
+      {"obstacles/discrete", 0x5525748dc39d1e45ULL},
+      {"obstacles/continuous", 0xd456a194c2176cafULL},
+  };
+  struct growth_case {
+    std::string name;
+    radio::link_model link;
+    double alpha;
+    double increase_factor;
+    std::uint64_t seed;
+  };
+  const std::vector<growth_case> cases = {
+      {"isotropic_n2", radio::power_model(2.0, 500.0), alpha_five_pi_six, 2.0, 1},
+      {"isotropic_n3", radio::power_model(3.0, 500.0), alpha_two_pi_three, 1.5, 2},
+      {"shadowing",
+       {radio::power_model(2.0, 500.0), radio::propagation_model::lognormal_shadowing(4.0, 8.0, 9)},
+       alpha_five_pi_six, 1.5, 3},
+      {"obstacles",
+       {radio::power_model(2.0, 500.0),
+        radio::propagation_model::obstacle_field({
+            {.box = {{300.0, 300.0}, {700.0, 600.0}}, .loss_db = 9.0},
+            {.box = {{800.0, 900.0}, {1200.0, 1200.0}}, .loss_db = 6.0},
+        })},
+       alpha_two_pi_three, 2.0, 4},
+  };
+  for (const growth_case& c : cases) {
+    // A seeded uniform field plus one node coincident with its
+    // easternmost node. The pair has no bearing; were one taken
+    // (atan2(0, 0) = 0, due east), it would split that node's
+    // eastward alpha-gap.
+    std::vector<vec2> pts = geom::uniform_points(150, geom::bbox::rect(1500, 1500), c.seed);
+    pts.push_back(*std::max_element(pts.begin(), pts.end(),
+                                    [](const vec2& a, const vec2& b) { return a.x < b.x; }));
+    for (const growth_mode mode : {growth_mode::discrete, growth_mode::continuous}) {
+      const std::string label =
+          c.name + (mode == growth_mode::discrete ? "/discrete" : "/continuous");
+      for (const unsigned threads : {1u, 4u}) {
+        cbtc_params p;
+        p.alpha = c.alpha;
+        p.increase_factor = c.increase_factor;
+        p.mode = mode;
+        p.intra_threads = threads;
+        const std::uint64_t d = digest(growth_bytes(run_cbtc(pts, c.link, p)));
+        const auto it = golden.find(label);
+        EXPECT_TRUE(it != golden.end() && d == it->second)
+            << "{\"" << label << "\", 0x" << std::hex << d << "ULL}, threads " << std::dec
+            << threads;
+      }
+    }
+  }
 }
 
 }  // namespace
