@@ -466,7 +466,7 @@ BENCHMARK(BM_DynamicTickFullRebuild)
 
 void BM_DynamicTickIncrementalIndex(benchmark::State& state) {
   dynamic_tick::motion m(state.range(0));
-  graph::live_neighbor_index index(m.positions, pm.max_range());
+  graph::live_neighbor_index index(m.positions, pm);
   for (auto _ : state) {
     m.step();
     for (std::size_t i = 0; i < m.positions.size(); ++i) {

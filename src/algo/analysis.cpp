@@ -1,9 +1,9 @@
 #include "algo/analysis.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
 #include "util/parallel.h"
@@ -92,12 +92,7 @@ invariant_report check_invariants(const graph::undirected_graph& topology,
     // close within the maximum power P.
     check_requirement(topology.num_nodes(), pool, "power", "P", link.max_power(),
                       [&](graph::node_id u) {
-                        double need = 0.0;
-                        for (const graph::node_id v : topology.neighbors(u)) {
-                          need = std::max(need, link.required_power(u, v, positions[u],
-                                                                    positions[v]));
-                        }
-                        return need;
+                        return graph::node_link_power(topology, positions, link, u);
                       },
                       rep);
   }

@@ -9,6 +9,11 @@
 // The oracle is the executable specification: proto/cbtc_agent runs the
 // same algorithm with real messages on the simulator, and the test
 // suite asserts the two produce identical neighbor relations.
+//
+// There is one growth implementation, over radio::link_model. Per-link
+// gains (Sethu & Gerety, arXiv:0709.0961) change only the order of
+// discovery, from distance to required link power p(d) / g; isotropic
+// propagation is the compile-time distance case of the same kernels.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,6 @@
 #include "graph/digraph.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "radio/power_model.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
 
@@ -83,16 +87,13 @@ struct cbtc_result {
 };
 
 /// Runs CBTC(alpha) for every node. `positions` defines the network;
-/// the power model supplies p(d), its inverse, and the cap P = p(R).
-[[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
-                                   const radio::power_model& power, const cbtc_params& params);
-
-/// Gain-aware growth: neighbors are discovered in order of *required
-/// link power* (p(d) / gain), which generalizes distance order; a
-/// broadcast at power p discovers exactly the nodes whose link closes
-/// at p (the medium's decodability test). Delegates to the isotropic
-/// overload — identical results bit for bit — when `link` carries no
-/// per-link gains.
+/// `link` supplies p(d), its inverse, the cap P = p(R) and the per-link
+/// gains. Neighbors are discovered in order of required link power
+/// p(d) / gain, and a broadcast at power p discovers exactly the nodes
+/// whose link closes at p (the medium's decodability test). Isotropic
+/// propagation is the compile-time distance case of the same growth:
+/// discovery in distance order, a broadcast at p reaches range(p), and
+/// a bare power_model converts to it implicitly.
 [[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
                                    const radio::link_model& link, const cbtc_params& params);
 

@@ -5,6 +5,9 @@
 // in the order the paper composes them:
 //   growth -> shrink-back (op1) -> asymmetric removal (op2, alpha <=
 //   2*pi/3 only) -> pairwise removal (op3).
+// Each stage has one entry point over radio::link_model (a bare
+// power_model converts to an isotropic link); apply_optimizations picks
+// the op3 pass from the link.
 #pragma once
 
 #include <span>
@@ -16,7 +19,6 @@
 #include "algo/shrink_back.h"
 #include "geom/vec2.h"
 #include "graph/graph.h"
-#include "radio/power_model.h"
 #include "radio/propagation.h"
 
 namespace cbtc::algo {
@@ -28,10 +30,7 @@ struct optimization_set {
   bool asymmetric_removal{false};
   bool pairwise_removal{false};
   /// Run the gain-aware removal (algo/gain_removal.h) as the op3 pass.
-  /// Requires the link-aware apply_optimizations / build_topology
-  /// overloads (the power-model-only paths have no gains to price
-  /// witness paths with and throw std::invalid_argument). Note the
-  /// link-aware paths also auto-route `pairwise_removal` to this pass
+  /// apply_optimizations also routes `pairwise_removal` to this pass
   /// whenever the propagation is non-isotropic — Theorem 3.6's angle
   /// witness is unit-disk-only — so this knob is for forcing the
   /// gain-aware pass under isotropic propagation.
@@ -68,31 +67,18 @@ struct topology_result {
 /// Applies the selected optimizations to an already-grown CBTC outcome
 /// (from the centralized oracle or the distributed protocol) and builds
 /// the final symmetric topology. `grown.params` decides whether the
-/// asymmetric removal is applicable. Throws std::invalid_argument when
-/// opts.gain_aware is set — pricing witness paths needs a link model;
-/// use the overload below.
-[[nodiscard]] topology_result apply_optimizations(cbtc_result grown,
-                                                  std::span<const geom::vec2> positions,
-                                                  const optimization_set& opts = {});
-
-/// Link-aware variant: op3 runs as the gain-aware removal whenever
-/// opts.gain_aware is set or the propagation is non-isotropic (and as
-/// Theorem 3.6's angle pass otherwise, bit for bit the overload
-/// above).
+/// asymmetric removal is applicable. op3 runs as the gain-aware removal
+/// whenever opts.gain_aware is set or the propagation is non-isotropic,
+/// and as Theorem 3.6's angle pass otherwise (a bare power_model
+/// converts to an isotropic link).
 [[nodiscard]] topology_result apply_optimizations(cbtc_result grown,
                                                   std::span<const geom::vec2> positions,
                                                   const radio::link_model& link,
                                                   const optimization_set& opts = {});
 
-/// Runs CBTC(alpha) and the selected optimizations over `positions`.
-/// Equivalent to apply_optimizations(run_cbtc(...), positions, opts).
-[[nodiscard]] topology_result build_topology(std::span<const geom::vec2> positions,
-                                             const radio::power_model& power,
-                                             const cbtc_params& params,
-                                             const optimization_set& opts = {});
-
-/// Gain-aware variant (isotropic propagation delegates to the plain
-/// power-model path, bit for bit).
+/// Runs CBTC(alpha) and the selected optimizations over `positions`:
+/// apply_optimizations(run_cbtc(positions, link, params), positions,
+/// link, opts).
 [[nodiscard]] topology_result build_topology(std::span<const geom::vec2> positions,
                                              const radio::link_model& link,
                                              const cbtc_params& params,

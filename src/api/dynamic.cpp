@@ -25,6 +25,7 @@
 
 #include "api/engine.h"
 #include "geom/angle.h"
+#include "graph/euclidean.h"
 #include "graph/live_index.h"
 #include "graph/metrics.h"
 #include "graph/shortest_path.h"
@@ -511,34 +512,18 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
   std::vector<bool> alive(n, true);
   std::mt19937_64 rng((spec.base_seed + seed) ^ 0x9e3779b97f4a7c15ULL);
 
-  // Beacon power: reach the farthest topology neighbor (nodes with no
-  // neighbors spend nothing — they have nobody to keep alive).
+  // Beacon power: close the worst incident topology link (nodes with
+  // no neighbors spend nothing — they have nobody to keep alive).
   // Per-slot writes: identical for any intra-thread count.
   util::thread_pool pool(spec.cbtc.intra_threads);
   std::vector<double> beacon(n, 0.0);
-  if (link.is_isotropic()) {
-    pool.parallel_for(n, [&](std::size_t u) {
-      beacon[u] =
-          std::pow(graph::node_radius(topology, positions, static_cast<graph::node_id>(u), 0.0),
-                   pm.exponent());
-    });
-  } else {
-    // Per-link budget: the beacon must close the worst incident link.
-    pool.parallel_for(n, [&](std::size_t u) {
-      const auto uid = static_cast<graph::node_id>(u);
-      double need = 0.0;
-      for (const graph::node_id v : topology.neighbors(uid)) {
-        need = std::max(need, link.required_power(uid, v, positions[u], positions[v]));
-      }
-      beacon[u] = need;
-    });
-  }
-  const graph::edge_cost_fn cost =
-      link.is_isotropic() ? graph::power_cost(positions, pm.exponent())
-                          : graph::edge_cost_fn([link, &positions](graph::node_id a,
-                                                                   graph::node_id b) {
-                              return link.required_power(a, b, positions[a], positions[b]);
-                            });
+  pool.parallel_for(n, [&](std::size_t u) {
+    beacon[u] =
+        graph::node_link_power(topology, positions, link, static_cast<graph::node_id>(u));
+  });
+  const graph::edge_cost_fn cost = [&link, &positions](graph::node_id a, graph::node_id b) {
+    return link.required_power(a, b, positions[a], positions[b]);
+  };
 
   lifetime_report res;
   std::size_t deaths = 0;

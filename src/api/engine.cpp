@@ -260,15 +260,13 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
             if (isotropic) {
               r.node_powers[u] = pm.required_power(rad);
             } else {
-              const auto uid = static_cast<graph::node_id>(u);
-              double need = 0.0;
-              for (const graph::node_id v : r.topology.neighbors(uid)) {
-                need = std::max(need, link.required_power(uid, v, positions[u], positions[v]));
-              }
               // Isolated (boundary) nodes still broadcast at P, the
               // same convention the geometric pass encodes via the
               // isolated radius R.
-              r.node_powers[u] = r.topology.degree(uid) == 0 ? pm.max_power() : need;
+              const auto uid = static_cast<graph::node_id>(u);
+              r.node_powers[u] = r.topology.degree(uid) == 0
+                                     ? pm.max_power()
+                                     : graph::node_link_power(r.topology, positions, link, uid);
             }
             part.sum += rad;
             part.max = std::max(part.max, rad);

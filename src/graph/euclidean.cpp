@@ -129,4 +129,13 @@ double edge_length(std::span<const geom::vec2> positions, node_id u, node_id v) 
   return geom::distance(positions[u], positions[v]);
 }
 
+double node_link_power(const undirected_graph& g, std::span<const geom::vec2> positions,
+                       const radio::link_model& link, node_id u) {
+  double need = 0.0;
+  for (const node_id v : g.neighbors(u)) {
+    need = std::max(need, link.required_power(u, v, positions[u], positions[v]));
+  }
+  return need;
+}
+
 }  // namespace cbtc::graph

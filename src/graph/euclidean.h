@@ -50,4 +50,11 @@ namespace cbtc::graph {
 /// Length of edge {u, v} under the given layout.
 [[nodiscard]] double edge_length(std::span<const geom::vec2> positions, node_id u, node_id v);
 
+/// The power that closes u's worst incident link in `g`: the largest
+/// link.required_power over u's edges, 0 when u is isolated. Isotropic,
+/// that is p(rad_u), since p is monotone.
+[[nodiscard]] double node_link_power(const undirected_graph& g,
+                                     std::span<const geom::vec2> positions,
+                                     const radio::link_model& link, node_id u);
+
 }  // namespace cbtc::graph

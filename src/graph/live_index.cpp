@@ -5,21 +5,11 @@
 
 namespace cbtc::graph {
 
-live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions, double max_range)
-    : max_range_(max_range),
-      grid_(max_range > 0.0 ? max_range : 1.0),
-      positions_(positions.begin(), positions.end()),
-      live_(positions.size(), true),
-      live_count_(positions.size()),
-      adj_(positions.size()) {
-  build();
-}
-
 live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions,
                                          const radio::link_model& lm)
     : max_range_(lm.max_candidate_range()),
       link_(lm.is_isotropic() ? std::nullopt : std::optional<radio::link_model>(lm)),
-      grid_(lm.max_candidate_range() > 0.0 ? lm.max_candidate_range() : 1.0),
+      grid_(lm.max_candidate_range()),
       positions_(positions.begin(), positions.end()),
       live_(positions.size(), true),
       live_count_(positions.size()),
@@ -31,11 +21,6 @@ live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions,
     gain_rows_.resize(positions_.size());
     adj_gain_.resize(positions_.size());
   }
-  build();
-}
-
-void live_neighbor_index::build() {
-  if (max_range_ <= 0.0) return;  // degenerate radio: no edges ever
   // Insert points one at a time and query before inserting, so every
   // reachable pair links exactly once.
   for (node_id u = 0; u < positions_.size(); ++u) {
@@ -56,7 +41,7 @@ void live_neighbor_index::query_reachable(node_id u) {
 
 void live_neighbor_index::filter_reachable(node_id u,
                                            std::vector<geom::point_index>& candidates) const {
-  if (!link_) return;  // distance index: the query radius already decided
+  if (!link_) return;  // isotropic index: the query radius already decided
   std::vector<gain_entry>& row = gain_rows_[u];
   row_scratch_.clear();
   gain_scratch_.clear();

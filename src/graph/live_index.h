@@ -2,17 +2,18 @@
 //
 // Dynamic runs used to rebuild the full max-power graph from scratch
 // at every metric sample. live_neighbor_index instead maintains the
-// live G_R — nodes that are up, edges between live nodes at distance
-// <= max_range — incrementally from the event stream (mobility moves,
-// crashes, restarts), each update costing O(neighborhood) via a
-// mutable spatial grid. The maintained edge set is exactly
-// build_max_power_graph(positions, R).induced(up): same arithmetic,
-// same inclusive <= comparison (tests assert edge identity after
-// arbitrary event sequences).
+// live G_R — nodes that are up, edges between live nodes whose link
+// closes at maximum power — incrementally from the event stream
+// (mobility moves, crashes, restarts), each update costing
+// O(neighborhood) via a mutable spatial grid. The maintained edge set
+// is exactly build_max_power_graph(positions, link).induced(up): same
+// arithmetic, same inclusive comparisons (tests assert edge identity
+// after arbitrary event sequences).
 //
-// A link-aware index also keeps, beside each adjacency list, the gain
-// of every listed link — the exact double link_model::gain returns for
-// (u, v, position(u), position(v)), which is symmetric in u and v.
+// Under per-link gains the index also keeps, beside each adjacency
+// list, the gain of every listed link — the exact double
+// link_model::gain returns for (u, v, position(u), position(v)), which
+// is symmetric in u and v.
 // The dynamic engine hands these lists to the medium as its broadcast
 // directory, so a delivery never re-evaluates the propagation model.
 //
@@ -40,14 +41,13 @@ namespace cbtc::graph {
 
 class live_neighbor_index {
  public:
-  /// Builds the index over `positions`, all nodes initially up.
-  live_neighbor_index(std::span<const geom::vec2> positions, double max_range);
-
-  /// Gain-aware index: maintains the live *link-model* G_R — edges are
-  /// links that close at maximum power. The grid prunes by the longest
-  /// feasible link; every candidate is filtered per link. With
-  /// isotropic propagation this is the distance index above, edge for
-  /// edge.
+  /// Builds the index over `positions`, all nodes initially up. It
+  /// maintains the live *link-model* G_R — edges are links that close
+  /// at maximum power. The grid prunes by the longest feasible link;
+  /// under per-link gains every candidate is then filtered per link.
+  /// Isotropic propagation (a bare power_model converts to it) needs
+  /// no filter: the query radius R decides, with the inclusive <= of
+  /// build_max_power_graph.
   live_neighbor_index(std::span<const geom::vec2> positions, const radio::link_model& link);
 
   /// Moves live node `u` (no-op edge-wise when nothing enters or
@@ -75,19 +75,19 @@ class live_neighbor_index {
   [[nodiscard]] std::span<const node_id> neighbors(node_id u) const { return adj_[u]; }
 
   /// gain(u, v, position(u), position(v)) of each v in neighbors(u),
-  /// index for index; empty for distance and isotropic indexes (every
-  /// gain is 1). Obstacle gains are refreshed whenever either end of
-  /// the link moves or restarts.
+  /// index for index; empty for isotropic indexes (every gain is 1).
+  /// Obstacle gains are refreshed whenever either end of the link
+  /// moves or restarts.
   [[nodiscard]] std::span<const double> neighbor_gains(node_id u) const {
     return link_ ? std::span<const double>(adj_gain_[u]) : std::span<const double>();
   }
 
   /// Snapshot as an undirected_graph (down nodes isolated), assembled
   /// per node from the maintained lists; identical to
-  /// build_max_power_graph(positions, R).induced(up).
+  /// build_max_power_graph(positions, link).induced(up).
   [[nodiscard]] undirected_graph graph() const;
 
-  /// Gain-cache telemetry (always zero for distance indexes): every
+  /// Gain-cache telemetry (always zero for isotropic indexes): every
   /// per-link filter is one lookup; misses are the lookups that had to
   /// evaluate the propagation model.
   [[nodiscard]] std::uint64_t gain_lookups() const { return gain_lookups_; }
@@ -109,16 +109,13 @@ class live_neighbor_index {
   [[nodiscard]] const std::vector<std::uint64_t>& region_churn() const { return region_churn_; }
 
  private:
-  /// Shared constructor body: populates the grid and links every
-  /// reachable pair exactly once (query before insert).
-  void build();
   /// The nodes in the grid whose link with `u` closes at maximum
   /// power, ascending, into scratch_; for link-aware indexes their
   /// gains gain(u, v) go index for index into gain_scratch_.
   void query_reachable(node_id u);
   /// Drops sorted grid candidates whose link does not close, in place,
   /// and records each survivor's gain in gain_scratch_ (no-op for
-  /// distance indexes — the grid query radius already decided). Merge-
+  /// isotropic indexes — the grid query radius already decided). Merge-
   /// scans the candidates against the node's gain row, so hits cost a
   /// sequential L1 read instead of a hash probe (point-lookup tables
   /// measured *slower* than recomputing a shadowing gain — random

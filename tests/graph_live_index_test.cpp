@@ -16,11 +16,13 @@
 #include "graph/live_index.h"
 #include "graph/traversal.h"
 #include "graph_fixtures.h"
+#include "radio/power_model.h"
 
 namespace cbtc::graph {
 namespace {
 
 constexpr double kRange = 320.0;
+const radio::power_model kRadio(2.0, kRange);  // an isotropic link of range kRange
 
 std::vector<geom::vec2> deployment(std::size_t n, std::uint64_t seed) {
   return geom::uniform_points(n, geom::bbox::rect(1000.0, 1000.0), seed);
@@ -41,7 +43,7 @@ bool field_connected(const live_neighbor_index& index) {
 
 TEST(LiveIndex, InitialBuildMatchesMaxPowerGraph) {
   const auto positions = deployment(80, 11);
-  const live_neighbor_index index(positions, kRange);
+  const live_neighbor_index index(positions, kRadio);
   const std::vector<bool> up(positions.size(), true);
   EXPECT_EQ(index.graph(), reference_graph(positions, up));
   EXPECT_EQ(index.live_count(), positions.size());
@@ -49,7 +51,7 @@ TEST(LiveIndex, InitialBuildMatchesMaxPowerGraph) {
 
 TEST(LiveIndex, CrashDropsEdgesAndRestartRestoresThem) {
   const auto positions = deployment(60, 5);
-  live_neighbor_index index(positions, kRange);
+  live_neighbor_index index(positions, kRadio);
   std::vector<bool> up(positions.size(), true);
 
   index.erase(7);
@@ -65,7 +67,7 @@ TEST(LiveIndex, CrashDropsEdgesAndRestartRestoresThem) {
 
 TEST(LiveIndex, MoveAcrossTheFieldRewiresNeighborhoods) {
   const auto positions = deployment(60, 6);
-  live_neighbor_index index(positions, kRange);
+  live_neighbor_index index(positions, kRadio);
   std::vector<geom::vec2> current = positions;
   const std::vector<bool> up(positions.size(), true);
 
@@ -85,7 +87,7 @@ TEST(LiveIndex, MoveAcrossTheFieldRewiresNeighborhoods) {
 TEST(LiveIndex, RandomChurnStaysEdgeIdenticalToFreshBuild) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto positions = deployment(50, 100 + seed);
-    live_neighbor_index index(positions, kRange);
+    live_neighbor_index index(positions, kRadio);
     std::vector<geom::vec2> current = positions;
     std::vector<bool> up(positions.size(), true);
 
@@ -127,7 +129,7 @@ TEST(LiveIndex, FieldVerdictFromAllDownThroughOneByOneRestarts) {
   // passes through 0 and 1 live nodes (trivially one component) and
   // must agree with the reference at each stage.
   const auto positions = deployment(40, 3);
-  live_neighbor_index index(positions, kRange);
+  live_neighbor_index index(positions, kRadio);
   std::vector<bool> up(positions.size(), true);
   for (node_id u = 0; u < positions.size(); ++u) {
     index.erase(u);

@@ -306,7 +306,7 @@ TEST(SimPartition, OneRegionZeroLookaheadRunsSameInstantDeliveriesInKeyOrder) {
 /// insert of a live node is charged to its current region.
 TEST(SimPartition, LiveIndexRegionChurnCounters) {
   const std::vector<geom::vec2> positions = {{0, 0}, {10, 0}, {500, 500}, {510, 500}};
-  graph::live_neighbor_index index(positions, 50.0);
+  graph::live_neighbor_index index(positions, radio::power_model(2.0, 50.0));
   index.set_region_map({0, 0, 1, 1}, 2);
 
   index.move(0, {1, 0});

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -35,20 +34,17 @@
 #include "algo/alpha_search.h"
 #include "api/api.h"
 #include "api/dispatch.h"
+#include "cli_options.h"
 #include "exp/table.h"
 #include "graph/graph_io.h"
 #include "graph/position_io.h"
-#include "net/service.h"
 
 namespace {
 
 using namespace cbtc;
 namespace schema = api::schema;
 
-/// A bad command line: print the message, then usage, exit 2.
-struct usage_error : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+using tools::usage_error;
 
 struct cli_args {
   std::string command;
@@ -72,26 +68,12 @@ struct cli_args {
     }
     return value;
   }
-  /// Integer option parsed directly (no double round-trip, so 64-bit
-  /// seeds survive exactly) and range-checked against its destination
-  /// type `T` before the cast.
+  /// Integer option, range-checked against its destination type `T`
+  /// (tools::parse_count).
   template <class T = std::size_t>
   [[nodiscard]] T count(const std::string& key, std::type_identity_t<T> fallback) const {
     const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    std::uint64_t value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-      throw usage_error("option --" + key + ": expected a non-negative integer, got '" + text +
-                        "'");
-    }
-    constexpr auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
-    if (value > max) {
-      throw usage_error("option --" + key + ": " + text + " is above the maximum " +
-                        std::to_string(max));
-    }
-    return static_cast<T>(value);
+    return it == options.end() ? fallback : tools::parse_count<T>(key, it->second);
   }
   [[nodiscard]] bool has_flag(const std::string& f) const {
     return std::find(flags.begin(), flags.end(), f) != flags.end();
@@ -150,9 +132,6 @@ int usage() {
       "             experiment; --sink also selects convergecast rounds)\n"
       "            [--save FILE.json]  (write the resolved scenario, don't run)\n"
       "  sweep     --list           (show registered scenarios)\n"
-      "  serve     [--port P] [--bind ADDR] [--threads T]\n"
-      "            (scenario shard daemon; trusted networks only — no auth.\n"
-      "             --port 0 picks an ephemeral port, printed on startup)\n"
       "  dispatch  --endpoints host:port,host:port,...\n"
       "            + the sweep scenario options; runs the sweep across the\n"
       "            given cbtc_serve shards with results bitwise identical\n"
@@ -180,6 +159,9 @@ int cmd_generate(const cli_args& args) {
   d.tree_branching = args.count("branching", 2);
   d.star_arms = args.count("arms", 4);
   spec.base_seed = 0;  // the generator seed is --seed itself
+  // The scenario-file schema applies its domain rules once, as if the
+  // deployment came from a file (api/schema.h), before anything runs.
+  spec = api::parse_scenario_json(api::to_json(spec)).scenario;
   const std::vector<geom::vec2> positions = spec.make_positions(args.count("seed", 1));
   graph::save_positions_csv(out, positions);
   std::cout << "wrote " << positions.size() << " positions to " << out << "\n";
@@ -559,19 +541,6 @@ int cmd_sweep(const cli_args& args) {
   return print_static_sweep(spec, eng.run_batch(spec, seeds, threads), seeds);
 }
 
-int cmd_serve(const cli_args& args) {
-  net::serve_config cfg;
-  cfg.bind_address = args.get("bind", "127.0.0.1");
-  cfg.port = args.count<std::uint16_t>("port", 0);
-  cfg.threads = args.count<unsigned>("threads", 0);
-  net::scenario_server server(cfg);
-  // Machine-readable startup line (the smoke scripts scrape the port).
-  std::cout << "cbtc_serve listening on " << cfg.bind_address << ":" << server.port()
-            << std::endl;
-  server.run();
-  return 0;
-}
-
 int cmd_dispatch(const cli_args& args) {
   const std::string endpoints = args.get("endpoints", "");
   if (endpoints.empty()) {
@@ -624,7 +593,6 @@ int main(int argc, char** argv) {
     if (args.command == "analyze") return cmd_analyze(args);
     if (args.command == "compare") return cmd_compare(args);
     if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "serve") return cmd_serve(args);
     if (args.command == "dispatch") return cmd_dispatch(args);
     if (args.command == "scenarios") return cmd_scenarios();
   } catch (const usage_error& e) {

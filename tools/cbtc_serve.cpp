@@ -17,10 +17,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "cli_options.h"
 #include "net/service.h"
 
 namespace {
@@ -40,30 +40,35 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using cbtc::tools::parse_count;
+  using cbtc::tools::usage_error;
   cbtc::net::serve_config cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " needs a value\n";
-        std::exit(2);
+  // Every value is checked before anything binds: a bad one exits 2
+  // with the option's name and the usage.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") return usage();
+      const auto value = [&] {
+        if (i + 1 >= argc) throw usage_error("option " + arg + ": needs a value");
+        return std::string(argv[++i]);
+      };
+      if (arg == "--port") {
+        cfg.port = parse_count<std::uint16_t>("port", value());
+      } else if (arg == "--bind") {
+        cfg.bind_address = value();
+      } else if (arg == "--threads") {
+        cfg.threads = parse_count<unsigned>("threads", value());
+      } else if (arg == "--io-timeout-ms") {
+        cfg.io_timeout_ms = parse_count<int>("io-timeout-ms", value());
+        if (cfg.io_timeout_ms == 0) throw usage_error("option --io-timeout-ms: must be positive");
+      } else {
+        throw usage_error("unknown option " + arg);
       }
-      return argv[++i];
-    };
-    if (arg == "--port") {
-      cfg.port = static_cast<std::uint16_t>(std::stoul(value()));
-    } else if (arg == "--bind") {
-      cfg.bind_address = value();
-    } else if (arg == "--threads") {
-      cfg.threads = static_cast<unsigned>(std::stoul(value()));
-    } else if (arg == "--io-timeout-ms") {
-      cfg.io_timeout_ms = static_cast<int>(std::stol(value()));
-    } else if (arg == "--help" || arg == "-h") {
-      return usage();
-    } else {
-      std::cerr << "error: unknown option " << arg << "\n";
-      return usage();
     }
+  } catch (const usage_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return usage();
   }
 
   try {
