@@ -7,12 +7,15 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <queue>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "algo/pipeline.h"
+#include "digest.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/graph.h"
@@ -20,6 +23,7 @@
 #include "graph/shortest_path.h"
 #include "graph/traversal.h"
 #include "graph_fixtures.h"
+#include "pinned_fields.h"
 #include "radio/power_model.h"
 #include "util/parallel.h"
 
@@ -364,6 +368,67 @@ TEST(MetricPool, InterferenceMatchesSerialLoopAtEveryWidth) {
       EXPECT_EQ(s.mean, mean);
     }
   }
+}
+
+void append_stats(std::string& bytes, const stretch_stats& s) {
+  append_hex(bytes, s.mean);
+  append_hex(bytes, s.max);
+  bytes += std::to_string(s.pairs) + '\n';
+}
+
+/// The metric kernels pinned by digest: power and hop stretch (eight
+/// sampled sources and all of them), interference of the topology and
+/// of G_R, on the fields the optimization pins use, at pool widths 1
+/// and 4; then every Dijkstra distance from every source of a 60-node
+/// field, over G_R and over the topology.
+TEST(GraphMetrics, StretchDigestsArePinned) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"dijkstra_60", 0x7d76523d53bd21c5ULL},
+      {"isotropic_n2", 0xdc7d1de96bdadedaULL},
+      {"isotropic_n3", 0x7e4bbcde502c97ULL},
+      {"obstacles", 0x547ab6c7e88a36e8ULL},
+      {"shadowing", 0x3e56aa7b4f1d4febULL},
+  };
+  const auto expect_pinned = [&](const std::string& label, const std::string& bytes,
+                                 unsigned width) {
+    const std::uint64_t d = digest(bytes);
+    const auto it = golden.find(label);
+    EXPECT_TRUE(it != golden.end() && d == it->second)
+        << "{\"" << label << "\", 0x" << std::hex << d << "ULL}, width " << std::dec << width;
+  };
+  for (const pinned_field& f : pinned_fields()) {
+    const undirected_graph topology =
+        algo::build_topology(f.positions, f.link, {}, algo::optimization_set::all()).topology;
+    for (const unsigned width : {1u, 4u}) {
+      util::thread_pool pool(width);
+      const undirected_graph gr = build_max_power_graph(f.positions, f.link, pool);
+      std::string bytes;
+      for (const std::size_t k : {std::size_t{8}, f.positions.size()}) {
+        append_stats(bytes,
+                     power_stretch(topology, gr, f.positions, f.link.power().exponent(), k, pool));
+        append_stats(bytes, hop_stretch(topology, gr, k, pool));
+      }
+      for (const undirected_graph* g : {&topology, &gr}) {
+        const interference_stats s = topology_interference(*g, f.positions, pool);
+        append_hex(bytes, s.mean);
+        bytes += std::to_string(s.max) + ' ' + std::to_string(s.edges) + '\n';
+      }
+      expect_pinned(f.name, bytes, width);
+    }
+  }
+  const std::vector<geom::vec2> small = field_with_coincident_pair(59, 1000.0, 5);
+  const radio::power_model pm(2.0, 300.0);
+  const undirected_graph small_gr = build_max_power_graph(small, pm.max_range());
+  const undirected_graph small_topology =
+      algo::build_topology(small, pm, {}, algo::optimization_set::all()).topology;
+  std::string bytes;
+  for (const undirected_graph* g : {&small_gr, &small_topology}) {
+    const std::vector<double> cost = arc_costs(*g, power_cost(small, 2.0));
+    for (node_id s = 0; s < g->num_nodes(); ++s) {
+      for (const double d : dijkstra(*g, s, cost)) append_hex(bytes, d);
+    }
+  }
+  expect_pinned("dijkstra_60", bytes, 1);
 }
 
 }  // namespace
