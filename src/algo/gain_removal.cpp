@@ -21,19 +21,24 @@ namespace {
 
 /// Two-hop witness: a common candidate neighbor w of u and v with both
 /// hop ids strictly below eid_uv. The scan runs from the endpoint with
-/// the smaller candidate degree and prices the first hop before the
-/// (binary-search) membership probe for the second.
-bool two_hop_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                     const radio::link_model& link, graph::node_id u, graph::node_id v,
-                     const gain_edge_id& eid_uv) {
+/// the smaller candidate degree and reads each hop's power from
+/// `power`, c's per-arc required link powers (entry c.first_arc(a) + k
+/// is the arc a -> c.neighbors(a)[k], priced in that direction).
+bool two_hop_witness(const graph::undirected_graph& c, std::span<const double> power,
+                     graph::node_id u, graph::node_id v, const gain_edge_id& eid_uv) {
   const graph::node_id apex = c.degree(u) <= c.degree(v) ? u : v;
   const graph::node_id other = apex == u ? v : u;
-  for (graph::node_id w : c.neighbors(apex)) {
+  const std::span<const graph::node_id> nb = c.neighbors(apex);
+  const std::size_t first = c.first_arc(apex);
+  for (std::size_t k = 0; k < nb.size(); ++k) {
+    const graph::node_id w = nb[k];
     if (w == other) continue;
-    if (!(gain_edge_id::of(apex, w, positions, link) < eid_uv)) continue;
-    const std::span<const graph::node_id> nb = c.neighbors(w);
-    if (!std::binary_search(nb.begin(), nb.end(), other)) continue;
-    if (gain_edge_id::of(w, other, positions, link) < eid_uv) return true;
+    if (!(gain_edge_id{power[first + k], std::max(apex, w), std::min(apex, w)} < eid_uv)) continue;
+    const std::span<const graph::node_id> wnb = c.neighbors(w);
+    const auto it = std::lower_bound(wnb.begin(), wnb.end(), other);
+    if (it == wnb.end() || *it != other) continue;
+    const double hop = power[c.first_arc(w) + static_cast<std::size_t>(it - wnb.begin())];
+    if (gain_edge_id{hop, std::max(w, other), std::min(w, other)} < eid_uv) return true;
   }
   return false;
 }
@@ -49,9 +54,9 @@ struct bfs_scratch {
   std::uint32_t epoch{0};
 };
 
-bool bfs_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                 const radio::link_model& link, graph::node_id u, graph::node_id v,
-                 const gain_edge_id& eid_uv, std::size_t max_hops) {
+bool bfs_witness(const graph::undirected_graph& c, std::span<const double> power,
+                 graph::node_id u, graph::node_id v, const gain_edge_id& eid_uv,
+                 std::size_t max_hops) {
   thread_local bfs_scratch s;
   if (s.mark.size() < c.num_nodes()) {
     s.mark.assign(c.num_nodes(), 0);
@@ -67,9 +72,12 @@ bool bfs_witness(const graph::undirected_graph& c, std::span<const geom::vec2> p
   for (std::size_t depth = 1; depth <= max_hops && !s.cur.empty(); ++depth) {
     s.nxt.clear();
     for (const graph::node_id a : s.cur) {
-      for (const graph::node_id w : c.neighbors(a)) {
+      const std::span<const graph::node_id> nb = c.neighbors(a);
+      const std::size_t first = c.first_arc(a);
+      for (std::size_t k = 0; k < nb.size(); ++k) {
+        const graph::node_id w = nb[k];
         if (s.mark[w] == s.epoch) continue;
-        if (!(gain_edge_id::of(a, w, positions, link) < eid_uv)) continue;
+        if (!(gain_edge_id{power[first + k], std::max(a, w), std::min(a, w)} < eid_uv)) continue;
         if (w == v) return true;
         s.mark[w] = s.epoch;
         s.nxt.push_back(w);
@@ -80,17 +88,17 @@ bool bfs_witness(const graph::undirected_graph& c, std::span<const geom::vec2> p
   return false;
 }
 
-bool has_power_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                       const radio::link_model& link, graph::node_id u, graph::node_id v,
-                       const gain_edge_id& eid_uv, std::size_t max_hops) {
+bool has_power_witness(const graph::undirected_graph& c, std::span<const double> power,
+                       graph::node_id u, graph::node_id v, const gain_edge_id& eid_uv,
+                       std::size_t max_hops) {
   // A zero-power edge joins coincident nodes; a "cheaper" path exists
   // only by id tie-break, which proves nothing physical. Mirror the
   // pairwise pass: never redundant.
   if (eid_uv.power == 0.0) return false;
   if (max_hops < 2) return false;
-  if (two_hop_witness(c, positions, link, u, v, eid_uv)) return true;
+  if (two_hop_witness(c, power, u, v, eid_uv)) return true;
   if (max_hops == 2) return false;
-  return bfs_witness(c, positions, link, u, v, eid_uv, max_hops);
+  return bfs_witness(c, power, u, v, eid_uv, max_hops);
 }
 
 }  // namespace
@@ -133,12 +141,24 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
     }
     return restored;
   };
+  // Every candidate arc's required power, once per pass and in the
+  // arc's own direction: the calls gain_edge_id::of would make for each
+  // witness hop, so the same bits, with no symmetry assumed.
+  std::vector<double> arc_power(2 * candidates.num_edges());
+  pool.parallel_for(candidates.num_nodes(), [&](std::size_t i) {
+    const auto a = static_cast<graph::node_id>(i);
+    const std::span<const graph::node_id> nb = candidates.neighbors(a);
+    const std::size_t first = candidates.first_arc(a);
+    for (std::size_t k = 0; k < nb.size(); ++k) {
+      arc_power[first + k] = link.required_power(a, nb[k], positions[a], positions[nb[k]]);
+    }
+  });
   detail::removal_outcome out = detail::remove_redundant_edges(
       g, opts.remove_all, opts.gate,
-      [&](graph::node_id u, graph::node_id v, double& power) {
+      [&](graph::node_id u, graph::node_id v, std::size_t, std::size_t, double& power) {
         const gain_edge_id eid = gain_edge_id::of(u, v, positions, link);
         power = eid.power;
-        return has_power_witness(candidates, positions, link, u, v, eid, opts.max_witness_hops);
+        return has_power_witness(candidates, arc_power, u, v, eid, opts.max_witness_hops);
       },
       repair, pool);
   return {std::move(out.topology), out.redundant_edges, out.removed_edges, out.restored_edges};

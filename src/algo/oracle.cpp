@@ -65,23 +65,21 @@ namespace {
 constexpr std::size_t growth_chunk = 64;
 
 /// A candidate under isotropic propagation: discovered in (distance,
-/// id) order. The hot growth sort moves these, and a 32-byte record
-/// shared with the per-link case measured 10-20% slower.
+/// id) order. The hot growth sort moves these; a bearing is taken only
+/// when a candidate is admitted (about a third are at paper density).
 struct distance_candidate {
   node_id id;
   double distance;
-  double direction;
 
   [[nodiscard]] double key() const { return distance; }
 };
-static_assert(sizeof(distance_candidate) == 24);
+static_assert(sizeof(distance_candidate) == 16);
 
 /// A candidate under per-link gains: discovered in (required link
 /// power, id) order, the order the Increase(p) schedule reaches them.
 struct link_candidate {
   node_id id;
   double distance;
-  double direction;
   double req_power;  // p(d) / gain: what closes the link
 
   [[nodiscard]] double key() const { return req_power; }
@@ -90,15 +88,19 @@ struct link_candidate {
 template <bool Isotropic>
 using candidate = std::conditional_t<Isotropic, distance_candidate, link_candidate>;
 
-/// Reused per-chunk growth buffers: candidate discovery refills these
-/// flat arrays instead of materializing fresh vectors for every node,
-/// which is where the allocator traffic went at 100k-1M nodes. Growth
-/// results are per-slot, so the chunking cannot change them.
+/// Reused per-chunk growth buffers: candidate discovery and the growth
+/// kernels refill these flat arrays instead of materializing fresh
+/// vectors for every node, which is where the allocator traffic went at
+/// 100k-1M nodes. A node's result copies its records and levels out at
+/// exact size. Growth results are per-slot, so the chunking cannot
+/// change them.
 template <bool Isotropic>
 struct growth_arena {
   std::vector<geom::point_index> hits;
   std::vector<candidate<Isotropic>> cands;
-  std::vector<double> dirs;
+  std::vector<neighbor_record> records;
+  std::vector<double> levels;
+  std::vector<double> dirs;  // bearings of the admitted, sorted: the gap test's input
 };
 
 /// Every node whose link to `u` closes at maximum power, sorted by
@@ -114,14 +116,13 @@ void candidates_into(node_id u, std::span<const geom::vec2> positions,
   const geom::vec2 pu = positions[u];
   grid.query_radius_into(pu, link.max_candidate_range(), u, arena.hits);
   for (geom::point_index v : arena.hits) {
-    const geom::vec2 d = positions[v] - pu;
+    const double dist = (positions[v] - pu).norm();
     if constexpr (Isotropic) {
-      arena.cands.push_back({v, d.norm(), d.bearing()});
+      arena.cands.push_back({v, dist});
     } else {
-      const double dist = d.norm();
       const double req = link.required_power_at(dist, u, v, pu, positions[v]);
       if (req > link.max_power() * (1.0 + 1e-12)) continue;  // never decodable
-      arena.cands.push_back({v, dist, d.bearing(), req});
+      arena.cands.push_back({v, dist, req});
     }
   }
   using cand = candidate<Isotropic>;
@@ -130,14 +131,46 @@ void candidates_into(node_id u, std::span<const geom::vec2> positions,
   });
 }
 
+/// Opens a growth kernel's state for one node.
+template <bool Isotropic>
+void begin_node(growth_arena<Isotropic>& arena) {
+  arena.records.clear();
+  arena.levels.clear();
+  arena.dirs.clear();
+}
+
+/// Admits candidate `c` of the node at `pu` at the newest level, power
+/// tag `p`. Its bearing is the one candidate discovery used to take;
+/// the gap test's directions stay sorted by insertion.
+template <bool Isotropic>
+void admit(const candidate<Isotropic>& c, std::span<const geom::vec2> positions, geom::vec2 pu,
+           double p, growth_arena<Isotropic>& arena) {
+  const double dir = (positions[c.id] - pu).bearing();
+  const auto level = static_cast<std::uint32_t>(arena.levels.size() - 1);
+  arena.records.push_back({c.id, c.distance, dir, level, p});
+  if (c.distance > 0.0) {  // coincident: no bearing
+    arena.dirs.insert(std::upper_bound(arena.dirs.begin(), arena.dirs.end(), dir), dir);
+  }
+}
+
+/// The node's result: its records and levels copied out at exact size.
 /// Keeps the documented node_result invariant (neighbors sorted by
 /// (distance, id)) after a growth pass that discovered them in
 /// required-power order; isotropic growth discovers them in that order.
-void sort_neighbors_by_distance(node_result& res) {
-  std::sort(res.neighbors.begin(), res.neighbors.end(),
-            [](const neighbor_record& a, const neighbor_record& b) {
-              return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
-            });
+template <bool Isotropic>
+node_result finish_node(growth_arena<Isotropic>& arena, double final_power, bool boundary) {
+  if constexpr (!Isotropic) {
+    std::sort(arena.records.begin(), arena.records.end(),
+              [](const neighbor_record& a, const neighbor_record& b) {
+                return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
+              });
+  }
+  node_result res;
+  res.neighbors.assign(arena.records.begin(), arena.records.end());
+  res.level_powers.assign(arena.levels.begin(), arena.levels.end());
+  res.final_power = final_power;
+  res.boundary = boundary;
+  return res;
 }
 
 /// Figure 1, executed exactly: p <- p0; while (p < P and gap-alpha(D)):
@@ -146,31 +179,25 @@ void sort_neighbors_by_distance(node_result& res) {
 /// per-link gains those with req_power <= p (one-ulp tolerance, the
 /// medium's decodability test).
 template <bool Isotropic>
-node_result run_discrete(std::span<const candidate<Isotropic>> cands,
+node_result run_discrete(std::span<const geom::vec2> positions, geom::vec2 pu,
                          const radio::link_model& link, const cbtc_params& params, double p0,
-                         std::vector<double>& dirs) {
-  node_result res;
+                         growth_arena<Isotropic>& arena) {
+  begin_node(arena);
+  const std::span<const candidate<Isotropic>> cands = arena.cands;
   const double max_power = link.max_power();
   double p = p0;
   std::size_t next = 0;  // first candidate not yet discovered
-  dirs.clear();
 
-  while (p < max_power && geom::has_alpha_gap(dirs, params.alpha)) {
+  while (p < max_power && geom::has_sorted_alpha_gap(arena.dirs, params.alpha)) {
     p = std::min(p * params.increase_factor, max_power);
-    res.level_powers.push_back(p);
-    const auto level = static_cast<std::uint32_t>(res.level_powers.size() - 1);
+    arena.levels.push_back(p);
     const double reach = Isotropic ? link.power().range(p) : p * (1.0 + 1e-12);
-    while (next < cands.size() && cands[next].key() <= reach) {
-      const candidate<Isotropic>& c = cands[next];
-      res.neighbors.push_back({c.id, c.distance, c.direction, level, p});
-      if (c.distance > 0.0) dirs.push_back(c.direction);  // coincident: no bearing
-      ++next;
+    for (; next < cands.size() && cands[next].key() <= reach; ++next) {
+      admit<Isotropic>(cands[next], positions, pu, p, arena);
     }
   }
-  res.final_power = res.level_powers.empty() ? p0 : res.level_powers.back();
-  res.boundary = geom::has_alpha_gap(dirs, params.alpha);
-  if constexpr (!Isotropic) sort_neighbors_by_distance(res);
-  return res;
+  const double final_power = arena.levels.empty() ? p0 : arena.levels.back();
+  return finish_node(arena, final_power, geom::has_sorted_alpha_gap(arena.dirs, params.alpha));
 }
 
 /// Idealized continuous growth: admit candidates one at a time in
@@ -178,14 +205,13 @@ node_result run_discrete(std::span<const candidate<Isotropic>> cands,
 /// admission is its own power level, so shrink-back and reconfiguration
 /// tags behave exactly like an infinitely fine discrete schedule.
 template <bool Isotropic>
-node_result run_continuous(std::span<const candidate<Isotropic>> cands,
+node_result run_continuous(std::span<const geom::vec2> positions, geom::vec2 pu,
                            const radio::link_model& link, const cbtc_params& params,
-                           std::vector<double>& dirs) {
-  node_result res;
-  dirs.clear();
+                           growth_arena<Isotropic>& arena) {
+  begin_node(arena);
   bool covered = false;
-  for (const candidate<Isotropic>& c : cands) {
-    if (!geom::has_alpha_gap(dirs, params.alpha)) {
+  for (const candidate<Isotropic>& c : arena.cands) {
+    if (!geom::has_sorted_alpha_gap(arena.dirs, params.alpha)) {
       covered = true;
       break;
     }
@@ -195,25 +221,18 @@ node_result run_continuous(std::span<const candidate<Isotropic>> cands,
     } else {
       p = std::min(c.req_power, link.max_power());
     }
-    res.level_powers.push_back(p);
-    const auto level = static_cast<std::uint32_t>(res.level_powers.size() - 1);
-    res.neighbors.push_back({c.id, c.distance, c.direction, level, p});
-    if (c.distance > 0.0) dirs.push_back(c.direction);  // coincident: no bearing
+    arena.levels.push_back(p);
+    admit<Isotropic>(c, positions, pu, p, arena);
   }
-  if (!covered) covered = !geom::has_alpha_gap(dirs, params.alpha);
+  if (!covered) covered = !geom::has_sorted_alpha_gap(arena.dirs, params.alpha);
 
   if (covered) {
-    res.final_power = res.level_powers.empty() ? 0.0 : res.level_powers.back();
-    res.boundary = false;
-  } else {
-    // Ran out of reachable nodes with a gap left: boundary node, which
-    // per the algorithm broadcasts at maximum power.
-    res.level_powers.push_back(link.max_power());
-    res.final_power = link.max_power();
-    res.boundary = true;
+    return finish_node(arena, arena.levels.empty() ? 0.0 : arena.levels.back(), false);
   }
-  if constexpr (!Isotropic) sort_neighbors_by_distance(res);
-  return res;
+  // Ran out of reachable nodes with a gap left: boundary node, which
+  // per the algorithm broadcasts at maximum power.
+  arena.levels.push_back(link.max_power());
+  return finish_node(arena, link.max_power(), true);
 }
 
 /// Grows every node into `nodes`. Growth is a pure per-node computation
@@ -229,8 +248,8 @@ void grow_all(std::span<const geom::vec2> positions, const geom::spatial_grid& g
     for (std::size_t u = lo; u < hi; ++u) {
       candidates_into<Isotropic>(static_cast<node_id>(u), positions, grid, link, arena);
       nodes[u] = params.mode == growth_mode::discrete
-                     ? run_discrete<Isotropic>(arena.cands, link, params, p0, arena.dirs)
-                     : run_continuous<Isotropic>(arena.cands, link, params, arena.dirs);
+                     ? run_discrete<Isotropic>(positions, positions[u], link, params, p0, arena)
+                     : run_continuous<Isotropic>(positions, positions[u], link, params, arena);
     }
   });
 }

@@ -67,20 +67,16 @@ struct pairwise_result {
 };
 
 /// Classifies redundancy on `g` (typically E_alpha or E^s/E^- after the
-/// earlier optimizations) and removes edges per `opts`. The per-edge
-/// classification (the hot part — one witness scan over both
-/// endpoints' neighborhoods per edge) runs as a deterministic block
-/// reduce on `pool`. Identical output for any pool width:
+/// earlier optimizations) and removes edges per `opts`. Each arc's
+/// bearing and length is computed once per pass, on `pool`; the
+/// per-edge classification (the hot part — one witness scan over both
+/// endpoints' neighborhoods per edge) reads them and runs as a
+/// deterministic block reduce on `pool`. Identical output for any
+/// pool width:
 /// classifications land in per-edge slots and the redundancy count
 /// folds in fixed block order.
 [[nodiscard]] pairwise_result apply_pairwise_removal(
     const graph::undirected_graph& g, std::span<const geom::vec2> positions,
     const pairwise_options& opts = {}, const util::thread_pool& pool = util::thread_pool(1));
-
-/// True if edge {u, v} is redundant in `g` per Definition 3.5 (checked
-/// from both endpoints; the witness w may sit at either end).
-[[nodiscard]] bool is_redundant_edge(const graph::undirected_graph& g,
-                                     std::span<const geom::vec2> positions, graph::node_id u,
-                                     graph::node_id v);
 
 }  // namespace cbtc::algo

@@ -27,26 +27,44 @@ removal_outcome remove_redundant_edges(const graph::undirected_graph& g, bool re
     for (std::size_t u = 0; u < n; ++u) eoff[u + 1] = eoff[u] + updeg[u];
   }
   const std::size_t m = eoff[n];
+  // The edge table, each arc's edge index, and each edge's down arc
+  // v -> u, in one per-node pass: a node's up-arcs {u, v > u} are the
+  // last entries of its neighbor list, in table order, and each down
+  // arc finds its edge by one binary search, here and nowhere else.
   std::vector<graph::edge> edges(m);
+  std::vector<std::size_t> arc_edge(2 * m);
+  std::vector<std::size_t> down_arc(m);
   pool.parallel_for(n, [&](std::size_t u) {
     const auto uid = static_cast<graph::node_id>(u);
     const std::span<const graph::node_id> nb = g.neighbors(uid);
-    std::size_t w = eoff[u];
-    for (auto it = std::upper_bound(nb.begin(), nb.end(), uid); it != nb.end(); ++it) {
-      edges[w++] = {uid, *it};
+    const std::size_t first = g.first_arc(uid);
+    std::size_t up = eoff[u];
+    for (std::size_t k = 0; k < nb.size(); ++k) {
+      const graph::node_id v = nb[k];
+      if (v > uid) {
+        edges[up] = {uid, v};
+        arc_edge[first + k] = up++;
+      } else {
+        const std::span<const graph::node_id> vnb = g.neighbors(v);
+        const auto lo = std::upper_bound(vnb.begin(), vnb.end(), v);
+        const std::size_t i =
+            eoff[v] + static_cast<std::size_t>(std::lower_bound(lo, vnb.end(), uid) - lo);
+        arc_edge[first + k] = i;
+        down_arc[i] = first + k;
+      }
     }
   });
-  /// Index of edge {a, b} (a < b) in the table.
-  const auto edge_index = [&](graph::node_id a, graph::node_id b) {
-    const std::span<const graph::node_id> nb = g.neighbors(a);
-    const auto first = std::upper_bound(nb.begin(), nb.end(), a);
-    return eoff[a] + static_cast<std::size_t>(std::lower_bound(first, nb.end(), b) - first);
+  /// The arc u -> v of edge i = {u < v}: up-arcs close u's list.
+  const auto up_arc = [&](std::size_t i) {
+    const graph::node_id u = edges[i].u;
+    return g.first_arc(u) + g.degree(u) - (eoff[u + 1] - i);
   };
   /// Calls f(v, i) for every neighbor v of u, in order, with the table
   /// index i of edge {u, v}.
   const auto for_each_incident = [&](graph::node_id u, auto&& f) {
-    std::size_t up = eoff[u];
-    for (const graph::node_id v : g.neighbors(u)) f(v, v > u ? up++ : edge_index(v, u));
+    const std::span<const graph::node_id> nb = g.neighbors(u);
+    const std::size_t first = g.first_arc(u);
+    for (std::size_t k = 0; k < nb.size(); ++k) f(nb[k], arc_edge[first + k]);
   };
 
   // Per-edge classification: each slot written exactly once (chars,
@@ -60,7 +78,8 @@ removal_outcome remove_redundant_edges(const graph::undirected_graph& g, bool re
       [&](std::size_t lo, std::size_t hi) {
         std::size_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
-          redundant[i] = classify(edges[i].u, edges[i].v, metric[i]) ? 1 : 0;
+          redundant[i] =
+              classify(edges[i].u, edges[i].v, up_arc(i), down_arc[i], metric[i]) ? 1 : 0;
           count += redundant[i];
         }
         return count;

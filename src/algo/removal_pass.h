@@ -17,10 +17,13 @@
 
 namespace cbtc::algo::detail {
 
-/// Classifies edge {u, v} (u < v): sets `metric` to the edge's gate
+/// Classifies edge {u, v} (u < v), whose arcs u -> v and v -> u sit at
+/// `uv` and `vu` of g's CSR neighbor array (entry g.first_arc(u) + k is
+/// the arc u -> g.neighbors(u)[k]): sets `metric` to the edge's gate
 /// metric (its length, or its required power) and returns whether the
 /// edge is redundant. Called once per edge, from any pool thread.
-using edge_classifier = std::function<bool(graph::node_id u, graph::node_id v, double& metric)>;
+using edge_classifier = std::function<bool(graph::node_id u, graph::node_id v, std::size_t uv,
+                                           std::size_t vu, double& metric)>;
 
 /// Sees the drop verdicts (one slot per edge of the lexicographic edge
 /// table) before the kept edges are assembled, may clear some, and

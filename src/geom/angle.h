@@ -28,15 +28,26 @@ inline constexpr double pi = std::numbers::pi;
 /// (all normalized; the arc includes both endpoints).
 [[nodiscard]] bool angle_in_ccw_arc(double theta, double lo, double hi);
 
-/// The largest circular gap between consecutive directions.
-///
-/// Directions need not be sorted or normalized. Returns 2*pi for an
-/// empty set (the whole circle is one gap) and for a single direction.
+/// The largest circular gap between consecutive directions of
+/// `sorted`, which must be sorted ascending and normalized (what
+/// sorted_normalized returns). Returns 2*pi for an empty set (the whole
+/// circle is one gap) and for a single direction. O(k), no allocation.
+[[nodiscard]] double max_sorted_gap(std::span<const double> sorted);
+
+/// The largest circular gap between consecutive directions: the sorted
+/// gap of sorted_normalized(directions). Directions need not be sorted
+/// or normalized.
 [[nodiscard]] double max_circular_gap(std::span<const double> directions);
 
-/// The paper's gap-alpha test (Section 2): true iff some cone of degree
-/// `alpha` centered at the node contains no direction, i.e. iff the
-/// largest circular gap between consecutive directions exceeds `alpha`.
+/// The paper's gap-alpha test (Section 2) on sorted, normalized
+/// directions: true iff some cone of degree `alpha` centered at the
+/// node contains no direction, i.e. iff max_sorted_gap exceeds
+/// `alpha`. A caller that keeps its directions sorted as it adds them
+/// (the oracle's growth) tests in O(k) without allocating.
+[[nodiscard]] bool has_sorted_alpha_gap(std::span<const double> sorted, double alpha);
+
+/// has_sorted_alpha_gap(sorted_normalized(directions), alpha):
+/// directions need not be sorted or normalized.
 [[nodiscard]] bool has_alpha_gap(std::span<const double> directions, double alpha);
 
 /// Sorted normalized copy of `directions`.

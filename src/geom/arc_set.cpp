@@ -24,20 +24,22 @@ void unroll(const arc& a, std::vector<arc>& out) {
   }
 }
 
+bool piece_before(const arc& a, const arc& b) { return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi); }
+
+/// The arc of cover_alpha around direction `d`.
+arc cover_arc(double d, double alpha) {
+  const double c = norm_angle(d);
+  const double half = alpha / 2.0;
+  return {norm_angle(c - half), norm_angle(c + half)};
+}
+
 }  // namespace
 
-arc_set arc_set::from_arcs(std::span<const arc> arcs) {
-  arc_set result;
-  if (arcs.empty()) return result;
-
-  std::vector<arc> flat;
-  flat.reserve(arcs.size() * 2);
-  for (const arc& a : arcs) unroll(a, flat);
-  std::sort(flat.begin(), flat.end(),
-            [](const arc& a, const arc& b) { return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi); });
-
-  std::vector<arc> merged;
-  for (const arc& a : flat) {
+void arc_set::merge_sorted(std::span<const arc> pieces) {
+  full_ = false;
+  std::vector<arc>& merged = arcs_;
+  merged.clear();
+  for (const arc& a : pieces) {
     if (!merged.empty() && a.lo <= merged.back().hi) {
       merged.back().hi = std::max(merged.back().hi, a.hi);
     } else {
@@ -49,8 +51,9 @@ arc_set arc_set::from_arcs(std::span<const arc> arcs) {
   if (merged.size() >= 2 && merged.front().lo == 0.0 && merged.back().hi >= two_pi) {
     if (merged.back().lo <= merged.front().hi + 0.0) {
       // Entire circle covered.
-      result.full_ = true;
-      return result;
+      full_ = true;
+      merged.clear();
+      return;
     }
     // Merge into a single wrapping arc.
     arc wrap{merged.back().lo, merged.front().hi};
@@ -58,8 +61,9 @@ arc_set arc_set::from_arcs(std::span<const arc> arcs) {
     merged.erase(merged.begin());
     merged.push_back(wrap);
   } else if (merged.size() == 1 && merged.front().lo == 0.0 && merged.front().hi >= two_pi) {
-    result.full_ = true;
-    return result;
+    full_ = true;
+    merged.clear();
+    return;
   }
 
   // Normalize endpoints back into [0, 2*pi).
@@ -70,20 +74,27 @@ arc_set arc_set::from_arcs(std::span<const arc> arcs) {
 
   // Canonical order by normalized lo.
   std::sort(merged.begin(), merged.end(), [](const arc& a, const arc& b) { return a.lo < b.lo; });
-  result.arcs_ = std::move(merged);
+}
+
+arc_set arc_set::from_arcs(std::span<const arc> arcs) {
+  std::vector<arc> pieces;
+  pieces.reserve(arcs.size() * 2);
+  for (const arc& a : arcs) unroll(a, pieces);
+  std::sort(pieces.begin(), pieces.end(), piece_before);
+  arc_set result;
+  result.merge_sorted(pieces);
   return result;
 }
 
 arc_set arc_set::cover(std::span<const double> directions, double alpha) {
   if (alpha >= two_pi && !directions.empty()) return full_circle();
-  std::vector<arc> arcs;
-  arcs.reserve(directions.size());
-  const double half = alpha / 2.0;
-  for (double d : directions) {
-    const double c = norm_angle(d);
-    arcs.push_back({norm_angle(c - half), norm_angle(c + half)});
-  }
-  return from_arcs(arcs);
+  std::vector<arc> pieces;
+  pieces.reserve(directions.size() * 2);
+  for (double d : directions) unroll(cover_arc(d, alpha), pieces);
+  std::sort(pieces.begin(), pieces.end(), piece_before);
+  arc_set result;
+  result.merge_sorted(pieces);
+  return result;
 }
 
 arc_set arc_set::full_circle() {
@@ -127,6 +138,31 @@ bool arc_set::approx_equals(const arc_set& other, double eps) const {
     if (angle_dist(arcs_[i].hi, other.arcs_[i].hi) > eps) return false;
   }
   return true;
+}
+
+void cover_accumulator::clear() {
+  pieces_.clear();
+  any_ = false;
+}
+
+void cover_accumulator::add(double direction) {
+  any_ = true;
+  const std::size_t first = pieces_.size();
+  unroll(cover_arc(direction, alpha_), pieces_);
+  for (std::size_t i = first; i < pieces_.size(); ++i) {
+    const auto at = pieces_.begin() + static_cast<std::ptrdiff_t>(i);
+    std::rotate(std::upper_bound(pieces_.begin(), at, *at, piece_before), at, at + 1);
+  }
+}
+
+const arc_set& cover_accumulator::merged() {
+  if (alpha_ >= two_pi && any_) {
+    set_.full_ = true;
+    set_.arcs_.clear();
+  } else {
+    set_.merge_sorted(pieces_);
+  }
+  return set_;
 }
 
 }  // namespace cbtc::geom

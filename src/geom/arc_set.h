@@ -57,8 +57,39 @@ class arc_set {
   [[nodiscard]] const std::vector<arc>& arcs() const { return arcs_; }
 
  private:
+  friend class cover_accumulator;
+
+  /// Becomes the union of `pieces`: non-wrapping arcs lo <= hi on
+  /// [0, 2*pi], sorted by (lo, hi). The one merge behind from_arcs,
+  /// cover and cover_accumulator; it reuses this set's storage.
+  void merge_sorted(std::span<const arc> pieces);
+
   std::vector<arc> arcs_;  // canonical form; unused when full_ is set
   bool full_{false};
+};
+
+/// cover_alpha of a direction set that only grows, such as shrink-back's
+/// level prefixes. The unrolled pieces stay sorted by (lo, hi) across
+/// add() calls, and merged() re-merges them in reused buffers. Pieces
+/// equal under that order are identical, so the sequence, and with it
+/// every canonical arc, is bit for bit the one arc_set::cover sorts
+/// into for the same directions.
+class cover_accumulator {
+ public:
+  explicit cover_accumulator(double alpha) : alpha_(alpha) {}
+
+  /// Forgets every direction; keeps the buffers.
+  void clear();
+  /// Adds direction `d`'s arc [d - alpha/2, d + alpha/2].
+  void add(double direction);
+  /// arc_set::cover of the directions added since the last clear().
+  [[nodiscard]] const arc_set& merged();
+
+ private:
+  double alpha_;
+  bool any_{false};
+  std::vector<arc> pieces_;  // sorted by (lo, hi)
+  arc_set set_;
 };
 
 }  // namespace cbtc::geom

@@ -9,19 +9,43 @@ namespace cbtc::graph {
 
 namespace {
 
+/// Reused query buffers: one per block of edges, not three vectors per
+/// edge.
+struct disk_scratch {
+  std::vector<geom::point_index> in_u;
+  std::vector<geom::point_index> in_v;
+};
+
+/// Nodes other than u and v inside either disk of radius d(u, v)
+/// centered at u or at v: the size of the union of the two sorted
+/// query results, minus the endpoints found in it.
 std::size_t disk_union_count(std::span<const geom::vec2> positions, const geom::spatial_grid& grid,
-                             node_id u, node_id v) {
+                             node_id u, node_id v, disk_scratch& s) {
   const double len = geom::distance(positions[u], positions[v]);
-  std::vector<geom::point_index> in_u = grid.query_radius(positions[u], len);
-  std::vector<geom::point_index> in_v = grid.query_radius(positions[v], len);
-  std::sort(in_u.begin(), in_u.end());
-  std::sort(in_v.begin(), in_v.end());
-  std::vector<geom::point_index> all;
-  all.reserve(in_u.size() + in_v.size());
-  std::set_union(in_u.begin(), in_u.end(), in_v.begin(), in_v.end(), std::back_inserter(all));
-  // Exclude the endpoints themselves.
-  return all.size() - static_cast<std::size_t>(std::binary_search(all.begin(), all.end(), u)) -
-         static_cast<std::size_t>(std::binary_search(all.begin(), all.end(), v));
+  s.in_u.clear();
+  s.in_v.clear();
+  grid.query_radius_into(positions[u], len, geom::spatial_grid::npos, s.in_u);
+  grid.query_radius_into(positions[v], len, geom::spatial_grid::npos, s.in_v);
+  std::sort(s.in_u.begin(), s.in_u.end());
+  std::sort(s.in_v.begin(), s.in_v.end());
+  std::size_t common = 0;
+  for (auto a = s.in_u.begin(), b = s.in_v.begin(); a != s.in_u.end() && b != s.in_v.end();) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      ++common;
+      ++a;
+      ++b;
+    }
+  }
+  const auto member = [&](node_id x) {
+    return std::binary_search(s.in_u.begin(), s.in_u.end(), x) ||
+           std::binary_search(s.in_v.begin(), s.in_v.end(), x);
+  };
+  return s.in_u.size() + s.in_v.size() - common - static_cast<std::size_t>(member(u)) -
+         static_cast<std::size_t>(member(v));
 }
 
 }  // namespace
@@ -31,7 +55,8 @@ std::size_t edge_interference(const undirected_graph& g, std::span<const geom::v
   (void)g;
   const double len = geom::distance(positions[u], positions[v]);
   const geom::spatial_grid grid(positions, std::max(len, 1.0));
-  return disk_union_count(positions, grid, u, v);
+  disk_scratch scratch;
+  return disk_union_count(positions, grid, u, v, scratch);
 }
 
 interference_stats topology_interference(const undirected_graph& g,
@@ -58,8 +83,9 @@ interference_stats topology_interference(const undirected_graph& g,
       edges.size(), {},
       [&](std::size_t lo, std::size_t hi) {
         coverage part;
+        disk_scratch scratch;
         for (std::size_t i = lo; i < hi; ++i) {
-          const std::size_t c = disk_union_count(positions, grid, edges[i].u, edges[i].v);
+          const std::size_t c = disk_union_count(positions, grid, edges[i].u, edges[i].v, scratch);
           part.total += c;
           part.max = std::max(part.max, c);
         }

@@ -141,10 +141,9 @@ stretch_stats power_stretch(const undirected_graph& sparse, const undirected_gra
   const std::size_t n = dense.num_nodes();
   if (n == 0 || sample_sources == 0) return {};
   // Every source searches the same two graphs under the same cost, so
-  // each arc's d^exponent is evaluated once here, not per relaxation.
-  const edge_cost_fn cost = power_cost(positions, exponent);
-  const std::vector<double> sparse_cost = arc_costs(sparse, cost, pool);
-  const std::vector<double> dense_cost = arc_costs(dense, cost, pool);
+  // each edge's d^exponent is evaluated once here, not per relaxation.
+  const std::vector<double> sparse_cost = power_arc_costs(sparse, positions, exponent, pool);
+  const std::vector<double> dense_cost = power_arc_costs(dense, positions, exponent, pool);
   return stretch_impl(
       n, sample_sources, pool, [&](node_id s) { return dijkstra(sparse, s, sparse_cost); },
       [&](node_id s) { return dijkstra(dense, s, dense_cost); });

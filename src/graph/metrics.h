@@ -57,8 +57,8 @@ struct stretch_stats {
 /// running one Dijkstra per graph. Pass the node count (or more) for
 /// the exact all-pairs statistic; 0 sources gives the default stats.
 ///
-/// Each graph's arc costs d^exponent are evaluated once, on `pool`
-/// (graph::arc_costs), and every source's Dijkstra reads them. Each
+/// Each graph's costs d^exponent are evaluated once per edge, on `pool`
+/// (graph::power_arc_costs), and every source's Dijkstra reads them. Each
 /// source's two searches take one pool slot; the per-pair ratios then
 /// fold serially in (source, target) order, so the result is bitwise
 /// identical at every pool width.

@@ -1,5 +1,6 @@
 #include "graph/shortest_path.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -76,6 +77,11 @@ class frontier {
 /// relaxation, nodes settled in (distance, id) order. `arc_cost(u, v,
 /// a)` is the cost of arc a, u -> v (a indexes g's CSR neighbor
 /// array). `parent` may be null when only distances are wanted.
+///
+/// No arc is skipped up front: for a settled v, dist[v] <= d <=
+/// fl(d + c) whenever c >= 0, so the strict test already rejects the
+/// arc, and a "settled?" branch before it mispredicts on G_R's long
+/// neighbor lists more than it saves.
 template <class ArcCost>
 void dijkstra_kernel(const undirected_graph& g, node_id from, const ArcCost& arc_cost,
                      std::vector<double>& dist, std::vector<node_id>* parent) {
@@ -91,12 +97,6 @@ void dijkstra_kernel(const undirected_graph& g, node_id from, const ArcCost& arc
     const std::size_t first = g.first_arc(u);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const node_id v = nbrs[k];
-      // Settled skip: costs are non-negative and rounding is monotone,
-      // so d + cost(u, v) >= d, and an arc into a node already at
-      // distance <= d (every settled node) can never pass the strict
-      // test below. Skipping it saves the cost call and changes no bit
-      // of dist or parent.
-      if (dist[v] <= d) continue;
       const double nd = d + arc_cost(u, v, first + k);
       if (nd < dist[v]) {
         dist[v] = nd;
@@ -117,6 +117,28 @@ std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cos
     const std::span<const node_id> nbrs = g.neighbors(u);
     double* const costs = out.data() + g.first_arc(u);
     for (std::size_t k = 0; k < nbrs.size(); ++k) costs[k] = cost(u, nbrs[k]);
+  });
+  return out;
+}
+
+std::vector<double> power_arc_costs(const undirected_graph& g,
+                                    const std::vector<geom::vec2>& positions, double exponent,
+                                    const util::thread_pool& pool) {
+  std::vector<double> out(2 * g.num_edges());
+  pool.parallel_for(g.num_nodes(), [&](std::size_t i) {
+    const auto u = static_cast<node_id>(i);
+    const std::span<const node_id> nbrs = g.neighbors(u);
+    const std::size_t first = g.first_arc(u);
+    // Node u prices its up-arcs u -> v > u and writes each twin v -> u,
+    // so every slot has one writer.
+    for (auto it = std::upper_bound(nbrs.begin(), nbrs.end(), u); it != nbrs.end(); ++it) {
+      const node_id v = *it;
+      const double c = std::pow(geom::distance(positions[u], positions[v]), exponent);
+      out[first + static_cast<std::size_t>(it - nbrs.begin())] = c;
+      const std::span<const node_id> vn = g.neighbors(v);
+      out[g.first_arc(v) + static_cast<std::size_t>(std::lower_bound(vn.begin(), vn.end(), u) -
+                                                    vn.begin())] = c;
+    }
   });
   return out;
 }

@@ -30,8 +30,7 @@
 namespace cbtc::graph {
 
 /// Cost of traversing edge {u, v}; must be non-negative and free of
-/// side effects (Dijkstra skips arcs that cannot relax, so the number
-/// of calls is not part of the contract).
+/// side effects (the number of calls is not part of the contract).
 using edge_cost_fn = std::function<double(node_id, node_id)>;
 
 /// g's arc-cost array (see the layout above): entry g.first_arc(u) + k
@@ -39,6 +38,15 @@ using edge_cost_fn = std::function<double(node_id, node_id)>;
 /// per node, so the array is identical at every pool width.
 [[nodiscard]] std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cost,
                                             const util::thread_pool& pool = util::thread_pool(1));
+
+/// arc_costs(g, power_cost(positions, exponent), pool), bit for bit,
+/// with each edge priced once: the arc u -> v (u < v) is priced and its
+/// twin v -> u gets the same entry. The two coordinate differences are
+/// exact negations of each other and hypot ignores signs, so d(u, v)
+/// and d(v, u) are the same double.
+[[nodiscard]] std::vector<double> power_arc_costs(
+    const undirected_graph& g, const std::vector<geom::vec2>& positions, double exponent,
+    const util::thread_pool& pool = util::thread_pool(1));
 
 /// Dijkstra from `from` over g's arc-cost array `arc_cost` (one
 /// non-negative entry per arc, as arc_costs lays it out). Unreachable
@@ -58,8 +66,7 @@ struct shortest_path_tree {
 /// Dijkstra from `from` with parent pointers. Relaxations use strict
 /// `<` improvement and the heap orders ties by (distance, node id), so
 /// the tree is deterministic for a given graph and cost function. The
-/// cost callback is invoked as cost(settled, neighbor), and never for a
-/// neighbor already settled.
+/// cost callback is invoked as cost(settled, neighbor).
 [[nodiscard]] shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                                const edge_cost_fn& cost);
 

@@ -59,12 +59,13 @@ bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
 std::vector<std::uint32_t> bfs_distances(const undirected_graph& g, node_id from) {
   constexpr auto inf = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> dist(g.num_nodes(), inf);
-  std::deque<node_id> queue;
+  // Each node enters once, so a vector read front to back is the FIFO.
+  std::vector<node_id> queue;
+  queue.reserve(g.num_nodes());
   dist[from] = 0;
   queue.push_back(from);
-  while (!queue.empty()) {
-    const node_id u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const node_id u = queue[head];
     for (node_id v : g.neighbors(u)) {
       if (dist[v] == inf) {
         dist[v] = dist[u] + 1;

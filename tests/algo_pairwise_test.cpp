@@ -9,7 +9,10 @@
 #include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
+#include "util/parallel.h"
 #include "graph_fixtures.h"
+#include "op3_reference.h"
+#include "pinned_fields.h"
 #include "radio/power_model.h"
 
 namespace cbtc::algo {
@@ -85,6 +88,24 @@ TEST(Redundant, ExactlyPiOverThreeIsNotRedundant) {
   const std::vector<vec2> pts{{0, 0}, {100, 0}, geom::polar({0, 0}, 50.0, pi / 3.0)};
   const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {0, 2}});
   EXPECT_FALSE(is_redundant_edge(g, pts, 0, 1));
+}
+
+TEST(Redundant, CoincidentWitnessIsIgnored) {
+  // Node 1 sits on node 0, node 2 due east of both. A coincident node
+  // has no bearing (atan2(0, 0) would read due east) and a zero-length
+  // id, so were it taken as a witness, edge {0, 2} would go as well as
+  // {1, 2} (witnessed by 0 at apex 2), cutting node 2 off.
+  const std::vector<vec2> pts{{0, 0}, {0, 0}, {100, 0}};
+  const graph::undirected_graph g = graph::make_graph(3, {{0, 1}, {0, 2}, {1, 2}});
+  EXPECT_FALSE(is_redundant_edge(g, pts, 0, 2));
+  EXPECT_TRUE(is_redundant_edge(g, pts, 1, 2));
+  pairwise_options all;
+  all.remove_all = true;
+  const pairwise_result pr = apply_pairwise_removal(g, pts, all);
+  EXPECT_EQ(pr.redundant_edges, 1u);
+  EXPECT_TRUE(pr.topology.has_edge(0, 2));
+  EXPECT_FALSE(pr.topology.has_edge(1, 2));
+  EXPECT_TRUE(graph::is_connected(pr.topology));
 }
 
 // ---------------------------------------------------------- removal
@@ -210,6 +231,47 @@ TEST(PairwiseRemoval, WorksOnSymmetricCoreToo) {
     const auto gr = graph::build_max_power_graph(positions, pm.max_range());
     const auto pr = apply_pairwise_removal(core, positions);
     EXPECT_TRUE(graph::same_connectivity(pr.topology, gr)) << "seed " << seed;
+  }
+}
+
+TEST(PairwiseRemoval, ClassifiesEveryEdgeLikeTheReference) {
+  // The per-arc pass against the reference classifier, edge by edge:
+  // with remove_all an edge goes iff the reference calls it redundant.
+  // Fields: the pinned ones (a coincident pair each), a lattice with
+  // many equal lengths and bearings, and a field with every fourth
+  // node stacked on its predecessor.
+  std::vector<std::vector<vec2>> fields;
+  for (const pinned_field& f : pinned_fields()) fields.push_back(f.positions);
+  std::vector<vec2> lattice;
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) lattice.push_back({120.0 * x, 120.0 * y});
+  }
+  fields.push_back(lattice);
+  std::vector<vec2> stacked = geom::uniform_points(160, geom::bbox::rect(1500, 1500), 31);
+  for (std::size_t i = 4; i < stacked.size(); i += 4) stacked[i] = stacked[i - 1];
+  fields.push_back(stacked);
+  pairwise_options all;
+  all.remove_all = true;
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const std::vector<vec2>& pts = fields[f];
+    for (const double alpha : {alpha_five_pi_six, alpha_two_pi_three}) {
+      cbtc_params p;
+      p.alpha = alpha;
+      const graph::undirected_graph g = run_cbtc(pts, pm, p).symmetric_closure();
+      for (const unsigned width : {1u, 4u}) {
+        util::thread_pool pool(width);
+        const pairwise_result pr = apply_pairwise_removal(g, pts, all, pool);
+        std::size_t redundant = 0;
+        for (const graph::edge& e : g.edges()) {
+          const bool want = is_redundant_edge(g, pts, e.u, e.v);
+          redundant += want;
+          EXPECT_EQ(pr.topology.has_edge(e.u, e.v), !want)
+              << "field " << f << " alpha " << alpha << " edge " << e.u << "-" << e.v;
+        }
+        EXPECT_EQ(pr.redundant_edges, redundant) << "field " << f;
+        EXPECT_EQ(pr.removed_edges, redundant) << "field " << f;
+      }
+    }
   }
 }
 

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 namespace cbtc::geom {
 namespace {
+
+constexpr double alpha_probe_5pi6 = 5.0 * pi / 6.0;
+constexpr double alpha_probe_2pi3 = 2.0 * pi / 3.0;
 
 TEST(NormAngle, AlreadyNormalized) {
   EXPECT_DOUBLE_EQ(norm_angle(0.0), 0.0);
@@ -137,6 +145,68 @@ TEST(MaxCircularGap, GapsPartitionCircleProperty) {
     total += two_pi - s.back() + s.front();
     EXPECT_NEAR(total, two_pi, 1e-9);
     EXPECT_LE(max_circular_gap(dirs), total + 1e-9);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// norm_angle without its fast path: fmod, then the two corrections.
+double norm_angle_by_fmod(double theta) {
+  double t = std::fmod(theta, two_pi);
+  if (t < 0.0) t += two_pi;
+  if (t >= two_pi) t -= two_pi;
+  return t;
+}
+
+TEST(NormAngle, FastPathMatchesFmodBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {0.0,    -0.0,    pi,   -pi, 1e300, -1e300,
+                                inf,    -inf,    std::numeric_limits<double>::quiet_NaN(),
+                                1e-320, -1e-320, 3 * pi, -3 * pi};
+  for (const double edge : {two_pi, -two_pi, 2 * two_pi, -2 * two_pi}) {
+    probes.push_back(edge);
+    probes.push_back(std::nextafter(edge, 0.0));
+    probes.push_back(std::nextafter(edge, 2 * edge));
+  }
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> wide(-4 * two_pi, 4 * two_pi);
+  for (int i = 0; i < 100000; ++i) probes.push_back(wide(rng));
+  for (const double x : probes) {
+    EXPECT_TRUE(same_bits(norm_angle(x), norm_angle_by_fmod(x))) << std::hexfloat << x;
+  }
+}
+
+TEST(SortedGap, MatchesHasAlphaGapOnRandomDirectionSets) {
+  // Directions kept sorted by upper_bound insertion, as growth keeps
+  // them, against the sorting wrappers, on sets with duplicates and
+  // both ends of [0, 2*pi).
+  std::mt19937_64 rng(43);
+  std::uniform_real_distribution<double> angle(0.0, two_pi);
+  const double top = std::nextafter(two_pi, 0.0);
+  for (int round = 0; round < 100000; ++round) {
+    const std::size_t k = rng() % 12;
+    std::vector<double> dirs;
+    std::vector<double> sorted;
+    for (std::size_t i = 0; i < k; ++i) {
+      double d = 0.0;
+      switch (rng() % 6) {
+        case 0: d = 0.0; break;
+        case 1: d = top; break;
+        case 2: d = dirs.empty() ? angle(rng) : dirs[rng() % dirs.size()]; break;
+        default: d = angle(rng); break;
+      }
+      dirs.push_back(d);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), d), d);
+    }
+    const double gap = max_circular_gap(dirs);
+    ASSERT_TRUE(same_bits(max_sorted_gap(sorted), gap)) << "round " << round;
+    for (const double alpha : {alpha_probe_5pi6, alpha_probe_2pi3, gap, gap - 1e-12,
+                               std::nextafter(gap - 1e-12, 0.0), angle(rng)}) {
+      ASSERT_EQ(has_sorted_alpha_gap(sorted, alpha), has_alpha_gap(dirs, alpha))
+          << "round " << round << " alpha " << alpha;
+    }
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -157,6 +160,63 @@ TEST(Arc, LengthOfPlainAndWrappingArcs) {
   EXPECT_NEAR((arc{1.0, 2.5}).length(), 1.5, 1e-12);
   EXPECT_NEAR((arc{two_pi - 0.5, 0.5}).length(), 1.0, 1e-12);
   EXPECT_DOUBLE_EQ((arc{1.0, 1.0}).length(), 0.0);
+}
+
+/// Same full flag and the same canonical arcs, bit for bit.
+bool same_set(const arc_set& a, const arc_set& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  if (a.is_full_circle() != b.is_full_circle() || a.arcs().size() != b.arcs().size()) return false;
+  for (std::size_t i = 0; i < a.arcs().size(); ++i) {
+    if (bits(a.arcs()[i].lo) != bits(b.arcs()[i].lo)) return false;
+    if (bits(a.arcs()[i].hi) != bits(b.arcs()[i].hi)) return false;
+  }
+  return true;
+}
+
+TEST(CoverAccumulator, MatchesCoverAndFromArcsBitForBit) {
+  // Every prefix of a random direction set, grown one direction at a
+  // time, against cover() and from_arcs() of the same prefix built from
+  // scratch. Sets hold duplicates, 0, the top of [0, 2*pi), directions
+  // exactly alpha/2 from 0 (arcs that start or end on 0), and values
+  // outside [0, 2*pi). One accumulator per alpha is reused via clear().
+  const std::vector<double> alphas = {5.0 * pi / 6.0, 2.0 * pi / 3.0, pi / 2.0, 0.3,
+                                      two_pi - 1e-9, two_pi, 7.0};
+  std::vector<cover_accumulator> accs;
+  for (const double alpha : alphas) accs.emplace_back(alpha);
+  std::mt19937_64 rng(47);
+  std::uniform_real_distribution<double> angle(0.0, two_pi);
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t which = rng() % alphas.size();
+    const double alpha = alphas[which];
+    cover_accumulator& acc = accs[which];
+    acc.clear();
+    std::vector<double> dirs;
+    std::vector<arc> arcs;
+    const std::size_t k = rng() % 16;
+    for (std::size_t i = 0; i <= k; ++i) {
+      if (i > 0) {
+        double d = 0.0;
+        switch (rng() % 8) {
+          case 0: d = 0.0; break;
+          case 1: d = std::nextafter(two_pi, 0.0); break;
+          case 2: d = dirs.empty() ? angle(rng) : dirs[rng() % dirs.size()]; break;
+          case 3: d = alpha / 2.0; break;
+          case 4: d = angle(rng) - two_pi; break;
+          default: d = angle(rng); break;
+        }
+        dirs.push_back(d);
+        acc.add(d);
+        const double c = norm_angle(d);
+        arcs.push_back({norm_angle(c - alpha / 2.0), norm_angle(c + alpha / 2.0)});
+      }
+      const arc_set& got = acc.merged();
+      ASSERT_TRUE(same_set(got, arc_set::cover(dirs, alpha)))
+          << "round " << round << " prefix " << i << " alpha " << alpha;
+      if (alpha < two_pi) {
+        ASSERT_TRUE(same_set(got, arc_set::from_arcs(arcs))) << "round " << round;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -192,7 +192,7 @@ TEST(Stretch, SampleSourcesIsNotASourceCount) {
 // ------------------------------------- metric phase on a thread pool
 
 /// Dijkstra by lazy deletion, evaluating every arc's cost: an oracle
-/// independent of the library kernel's settled skip and frontier.
+/// independent of the library kernel's frontier.
 std::vector<double> reference_dijkstra(const undirected_graph& g, node_id from,
                                        const edge_cost_fn& cost) {
   std::vector<double> dist(g.num_nodes(), std::numeric_limits<double>::infinity());

@@ -4,11 +4,14 @@
 // different pool widths). Plus bitwise equality of the kernel, through
 // both dijkstra_tree's cost callback and dijkstra's arc-cost array,
 // with a plain lazy-deletion loop on random graphs full of ties, and
-// the arc-cost array's layout and pool-width invariance.
+// with a copy that keeps the settled skip the kernel dropped; the
+// arc-cost array's layout and pool-width invariance, and the per-edge
+// power costs against arc_costs of power_cost.
 #include "graph/shortest_path.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -111,8 +114,7 @@ TEST(DijkstraTree, IdenticalOnGraphsBuiltAtAnyPoolWidth) {
 
 /// Lazy-deletion Dijkstra with parent pointers that evaluates every
 /// arc's cost, arcs back into settled nodes included: the oracle the
-/// library kernel (settled skip, indexed frontier) must match bit for
-/// bit.
+/// library kernel (indexed frontier) must match bit for bit.
 shortest_path_tree reference_tree(const undirected_graph& g, node_id from,
                                   const edge_cost_fn& cost) {
   shortest_path_tree tree;
@@ -230,6 +232,96 @@ TEST(ArcCosts, EmptyGraphAndIsolatedNodes) {
   EXPECT_TRUE(std::isinf(from_pair[3]));
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(dijkstra(undirected_graph(3), 1, {}), (std::vector<double>{inf, 0.0, inf}));
+}
+
+/// Dijkstra over an arc-cost array with the settled skip the kernel
+/// dropped: an arc into a node already at distance <= d is never
+/// priced. For non-negative costs d + c >= d, so the strict test
+/// rejects such arcs anyway and no bit may change.
+std::vector<double> skip_settled_dijkstra(const undirected_graph& g, node_id from,
+                                          std::span<const double> arc_cost) {
+  std::vector<double> dist(g.num_nodes(), std::numeric_limits<double>::infinity());
+  using entry = std::pair<double, node_id>;
+  std::priority_queue<entry, std::vector<entry>, std::greater<>> heap;
+  dist[from] = 0.0;
+  heap.push({0.0, from});
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[u]) continue;
+    const std::span<const node_id> nbrs = g.neighbors(u);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const node_id v = nbrs[k];
+      if (dist[v] <= d) continue;
+      const double nd = d + arc_cost[g.first_arc(u) + k];
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        heap.push({nd, v});
+      }
+    }
+  }
+  return dist;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(Dijkstra, ArrayCostsMatchTheSettledSkipLoopBitwise) {
+  // Zero-cost arcs, three-valued asymmetric costs and coincident
+  // lattice nodes make ties and zero-distance plateaus common; every
+  // source of every graph is searched.
+  std::mt19937_64 rng(2411);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = 2 + rng() % 120;
+    std::vector<edge> edges(rng() % (5 * n));
+    for (edge& e : edges) e = {static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n)};
+    const undirected_graph g = make_graph(n, std::move(edges));
+    std::vector<vec2> lattice(n);
+    for (vec2& p : lattice) {
+      p = {100.0 * static_cast<double>(rng() % 6), 100.0 * static_cast<double>(rng() % 6)};
+    }
+    const std::uint64_t salt = rng();
+    const edge_cost_fn quantized = [salt](node_id u, node_id v) {
+      return 0.1 * static_cast<double>(mix(salt ^ (std::uint64_t{u} << 32 | v)) % 4);
+    };
+    for (const edge_cost_fn& cost : {quantized, power_cost(lattice, 2.0), power_cost(lattice, 3.5)}) {
+      const std::vector<double> costs = arc_costs(g, cost);
+      for (node_id from = 0; from < n; ++from) {
+        ASSERT_EQ(bits(dijkstra(g, from, costs)), bits(skip_settled_dijkstra(g, from, costs)))
+            << "round " << round << " from " << from;
+      }
+    }
+  }
+}
+
+TEST(PowerArcCosts, MatchArcCostsOfPowerCostBitForBit) {
+  // Each edge priced once and mirrored to its twin arc must equal
+  // pricing both arcs, for uniform, coincident and negative
+  // coordinates, several exponents, and any pool width.
+  std::vector<std::vector<vec2>> fields;
+  fields.push_back(geom::uniform_points(400, geom::bbox::rect(3000.0, 3000.0), 53));
+  std::vector<vec2> stacked = geom::uniform_points(200, geom::bbox::rect(1200.0, 1200.0), 59);
+  for (std::size_t i = 3; i < stacked.size(); i += 3) stacked[i] = stacked[i - 1];
+  fields.push_back(stacked);
+  std::vector<vec2> shifted = geom::uniform_points(200, geom::bbox::rect(1200.0, 1200.0), 61);
+  for (vec2& p : shifted) p = {p.x - 600.123, p.y * -1.7};
+  fields.push_back(shifted);
+  for (const std::vector<vec2>& pts : fields) {
+    const undirected_graph g = build_max_power_graph(pts, 400.0);
+    ASSERT_GT(g.num_edges(), 0u);
+    for (const double exponent : {2.0, 3.0, 2.5, 4.0}) {
+      const std::vector<double> want = arc_costs(g, power_cost(pts, exponent));
+      for (const unsigned width : {1u, 4u}) {
+        util::thread_pool pool(width);
+        EXPECT_EQ(bits(power_arc_costs(g, pts, exponent, pool)), bits(want))
+            << "exponent " << exponent << " width " << width;
+      }
+    }
+  }
+  EXPECT_TRUE(power_arc_costs(undirected_graph(3), {{0, 0}, {1, 1}, {2, 2}}, 2.0).empty());
 }
 
 }  // namespace
