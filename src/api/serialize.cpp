@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -106,6 +107,16 @@ void check_rules(radio::obstacle& ob, const jv& o, const std::string& path) {
   require(get(o, "box") != nullptr, path + ".box is missing");
   require(ob.box.min.x <= ob.box.max.x && ob.box.min.y <= ob.box.max.y,
           path + ".box must satisfy x0 <= x1 and y0 <= y1");
+}
+
+/// The maximum power P = R^n must be a positive finite double, as
+/// radio::power_model requires: growth climbs from p(R/16) to P, so an
+/// R^n that overflows (or underflows) would leave every node isolated.
+void check_rules(radio_spec& r, const jv&, const std::string& path) {
+  const double p = std::pow(r.max_range, r.path_loss_exponent);
+  require(std::isfinite(p) && p > 0.0, path + ".max_range ^ " + path +
+                                           ".path_loss_exponent (the maximum power) must be "
+                                           "positive and finite");
 }
 
 void check_rules(propagation_spec& p, const jv&, const std::string& path) {

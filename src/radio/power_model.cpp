@@ -13,6 +13,12 @@ power_model::power_model(double exponent, double max_range)
     : exponent_(exponent), max_range_(max_range), max_power_(std::pow(max_range, exponent)) {
   if (exponent < 1.0) throw std::invalid_argument("power_model: exponent must be >= 1");
   if (max_range <= 0.0) throw std::invalid_argument("power_model: max_range must be positive");
+  // Growth climbs from p(R/16) to P; a P that overflows to inf (or
+  // underflows to 0) never lets a broadcast happen.
+  if (!std::isfinite(max_power_) || max_power_ <= 0.0) {
+    throw std::invalid_argument(
+        "power_model: the maximum power max_range^exponent must be positive and finite");
+  }
 }
 
 double power_model::required_power(double distance) const {

@@ -29,7 +29,8 @@ namespace cbtc::radio {
 class power_model {
  public:
   /// `exponent` is the path-loss exponent n (>= 1); `max_range` is R.
-  /// The maximum power P is derived as p(R).
+  /// The maximum power P is derived as p(R) = R^n, which must be a
+  /// positive finite double (throws std::invalid_argument otherwise).
   power_model(double exponent, double max_range);
 
   /// p(d): minimum transmission power required to reach distance d.

@@ -332,6 +332,25 @@ TEST(ApiSerialize, ZeroStretchSamplesRejected) {
 
 /// Nesting is capped at json::max_depth, so a hostile document fails
 /// with std::invalid_argument instead of overflowing the stack.
+TEST(ApiSerialize, MaximumPowerMustBeRepresentable) {
+  // P = R^n overflowing to inf (or underflowing to 0) would leave every
+  // node isolated: growth starts at p(R/16) = inf and never broadcasts.
+  for (const char* bad : {R"({"scenario": {"radio": {"max_range": 1e200}}})",
+                          R"({"scenario": {"radio": {"path_loss_exponent": 400}}})",
+                          R"({"scenario": {"radio": {"max_range": 1e-200}}})"}) {
+    try {
+      (void)parse_scenario_json(bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario.radio.max_range"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)parse_scenario_json(R"({"scenario": {"radio": {"max_range": 1e150}}})"));
+  EXPECT_NO_THROW(
+      (void)parse_scenario_json(R"({"scenario": {"radio": {"path_loss_exponent": 100}}})"));
+}
+
 TEST(ApiSerialize, DeepNestingIsRejected) {
   const auto nested = [](std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "geom/angle.h"
 #include "radio/channel.h"
@@ -69,6 +70,13 @@ TEST(PowerModel, EstimateRequiredPowerRoundTrip) {
 TEST(PowerModel, InvalidArguments) {
   EXPECT_THROW(power_model(0.5, 500.0), std::invalid_argument);
   EXPECT_THROW(power_model(2.0, 0.0), std::invalid_argument);
+  // The maximum power R^n must be a positive finite double.
+  EXPECT_THROW(power_model(2.0, 1e200), std::invalid_argument);
+  EXPECT_THROW(power_model(400.0, 500.0), std::invalid_argument);
+  EXPECT_THROW(power_model(2.0, 1e-200), std::invalid_argument);
+  EXPECT_THROW(power_model(2.0, std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_THROW(power_model(2.0, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_TRUE(std::isfinite(power_model(2.0, 1e150).max_power()));
   const power_model pm(2.0, 500.0);
   EXPECT_THROW((void)pm.estimate_required_power(100.0, 0.0), std::invalid_argument);
 }
