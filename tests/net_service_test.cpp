@@ -4,6 +4,14 @@
 // shard is killed mid-batch (connection severed after a few partials)
 // and when a shard duplicates every partial. Failures may only move
 // blocks between shards, never change results.
+//
+// Every count asserted here follows from the fault configuration (how
+// many partials a shard severs after or duplicates, whether a port
+// listens), not from thread scheduling, with one timing assumption:
+// MatchesInProcessForOneTwoAndThreeShards expects connection_failures
+// == 0, so neither the 2 s connect timeout nor the 20 s I/O timeout of
+// config_for may fire on loopback. A machine stalled that long fails
+// that count while the reports still match.
 #include <gtest/gtest.h>
 
 #include <cstdint>
