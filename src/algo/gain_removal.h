@@ -106,7 +106,8 @@ struct gain_removal_result {
 /// `candidates` is the gain-aware max-power graph G_R over the same
 /// node set (graph::build_max_power_graph(positions, link, pool));
 /// witness paths live there, so redundancy decisions are independent
-/// of which edges earlier passes already pruned.
+/// of which edges earlier passes already pruned. Each candidate arc's
+/// required power is computed once per pass, on `pool`.
 [[nodiscard]] gain_removal_result apply_gain_aware_removal(
     const graph::undirected_graph& g, const graph::undirected_graph& candidates,
     std::span<const geom::vec2> positions, const radio::link_model& link,

@@ -9,43 +9,30 @@ namespace cbtc::graph {
 
 namespace {
 
-/// Reused query buffers: one per block of edges, not three vectors per
-/// edge.
+/// Query buffers reused across a block of edges, instead of three
+/// fresh vectors per edge.
 struct disk_scratch {
   std::vector<geom::point_index> in_u;
   std::vector<geom::point_index> in_v;
+  std::vector<geom::point_index> all;
 };
 
-/// Nodes other than u and v inside either disk of radius d(u, v)
-/// centered at u or at v: the size of the union of the two sorted
-/// query results, minus the endpoints found in it.
 std::size_t disk_union_count(std::span<const geom::vec2> positions, const geom::spatial_grid& grid,
                              node_id u, node_id v, disk_scratch& s) {
   const double len = geom::distance(positions[u], positions[v]);
   s.in_u.clear();
   s.in_v.clear();
+  s.all.clear();
   grid.query_radius_into(positions[u], len, geom::spatial_grid::npos, s.in_u);
   grid.query_radius_into(positions[v], len, geom::spatial_grid::npos, s.in_v);
   std::sort(s.in_u.begin(), s.in_u.end());
   std::sort(s.in_v.begin(), s.in_v.end());
-  std::size_t common = 0;
-  for (auto a = s.in_u.begin(), b = s.in_v.begin(); a != s.in_u.end() && b != s.in_v.end();) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      ++common;
-      ++a;
-      ++b;
-    }
-  }
-  const auto member = [&](node_id x) {
-    return std::binary_search(s.in_u.begin(), s.in_u.end(), x) ||
-           std::binary_search(s.in_v.begin(), s.in_v.end(), x);
-  };
-  return s.in_u.size() + s.in_v.size() - common - static_cast<std::size_t>(member(u)) -
-         static_cast<std::size_t>(member(v));
+  std::set_union(s.in_u.begin(), s.in_u.end(), s.in_v.begin(), s.in_v.end(),
+                 std::back_inserter(s.all));
+  // Exclude the endpoints themselves.
+  return s.all.size() -
+         static_cast<std::size_t>(std::binary_search(s.all.begin(), s.all.end(), u)) -
+         static_cast<std::size_t>(std::binary_search(s.all.begin(), s.all.end(), v));
 }
 
 }  // namespace
