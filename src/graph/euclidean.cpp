@@ -11,28 +11,30 @@ undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, do
                                        const util::thread_pool& pool) {
   const std::size_t n = positions.size();
   if (n == 0 || max_range <= 0.0) return undirected_graph(n);
-  // One grid query per node: each chunk of nodes keeps its hits, sorted
-  // per node, in a chunk-local buffer; the prefix sum of the degrees
-  // then places every chunk's buffer in one flat CSR array.
+  // Per-node grid count, exclusive prefix sum, per-node fill + sort
+  // into one flat CSR array.
   const geom::spatial_grid grid(positions, max_range);
-  std::vector<std::vector<node_id>> hits((n + util::reduce_block - 1) / util::reduce_block);
   std::vector<std::size_t> deg(n);
   pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t hi) {
-    std::vector<node_id>& buf = hits[lo / util::reduce_block];
+    std::vector<geom::point_index> hits;
     for (std::size_t u = lo; u < hi; ++u) {
-      const std::size_t start = buf.size();
-      grid.query_radius_into(positions[u], max_range, static_cast<geom::point_index>(u), buf);
-      deg[u] = buf.size() - start;
-      std::sort(buf.begin() + static_cast<std::ptrdiff_t>(start), buf.end());
+      hits.clear();
+      grid.query_radius_into(positions[u], max_range, static_cast<geom::point_index>(u), hits);
+      deg[u] = hits.size();
     }
   });
   std::vector<std::size_t> off(n + 1, 0);
   for (std::size_t u = 0; u < n; ++u) off[u + 1] = off[u] + deg[u];
   std::vector<node_id> flat(off[n]);
-  pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t) {
-    std::vector<node_id>& buf = hits[lo / util::reduce_block];
-    std::copy(buf.begin(), buf.end(), flat.begin() + static_cast<std::ptrdiff_t>(off[lo]));
-    std::vector<node_id>().swap(buf);
+  pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t hi) {
+    std::vector<geom::point_index> hits;
+    for (std::size_t u = lo; u < hi; ++u) {
+      hits.clear();
+      grid.query_radius_into(positions[u], max_range, static_cast<geom::point_index>(u), hits);
+      const auto begin = flat.begin() + static_cast<std::ptrdiff_t>(off[u]);
+      std::copy(hits.begin(), hits.end(), begin);
+      std::sort(begin, begin + static_cast<std::ptrdiff_t>(hits.size()));
+    }
   });
   return undirected_graph::from_csr(std::move(off), std::move(flat));
 }
