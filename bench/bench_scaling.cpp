@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
@@ -79,6 +80,21 @@ void BM_EngineFullPipeline(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_EngineFullPipeline)->RangeMultiplier(2)->Range(100, 1600)->Complexity();
+
+/// One instance of the paper's Table 1 experiment: engine::run of the
+/// paper_table1 preset (all three optimizations, default metrics) at
+/// range(0) nodes on one thread, the unit of work a Table 1 sweep
+/// repeats per seed. Iterations cycle through 16 seeds.
+void BM_Table1Instance(benchmark::State& state) {
+  api::scenario_spec spec = *api::find_scenario("paper_table1");
+  spec.deploy.nodes = static_cast<std::size_t>(state.range(0));
+  spec.cbtc.intra_threads = 1;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec, seed++ % 16));
+  }
+}
+BENCHMARK(BM_Table1Instance)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineProtocol(benchmark::State& state) {
   api::scenario_spec spec = scaling_spec(state.range(0));
