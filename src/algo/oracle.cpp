@@ -140,8 +140,8 @@ void begin_node(growth_arena<Isotropic>& arena) {
 }
 
 /// Admits candidate `c` of the node at `pu` at the newest level, power
-/// tag `p`. Its bearing is the one candidate discovery used to take;
-/// the gap test's directions stay sorted by insertion.
+/// tag `p`, taking its bearing here (only admitted candidates need
+/// one). The gap test's directions stay sorted by insertion.
 template <bool Isotropic>
 void admit(const candidate<Isotropic>& c, std::span<const geom::vec2> positions, geom::vec2 pu,
            double p, growth_arena<Isotropic>& arena) {
