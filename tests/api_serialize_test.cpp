@@ -330,8 +330,6 @@ TEST(ApiSerialize, ZeroStretchSamplesRejected) {
   EXPECT_THROW((void)wire::decode_batch_request(m), std::invalid_argument);
 }
 
-/// Nesting is capped at json::max_depth, so a hostile document fails
-/// with std::invalid_argument instead of overflowing the stack.
 TEST(ApiSerialize, MaximumPowerMustBeRepresentable) {
   // P = R^n overflowing to inf (or underflowing to 0) would leave every
   // node isolated: growth starts at p(R/16) = inf and never broadcasts.
@@ -351,6 +349,8 @@ TEST(ApiSerialize, MaximumPowerMustBeRepresentable) {
       (void)parse_scenario_json(R"({"scenario": {"radio": {"path_loss_exponent": 100}}})"));
 }
 
+/// Nesting is capped at json::max_depth, so a hostile document fails
+/// with std::invalid_argument instead of overflowing the stack.
 TEST(ApiSerialize, DeepNestingIsRejected) {
   const auto nested = [](std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');
