@@ -16,18 +16,6 @@ bool node_result::knows(node_id v) const {
                      [v](const neighbor_record& r) { return r.id == v; });
 }
 
-std::vector<double> node_result::directions() const {
-  std::vector<double> dirs;
-  dirs.reserve(neighbors.size());
-  for (const neighbor_record& r : neighbors) {
-    // A neighbor at distance zero has no meaningful bearing (the paper
-    // implicitly assumes distinct positions); it contributes no
-    // directional coverage.
-    if (r.distance > 0.0) dirs.push_back(r.direction);
-  }
-  return dirs;
-}
-
 double node_result::out_radius() const {
   double r = 0.0;
   for (const neighbor_record& rec : neighbors) r = std::max(r, rec.distance);

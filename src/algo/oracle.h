@@ -51,8 +51,6 @@ struct node_result {
   bool boundary{false};                    // alpha-gap remained at max power
 
   [[nodiscard]] bool knows(node_id v) const;
-  /// Directions of all current neighbors (the set D_u).
-  [[nodiscard]] std::vector<double> directions() const;
   /// rad^-_{u,alpha}: distance of the farthest node in N_alpha(u).
   [[nodiscard]] double out_radius() const;
 

@@ -43,10 +43,6 @@ double max_sorted_gap(std::span<const double> sorted) {
   return std::max(max_gap, two_pi - sorted.back() + sorted.front());
 }
 
-double max_circular_gap(std::span<const double> directions) {
-  return max_sorted_gap(sorted_normalized(directions));
-}
-
 bool has_sorted_alpha_gap(std::span<const double> sorted, double alpha) {
   // Strict test per Figure 1, with a tiny epsilon so a gap of exactly
   // alpha (common in symmetric layouts) is not misclassified by the

@@ -34,11 +34,6 @@ inline constexpr double pi = std::numbers::pi;
 /// circle is one gap) and for a single direction. O(k), no allocation.
 [[nodiscard]] double max_sorted_gap(std::span<const double> sorted);
 
-/// The largest circular gap between consecutive directions: the sorted
-/// gap of sorted_normalized(directions). Directions need not be sorted
-/// or normalized.
-[[nodiscard]] double max_circular_gap(std::span<const double> directions);
-
 /// The paper's gap-alpha test (Section 2) on sorted, normalized
 /// directions: true iff some cone of degree `alpha` centered at the
 /// node contains no direction, i.e. iff max_sorted_gap exceeds

@@ -54,7 +54,7 @@ class undirected_graph {
   [[nodiscard]] std::size_t degree(node_id u) const { return offsets_[u + 1] - offsets_[u]; }
   /// Position of u's list in the concatenated neighbor array: arc
   /// first_arc(u) + k is u -> neighbors(u)[k]. Per-arc data (such as
-  /// graph::arc_costs) aligns with this numbering.
+  /// graph::power_arc_costs) aligns with this numbering.
   [[nodiscard]] std::size_t first_arc(node_id u) const { return offsets_[u]; }
 
   /// All edges with u < v, sorted lexicographically.

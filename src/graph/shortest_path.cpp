@@ -78,10 +78,11 @@ class frontier {
 /// a)` is the cost of arc a, u -> v (a indexes g's CSR neighbor
 /// array). `parent` may be null when only distances are wanted.
 ///
-/// No arc is skipped up front: for a settled v, dist[v] <= d <=
+/// The kernel skips no arc up front: for a settled v, dist[v] <= d <=
 /// fl(d + c) whenever c >= 0, so the strict test already rejects the
-/// arc, and a "settled?" branch before it mispredicts on G_R's long
-/// neighbor lists more than it saves.
+/// arc. Over an array of costs a "settled?" branch mispredicts on G_R's
+/// long neighbor lists more than it saves; a cost callback is dearer
+/// than the branch, so dijkstra_tree skips in its adapter.
 template <class ArcCost>
 void dijkstra_kernel(const undirected_graph& g, node_id from, const ArcCost& arc_cost,
                      std::vector<double>& dist, std::vector<node_id>* parent) {
@@ -108,18 +109,6 @@ void dijkstra_kernel(const undirected_graph& g, node_id from, const ArcCost& arc
 }
 
 }  // namespace
-
-std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cost,
-                              const util::thread_pool& pool) {
-  std::vector<double> out(2 * g.num_edges());
-  pool.parallel_for(g.num_nodes(), [&](std::size_t i) {
-    const auto u = static_cast<node_id>(i);
-    const std::span<const node_id> nbrs = g.neighbors(u);
-    double* const costs = out.data() + g.first_arc(u);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) costs[k] = cost(u, nbrs[k]);
-  });
-  return out;
-}
 
 std::vector<double> power_arc_costs(const undirected_graph& g,
                                     const std::vector<geom::vec2>& positions, double exponent,
@@ -156,16 +145,17 @@ std::vector<double> dijkstra(const undirected_graph& g, node_id from,
 shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                  const edge_cost_fn& cost) {
   shortest_path_tree tree;
+  // Settled skip: an arc into a node already at distance <= dist[u]
+  // (every settled node) cannot pass the strict test, so it is priced
+  // +infinity without calling `cost`; d + inf = inf < dist[v] is false,
+  // so no bit of dist or parent changes.
   dijkstra_kernel(
-      g, from, [&cost](node_id u, node_id v, std::size_t) { return cost(u, v); }, tree.dist,
-      &tree.parent);
+      g, from,
+      [&cost, &dist = tree.dist](node_id u, node_id v, std::size_t) {
+        return dist[v] <= dist[u] ? std::numeric_limits<double>::infinity() : cost(u, v);
+      },
+      tree.dist, &tree.parent);
   return tree;
-}
-
-edge_cost_fn power_cost(const std::vector<geom::vec2>& positions, double exponent) {
-  return [&positions, exponent](node_id u, node_id v) {
-    return std::pow(geom::distance(positions[u], positions[v]), exponent);
-  };
 }
 
 }  // namespace cbtc::graph

@@ -6,11 +6,11 @@
 //
 // Two ways to give the costs. A search that runs many times over one
 // fixed cost (the stretch pass: every sampled source, on the same two
-// graphs) evaluates each arc's cost once with arc_costs and hands the
-// resulting array to dijkstra. A search whose costs change between
-// calls (run_lifetime's residual-energy route weights) passes a cost
-// callback to dijkstra_tree. Both run the same kernel, so the same
-// costs give the same distances bit for bit.
+// graphs) prices each arc once into an arc-cost array (power_arc_costs
+// for the energy metric) and hands it to dijkstra. A search whose
+// costs change between calls (run_lifetime's residual-energy route
+// weights) passes a cost callback to dijkstra_tree. Both run the same
+// kernel, so the same costs give the same distances bit for bit.
 //
 // Arc-cost layout: an arc-cost array of g has one entry per arc,
 // aligned with g's CSR neighbor array. Entry g.first_arc(u) + k is the
@@ -30,28 +30,26 @@
 namespace cbtc::graph {
 
 /// Cost of traversing edge {u, v}; must be non-negative and free of
-/// side effects (the number of calls is not part of the contract).
+/// side effects (Dijkstra skips arcs that cannot relax, so the number
+/// of calls is not part of the contract).
 using edge_cost_fn = std::function<double(node_id, node_id)>;
 
-/// g's arc-cost array (see the layout above): entry g.first_arc(u) + k
-/// is cost(u, g.neighbors(u)[k]). Filled per node on `pool`, one slot
-/// per node, so the array is identical at every pool width.
-[[nodiscard]] std::vector<double> arc_costs(const undirected_graph& g, const edge_cost_fn& cost,
-                                            const util::thread_pool& pool = util::thread_pool(1));
-
-/// arc_costs(g, power_cost(positions, exponent), pool), bit for bit,
-/// with each edge priced once: the arc u -> v (u < v) is priced and its
-/// twin v -> u gets the same entry. The two coordinate differences are
-/// exact negations of each other and hypot ignores signs, so d(u, v)
-/// and d(v, u) are the same double.
+/// g's arc-cost array (see the layout above) for the energy metric:
+/// the entry of arc u -> v is pow(distance(u, v), exponent). Each edge
+/// is priced once: the arc u -> v (u < v) is priced and its twin v -> u
+/// gets the same entry. The two coordinate differences are exact
+/// negations of each other and hypot ignores signs, so d(u, v) and
+/// d(v, u) are the same double. Filled per node on `pool`, each slot by
+/// one writer, so the array is identical at every pool width.
 [[nodiscard]] std::vector<double> power_arc_costs(
     const undirected_graph& g, const std::vector<geom::vec2>& positions, double exponent,
     const util::thread_pool& pool = util::thread_pool(1));
 
 /// Dijkstra from `from` over g's arc-cost array `arc_cost` (one
-/// non-negative entry per arc, as arc_costs lays it out). Unreachable
-/// nodes get +infinity. Equal, bit for bit, to dijkstra_tree(g, from,
-/// cost).dist when arc_cost = arc_costs(g, cost).
+/// non-negative entry per arc, in the layout above). Unreachable nodes
+/// get +infinity. Equal, bit for bit, to dijkstra_tree(g, from,
+/// cost).dist when entry g.first_arc(u) + k of arc_cost is cost(u,
+/// g.neighbors(u)[k]).
 [[nodiscard]] std::vector<double> dijkstra(const undirected_graph& g, node_id from,
                                            std::span<const double> arc_cost);
 
@@ -66,11 +64,9 @@ struct shortest_path_tree {
 /// Dijkstra from `from` with parent pointers. Relaxations use strict
 /// `<` improvement and the heap orders ties by (distance, node id), so
 /// the tree is deterministic for a given graph and cost function. The
-/// cost callback is invoked as cost(settled, neighbor).
+/// cost callback is invoked as cost(settled, neighbor), and never for a
+/// neighbor already settled.
 [[nodiscard]] shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                                const edge_cost_fn& cost);
-
-/// Edge cost equal to transmission power d^exponent (energy metric).
-[[nodiscard]] edge_cost_fn power_cost(const std::vector<geom::vec2>& positions, double exponent);
 
 }  // namespace cbtc::graph

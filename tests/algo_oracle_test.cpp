@@ -9,6 +9,7 @@
 #include <string>
 
 #include "digest.h"
+#include "direction_set.h"
 #include "geom/angle.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
@@ -163,7 +164,7 @@ TEST(Oracle, BoundaryNodesBroadcastAtMaxPower) {
     if (n.boundary) {
       EXPECT_DOUBLE_EQ(n.final_power, pm.max_power());
     } else {
-      EXPECT_FALSE(geom::has_alpha_gap(n.directions(), r.params.alpha));
+      EXPECT_FALSE(geom::has_alpha_gap(directions(n), r.params.alpha));
     }
   }
   // In a 1500x1500 field with R=500, nodes near the border always have

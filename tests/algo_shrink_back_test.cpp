@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "direction_set.h"
 #include "geom/arc_set.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
@@ -45,8 +46,8 @@ TEST(ShrinkBack, PreservesConeCoverage) {
   const cbtc_result after = apply_shrink_back(before);
   for (std::size_t u = 0; u < before.num_nodes(); ++u) {
     const auto cover_before =
-        geom::arc_set::cover(before.nodes[u].directions(), before.params.alpha);
-    const auto cover_after = geom::arc_set::cover(after.nodes[u].directions(), after.params.alpha);
+        geom::arc_set::cover(directions(before.nodes[u]), before.params.alpha);
+    const auto cover_after = geom::arc_set::cover(directions(after.nodes[u]), after.params.alpha);
     EXPECT_TRUE(cover_after.approx_equals(cover_before, 1e-6)) << "node " << u;
   }
 }
@@ -134,7 +135,7 @@ TEST(ShrinkBack, ReducesAverageRadiusOnPaperWorkload) {
 node_result reference_shrink_node(const node_result& in, double alpha,
                                   const shrink_back_options& opts) {
   if (in.neighbors.empty() || in.level_powers.size() <= 1) return in;
-  const geom::arc_set full_cover = geom::arc_set::cover(in.directions(), alpha);
+  const geom::arc_set full_cover = geom::arc_set::cover(directions(in), alpha);
   for (std::size_t keep = 0; keep + 1 < in.level_powers.size(); ++keep) {
     std::vector<double> dirs;
     for (const neighbor_record& r : in.neighbors) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace cbtc::geom {
@@ -16,6 +17,12 @@ namespace {
 
 constexpr double alpha_probe_5pi6 = 5.0 * pi / 6.0;
 constexpr double alpha_probe_2pi3 = 2.0 * pi / 3.0;
+
+/// The largest circular gap of directions that need not be sorted or
+/// normalized, the way has_alpha_gap measures it.
+double max_circular_gap(std::span<const double> directions) {
+  return max_sorted_gap(sorted_normalized(directions));
+}
 
 TEST(NormAngle, AlreadyNormalized) {
   EXPECT_DOUBLE_EQ(norm_angle(0.0), 0.0);

@@ -24,6 +24,7 @@
 #include "graph/traversal.h"
 #include "graph_fixtures.h"
 #include "pinned_fields.h"
+#include "shortest_path_reference.h"
 #include "radio/power_model.h"
 #include "util/parallel.h"
 

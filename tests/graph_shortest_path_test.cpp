@@ -4,9 +4,9 @@
 // different pool widths). Plus bitwise equality of the kernel, through
 // both dijkstra_tree's cost callback and dijkstra's arc-cost array,
 // with a plain lazy-deletion loop on random graphs full of ties, and
-// with a copy that keeps the settled skip the kernel dropped; the
-// arc-cost array's layout and pool-width invariance, and the per-edge
-// power costs against arc_costs of power_cost.
+// with a copy that keeps the settled skip dijkstra leaves out; the
+// arc-cost array's layout, and the per-edge power costs against the
+// reference arc_costs of power_cost (shortest_path_reference.h).
 #include "graph/shortest_path.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph_fixtures.h"
+#include "shortest_path_reference.h"
 #include "util/parallel.h"
 
 namespace cbtc::graph {
@@ -110,6 +111,26 @@ TEST(DijkstraTree, IdenticalOnGraphsBuiltAtAnyPoolWidth) {
   const shortest_path_tree tb = dijkstra_tree(b, 7, cost);
   EXPECT_EQ(ta.dist, tb.dist);
   EXPECT_EQ(ta.parent, tb.parent);
+}
+
+TEST(DijkstraTree, PricesAtMostOneArcPerEdge) {
+  // The callback is never invoked for a neighbor already settled: of
+  // an edge's two arcs, the one out of the endpoint settled second
+  // points back into a settled node, so at most one arc per edge is
+  // priced (a search that priced every arc would make 2|E| calls).
+  std::mt19937_64 rng(3301);
+  const undirected_graph g = random_graph(80, 0.2, rng);
+  ASSERT_GT(g.num_edges(), 0u);
+  std::vector<bool> settled(g.num_nodes(), false);
+  std::size_t calls = 0;
+  const edge_cost_fn cost = [&](node_id u, node_id v) {
+    settled[u] = true;
+    EXPECT_FALSE(settled[v]) << u << " -> " << v;
+    ++calls;
+    return 1.0 + static_cast<double>((u + v) % 3);
+  };
+  (void)dijkstra_tree(g, 0, cost);
+  EXPECT_LE(calls, g.num_edges());
 }
 
 /// Lazy-deletion Dijkstra with parent pointers that evaluates every
@@ -203,20 +224,6 @@ TEST(ArcCosts, EntryFollowsTheCsrNeighborOrder) {
   }
 }
 
-TEST(ArcCosts, IdenticalAtAnyPoolWidth) {
-  const std::vector<vec2> positions =
-      geom::uniform_points(300, geom::bbox::rect(2000.0, 2000.0), 17);
-  const undirected_graph g = build_max_power_graph(positions, 400.0);
-  ASSERT_GT(g.num_edges(), 0u);
-  for (const edge_cost_fn& cost : {power_cost(positions, 2.0), asymmetric_cost}) {
-    const std::vector<double> serial = arc_costs(g, cost);
-    for (const unsigned width : {3u, 4u}) {
-      util::thread_pool pool(width);
-      EXPECT_EQ(arc_costs(g, cost, pool), serial) << "width " << width;
-    }
-  }
-}
-
 TEST(ArcCosts, EmptyGraphAndIsolatedNodes) {
   EXPECT_TRUE(arc_costs(undirected_graph(0), unit_cost).empty());
   // Nodes 0 and 3 are isolated: they own no arcs, and a search from
@@ -234,8 +241,8 @@ TEST(ArcCosts, EmptyGraphAndIsolatedNodes) {
   EXPECT_EQ(dijkstra(undirected_graph(3), 1, {}), (std::vector<double>{inf, 0.0, inf}));
 }
 
-/// Dijkstra over an arc-cost array with the settled skip the kernel
-/// dropped: an arc into a node already at distance <= d is never
+/// Dijkstra over an arc-cost array with the settled skip that dijkstra
+/// leaves out: an arc into a node already at distance <= d is never
 /// priced. For non-negative costs d + c >= d, so the strict test
 /// rejects such arcs anyway and no bit may change.
 std::vector<double> skip_settled_dijkstra(const undirected_graph& g, node_id from,
