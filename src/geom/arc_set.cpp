@@ -88,13 +88,10 @@ arc_set arc_set::from_arcs(std::span<const arc> arcs) {
 
 arc_set arc_set::cover(std::span<const double> directions, double alpha) {
   if (alpha >= two_pi && !directions.empty()) return full_circle();
-  std::vector<arc> pieces;
-  pieces.reserve(directions.size() * 2);
-  for (double d : directions) unroll(cover_arc(d, alpha), pieces);
-  std::sort(pieces.begin(), pieces.end(), piece_before);
-  arc_set result;
-  result.merge_sorted(pieces);
-  return result;
+  std::vector<arc> arcs;
+  arcs.reserve(directions.size());
+  for (double d : directions) arcs.push_back(cover_arc(d, alpha));
+  return from_arcs(arcs);
 }
 
 arc_set arc_set::full_circle() {

@@ -60,8 +60,8 @@ class arc_set {
   friend class cover_accumulator;
 
   /// Becomes the union of `pieces`: non-wrapping arcs lo <= hi on
-  /// [0, 2*pi], sorted by (lo, hi). The one merge behind from_arcs,
-  /// cover and cover_accumulator; it reuses this set's storage.
+  /// [0, 2*pi], sorted by (lo, hi). The one merge behind from_arcs
+  /// (and so cover) and cover_accumulator; it reuses this set's storage.
   void merge_sorted(std::span<const arc> pieces);
 
   std::vector<arc> arcs_;  // canonical form; unused when full_ is set
