@@ -33,6 +33,7 @@
 #include "graph/live_index.h"
 #include "graph/metrics.h"
 #include "radio/propagation.h"
+#include "sim/simulator.h"
 #include "util/parallel.h"
 
 namespace {
@@ -628,6 +629,60 @@ void BM_DynamicTickPartitioned(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicTickSerial)->Arg(100000)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DynamicTickPartitioned)->Arg(100000)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+/// The event engine alone, with no protocol and no medium: every node
+/// re-arms a timer every five lattice steps, and each firing schedules
+/// three trivial deliveries to its id neighbours one lookahead ahead.
+/// Timers are staggered over the five phases, so every instant holds
+/// about 0.8 x nodes events (6,400 at 8,000 nodes, like churn_8k's
+/// instants). Nodes sit in contiguous id blocks per region. The step is
+/// 1/64, so every time is exact and equal lattice times are equal
+/// doubles. Args: nodes, regions, threads.
+void BM_EventEngine(benchmark::State& state) {
+  const auto n = static_cast<graph::node_id>(state.range(0));
+  const auto regions = static_cast<std::uint32_t>(state.range(1));
+  const util::thread_pool pool(static_cast<unsigned>(state.range(2)));
+  constexpr double delta = 1.0 / 64.0;
+  constexpr std::uint32_t steps = 100;
+  struct world {
+    sim::simulator* sim;
+    graph::node_id n;
+    std::vector<std::uint64_t> tx;
+    std::vector<std::uint64_t> received;
+
+    void fire(graph::node_id u, std::uint32_t k) {
+      const double next = static_cast<double>(k + 1) * delta;
+      for (graph::node_id j = 1; j <= 3; ++j) {
+        const graph::node_id to = (u + j) % n;
+        sim->schedule_delivery(next, to, u, tx[u]++, 0, [this, to] { ++received[to]; });
+      }
+      if (k + 5 <= steps) {
+        sim->schedule_node(static_cast<double>(k + 5) * delta, u,
+                           [this, u, k] { fire(u, k + 5); });
+      }
+    }
+  };
+  std::size_t events = 0;
+  for (auto _ : state) {
+    sim::simulator s(n, {.regions = regions, .lookahead = delta, .pool = &pool});
+    world w{&s, n, std::vector<std::uint64_t>(n, 0), std::vector<std::uint64_t>(n, 0)};
+    for (graph::node_id u = 0; u < n && regions > 1; ++u) {
+      s.set_region(u, static_cast<std::uint32_t>(std::uint64_t{u} * regions / n));
+    }
+    for (graph::node_id u = 0; u < n; ++u) {
+      const std::uint32_t k = u % 5;
+      s.schedule_node(static_cast<double>(k) * delta, u, [&w, u, k] { w.fire(u, k); });
+    }
+    events += s.run();
+    benchmark::DoNotOptimize(w.received.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventEngine)
+    ->Args({8000, 1, 1})
+    ->Args({8000, 16, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // -- substrate micro-benchmarks (not scenario orchestration) ----------
 

@@ -27,8 +27,11 @@
 // power_model::receive decides decodability and the reception power
 // from the same p(d). Each transmission stores its header, its payload
 // and the reception power and bearing of every scheduled copy once, in
-// a record the medium owns; a delivery event is a {record, copy,
-// receiver} triple that std::function stores inline. Records are
+// a record the medium owns. A delivery's action is a trivially copyable
+// 16-byte {record, copy, receiver} closure, small enough for
+// std::function's local buffer (libstdc++ keeps up to 16 bytes there),
+// and the engine keeps it in a slab slot that no queue step moves
+// (sim/simulator.h). Records are
 // recycled by their sender once their atomic count of pending copies
 // drops to zero. A sender's events run in one lane per instant at any
 // region count, so a record has a single writer; its readers are the

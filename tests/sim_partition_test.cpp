@@ -7,8 +7,9 @@
 // crashes/restarts in flight. Plus direct unit coverage of the
 // conservative synchronizer itself: lookahead safety (no event created
 // inside a phase below now + lookahead), parallel-phase telemetry,
-// migration counting, and the per-region churn counters on the live
-// index; and of the one-region engine's key order at zero lookahead.
+// migration counting, the rejection of node ids at or above the node
+// count, and the per-region churn counters on the live index; and of
+// the one-region engine's key order at zero lookahead.
 //
 // No assertion here depends on how threads are scheduled: lane
 // telemetry is a function of the event structure and the pool's
@@ -24,6 +25,7 @@
 #include <any>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -299,6 +301,37 @@ TEST(SimPartition, OneRegionZeroLookaheadRunsSameInstantDeliveriesInKeyOrder) {
   EXPECT_EQ(hook_runs, (std::vector<std::size_t>{6}));
   EXPECT_DOUBLE_EQ(s.now(), 1.0);
   EXPECT_TRUE(s.idle());
+  EXPECT_FALSE(sim::simulator::in_event_phase());
+}
+
+/// With two or more regions a node id indexes the region map, so the
+/// schedule paths and set_region reject ids at or above the node count
+/// (and set_region a region at or above the region count), from serial
+/// contexts and from inside a lane. One region keeps accepting any
+/// owner, growing its timer counters on demand.
+TEST(SimPartition, OutOfRangeNodeIdsThrowWithTwoOrMoreRegions) {
+  sim::simulator psim(4, {.regions = 4, .lookahead = 0.01});
+  EXPECT_THROW(psim.schedule_node(0.5, 40000, [] {}), std::out_of_range);
+  EXPECT_THROW(psim.schedule_delivery(0.5, 40000, 0, 0, 0, [] {}), std::out_of_range);
+  EXPECT_THROW(psim.set_region(40000, 1), std::out_of_range);
+  EXPECT_THROW(psim.set_region(1, 4), std::out_of_range);
+  EXPECT_TRUE(psim.idle());
+  EXPECT_EQ(psim.stats().migrations, 0u);
+
+  int ran = 0;
+  psim.schedule_node(0.5, 3, [&] { ++ran; });
+  EXPECT_EQ(psim.run(), 1u);
+  EXPECT_EQ(ran, 1);
+
+  sim::simulator one;
+  one.schedule_node(0.5, 40000, [&] { ++ran; });
+  EXPECT_EQ(one.run(), 1u);
+  EXPECT_EQ(ran, 2);
+
+  psim.schedule_node(1.0, 2, [&] {
+    psim.schedule_delivery(psim.now() + 0.01, 40000, 2, 0, 0, [] {});
+  });
+  EXPECT_THROW(psim.run(), std::out_of_range);
   EXPECT_FALSE(sim::simulator::in_event_phase());
 }
 
